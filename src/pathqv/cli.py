@@ -24,7 +24,7 @@ from . import __version__
 from .construct import (FunctionSequence, IrrationalShift, PRESETS, build_x,
                         build_y, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
-                     grid_points)
+                     _check_level, grid_points)
 from .errors import DomainError, NumericalError, PathQVError
 from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
 from .flow import flow, flow_derivatives, flow_with_derivatives, sqrt1p_field
@@ -275,7 +275,7 @@ def _load_problem(spec_path, scheme, tonelli_n):
     for key in ("sigma", "b", "A", "x", "z0", "level"):
         if key not in doc:
             raise DomainError(f"{spec_path}: missing key {key!r}")
-    level = int(doc["level"])
+    level = _check_level(doc["level"])
     field = _resolve_field(doc["sigma"])
     drift = _resolve_drift(str(doc["b"]))
     x, fseq = _resolve_x(doc["x"], level)
@@ -506,7 +506,7 @@ def main(argv=None):
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args) or 0
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

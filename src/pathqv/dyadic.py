@@ -146,15 +146,23 @@ class SampledPath:
 
     @classmethod
     def from_csv(cls, path):
+        t, values = [], []
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0].lower() != "t,value":
-            raise DomainError(f"{path}: expected header 't,value'")
-        try:
-            values = [float(ln.split(",")[1]) for ln in lines[1:]]
-        except (IndexError, ValueError) as exc:
-            raise DomainError(f"{path}: malformed CSV row") from exc
-        return cls(_level_from_count(len(values)), values)
+            lines = (ln for ln in map(str.strip, fh) if ln)
+            if next(lines, "").lower() != "t,value":
+                raise DomainError(f"{path}: expected header 't,value'")
+            try:
+                for ln in lines:
+                    row = ln.split(",")
+                    t.append(float(row[0]))
+                    values.append(float(row[1]))
+            except (IndexError, ValueError) as exc:
+                raise DomainError(f"{path}: malformed CSV row") from exc
+        level = _level_from_count(len(values))
+        # 17 significant digits round-trip, so the written grid reads back exactly
+        if not np.array_equal(t, grid_points(level)):
+            raise DomainError(f"{path}: t column is not the level-{level} dyadic grid")
+        return cls(level, values)
 
     def to_json(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -165,7 +173,7 @@ class SampledPath:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         try:
-            return cls(int(doc["level"]), doc["values"])
+            return cls(_check_level(doc["level"]), doc["values"])
         except (KeyError, TypeError) as exc:
             raise DomainError(f"{path}: expected {{'level': n, 'values': [...]}}") from exc
 

@@ -76,10 +76,15 @@ class VolatilityField:
         h = 1e-5
         tol = 1e-4
         d_xi = np.asarray(self.sigma_xi(tt, xx), dtype=np.float64)
+        d_t = np.asarray(self.sigma_t(tt, xx), dtype=np.float64)
+        # NaN fails every comparison below, so non-finite values go first
+        if not (np.all(np.isfinite(d_xi)) and np.all(np.isfinite(d_t))):
+            raise DomainError("sigma_t or sigma_xi is not finite at sampled points")
+        if not (math.isfinite(self.sup_sigma_t) and math.isfinite(self.sup_sigma_xi)):
+            raise DomainError("declared sup-bounds must be finite")
         fd_xi = (self.sigma(tt, xx + h) - self.sigma(tt, xx - h)) / (2 * h)
         if np.any(np.abs(fd_xi - d_xi) > tol * (1.0 + np.abs(d_xi))):
             raise DomainError("sigma_xi disagrees with finite differences of sigma")
-        d_t = np.asarray(self.sigma_t(tt, xx), dtype=np.float64)
         fd_t = (self.sigma(tt + h, xx) - self.sigma(tt - h, xx)) / (2 * h)
         if np.any(np.abs(fd_t - d_t) > tol * (1.0 + np.abs(d_t))):
             raise DomainError("sigma_t disagrees with finite differences of sigma")
@@ -154,7 +159,9 @@ def _integrate_scalar(field, tau, xi, horizon, rtol, atol, max_steps):
         err = 0.0
         for c in range(3):
             tol_c = atol + rtol * max(abs(y[c]), abs(y5[c]))
-            err = max(err, abs(y5[c] - y4[c]) / tol_c)
+            e = abs(y5[c] - y4[c]) / tol_c
+            if not e <= err:  # unlike max(), keeps a NaN from any stage or state
+                err = e
         if not math.isfinite(err):
             raise FlowIntegrationError("non-finite state during flow integration")
         if err <= 1.0:

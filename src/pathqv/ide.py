@@ -16,8 +16,10 @@ grid against the three drivers A(s), s and <x>_s, matching the
 non-anticipative convention of the pathwise integral.  Two schemes solve
 the resulting discrete fixed-point system:
 
-* ``picard``  iterates B -> z0 + S(B) from the constant z0, with one
-  vectorized flow solve per sweep;
+* ``picard``  iterates B -> z0 + S(B) from the constant z0 with one
+  vectorized flow solve per sweep, loose while the defect is large and
+  at full tolerance before it may stop; the flow values of that last
+  sweep are phi(t, B(t), x(t)) and assemble z without a further solve;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
@@ -34,11 +36,12 @@ import numpy as np
 
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_level
 from .errors import DomainError, NumericalError
-from .flow import eval_on, flow_with_derivatives
+from .flow import ATOL, RTOL, eval_on, flow_with_derivatives
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
 MAX_PICARD_ITER = 200
+_FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,18 +115,15 @@ class IDESolution:
     follmer_defect: float
 
 
-def _kernel_values(problem, tpts, xpts, y):
-    """The three Stieltjes kernels at given (t, B, x(t)) points, with the
-    flow quantities shared from a single (vectorized) solve."""
-    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts)
+def _cell_contributions(problem, tpts, xpts, y, dA, ds, dQ, rtol=RTOL):
+    """Flow values at (t, B, x(t)) points and the left-point contributions
+    of the len(dA) cells starting there, from one vectorized flow solve at
+    relative tolerance rtol (ATOL scaled alike)."""
+    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts,
+                                                rtol, ATOL * (rtol / RTOL))
     bvals = np.asarray(problem.drift(tpts, phi), dtype=np.float64)
-    return bvals / dxi, -dtau / dxi, -0.5 * dtt / dxi
-
-
-def _cell_contributions(problem, tgrid, xvals, dA, ds, dQ, y):
-    """Left-point contribution of each grid cell to the Stieltjes sums."""
-    g1, g2, g3 = _kernel_values(problem, tgrid, xvals, y)
-    return g1[:-1] * dA + g2[:-1] * ds + g3[:-1] * dQ
+    n = dA.shape[0]
+    return phi, (bvals / dxi)[:n] * dA + (-dtau / dxi)[:n] * ds + (-0.5 * dtt / dxi)[:n] * dQ
 
 
 def _restricted(problem, level):
@@ -148,35 +148,42 @@ def solve_B(problem, scheme="picard", level=None, *, tol=PICARD_TOL,
     """
     level = problem.working_level(level)
     if scheme == "picard":
-        return _solve_picard(problem, level, tol, max_iter, initial)
+        return _solve_picard(problem, level, tol, max_iter, initial)[0]
     if scheme == "tonelli":
         return _solve_tonelli(problem, level, tonelli_n)
     raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
 
 
 def _solve_picard(problem, level, tol, max_iter, initial=None):
+    """Picard sweeps from z0 or ``initial``; returns (B, phi, defect).
+
+    Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
+    with F = _FORCING and ATOL scaled alike (inexact Newton), so the first
+    sweep runs at F.  Only a sweep at full (RTOL, ATOL) may stop, so B
+    has a full-accuracy defect <= ``tol``; that sweep's flow values
+    phi(t, B(t), x(t)) and its defect are returned for reuse.
+    """
     tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
-    npts = tgrid.shape[0]
-    if initial is None:
-        B = np.full(npts, problem.z0)
-    else:
-        B = np.asarray(getattr(initial, "values", initial), dtype=np.float64).copy()
-        if B.shape != (npts,):
+    B = np.full(tgrid.shape[0], problem.z0)
+    if initial is not None:
+        B = np.asarray(getattr(initial, "values", initial), dtype=np.float64)
+        if B.shape != tgrid.shape:
             raise DomainError("initial iterate must live on the working grid")
-    trace = []
+    trace, defect = [], np.inf
     for _ in range(max_iter + 1):
-        cells = _cell_contributions(problem, tgrid, xvals, dA, ds, dQ, B)
-        B_next = problem.z0 + np.concatenate([[0.0], np.cumsum(cells)])
-        defect = float(np.max(np.abs(B_next - B)))
+        rtol = min(_FORCING, max(RTOL, _FORCING * defect))
+        phi, cells = _cell_contributions(problem, tgrid, xvals, B, dA, ds, dQ, rtol)
+        S = np.concatenate([[0.0], np.cumsum(cells)])
+        defect = float(np.max(np.abs(B - problem.z0 - S)))
         trace.append(defect)
-        if defect <= tol:
-            return SampledPath(level, B)
+        if defect <= tol and rtol == RTOL:
+            return SampledPath(level, B), phi, defect
         if len(trace) >= 8 and defect >= 0.9999 * trace[-2]:
             raise NumericalError(
                 f"Picard iteration stalled at defect {defect:.3e} (tol {tol:.1e})",
                 trace=trace,
             )
-        B = B_next
+        B = problem.z0 + S
     raise NumericalError(
         f"Picard did not reach defect {tol:.1e} in {max_iter} sweeps "
         f"(last defect {trace[-1]:.3e})",
@@ -202,8 +209,8 @@ def _solve_tonelli(problem, level, tonelli_n):
         j1 = min(j0 + lag - 1, npts - 1)
         lo, hi = j0 - lag, j1 - lag
         sl = slice(lo, hi + 1)
-        g1, g2, g3 = _kernel_values(problem, tgrid[sl], xvals[sl], B[sl])
-        cells = g1 * dA[sl] + g2 * ds[sl] + g3 * dQ[sl]
+        _, cells = _cell_contributions(problem, tgrid[sl], xvals[sl], B[sl],
+                                       dA[sl], ds[sl], dQ[sl])
         prefix[sl] = running + np.cumsum(cells)
         running = prefix[hi]
         B[j0 : j1 + 1] = problem.z0 + prefix[lo : hi + 1]
@@ -224,22 +231,14 @@ def solve_ide(problem, level=None, *, scheme="picard", tol=PICARD_TOL,
     only in the limit, so this is reported, not asserted small).
     """
     level = problem.working_level(level)
-    B = solve_B(problem, scheme=scheme, level=level, tol=tol,
-                max_iter=max_iter, tonelli_n=tonelli_n)
     tgrid, xvals, dA, _, _ = _restricted(problem, level)
-    phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B.values, xvals)
-    z = SampledPath(level, phi)
-
     if scheme == "picard":
-        cells = _cell_contributions(problem, tgrid, xvals, dA,
-                                    np.diff(tgrid), problem.qv_x.restrict(level).increments(),
-                                    B.values)
-        resid = float(np.max(np.abs(
-            B.values - problem.z0 - np.concatenate([[0.0], np.cumsum(cells)])
-        )))
+        B, phi, resid = _solve_picard(problem, level, tol, max_iter)
     else:
+        B = solve_B(problem, scheme=scheme, level=level, tonelli_n=tonelli_n)
+        phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B.values, xvals)
         resid = 0.0
-
+    z = SampledPath(level, phi)
     sig = eval_on(problem.field.sigma, tgrid, z.values)
     bv = eval_on(problem.drift, tgrid, z.values)
     sums = np.concatenate([[0.0], np.cumsum(sig[:-1] * np.diff(xvals) + bv[:-1] * dA)])

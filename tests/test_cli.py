@@ -146,6 +146,39 @@ def test_solve_missing_key(tmp_path, capsys):
     capsys.readouterr()
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_solve_non_integer_level_exit_2(tmp_path, capsys):
+    problem = {"sigma": "sqrt1p", "b": "0.5*xi", "A": "t", "x": "preset:one",
+               "z0": 0.4, "level": "ten", "qv": "t"}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"level": "ten", "values": [0.0, 1.0]}))
+    assert run(["qv", "--in", str(path)]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_missing_input_file_exit_2(tmp_path, capsys):
+    assert run(["qv", "--in", str(tmp_path / "missing.csv")]) == 2
+    assert_one_line_error(capsys)
+    assert run(["solve", "--problem", str(tmp_path / "missing.json")]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_qv_refuses_off_grid_t_column(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t,value\n0.5,0\n0.0,1\n9.0,2\n")
+    assert run(["qv", "--in", str(bad), "--levels", "1"]) == 2
+    assert_one_line_error(capsys)
+
+
 def test_shoot_command(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     assert run(["shoot", "--sigma", "1", "--x", "preset:one", "--z0", "0",

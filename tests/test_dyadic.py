@@ -185,3 +185,22 @@ def test_csv_malformed_rejected(tmp_path):
     g.write_text("t,value\n" + "\n".join(f"{i},{i}" for i in range(4)))
     with pytest.raises(DomainError):
         SampledPath.from_csv(g)
+
+
+def test_csv_t_column_must_be_the_grid(tmp_path):
+    x = build_x(preset("one"), 4)
+    good = tmp_path / "x.csv"
+    x.to_csv(good)
+    assert np.array_equal(SampledPath.from_csv(good).values, x.values)
+    header, *rows = good.read_text().splitlines()
+    swapped = [rows[1], rows[0]] + rows[2:]
+    off_grid = [rows[0], "0.0625000001," + rows[1].split(",")[1]] + rows[2:]
+    for i, body in enumerate((swapped, off_grid)):
+        bad = tmp_path / f"bad{i}.csv"
+        bad.write_text("\n".join([header, *body]) + "\n")
+        with pytest.raises(DomainError):
+            SampledPath.from_csv(bad)
+    level1 = tmp_path / "level1.csv"
+    level1.write_text("t,value\n0.5,0\n0.0,1\n9.0,2\n")
+    with pytest.raises(DomainError):
+        SampledPath.from_csv(level1)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from pathqv import (
     FlowIntegrationError,
     VolatilityField,
     constant_field,
+    field_from_expression,
     flow,
     flow_derivatives,
     flow_with_derivatives,
@@ -179,6 +182,49 @@ def test_field_validation_catches_bound_violation():
             sup_sigma_t=0.0,
             sup_sigma_xi=0.5,  # true sup is 1
         )
+
+
+def sin_field(**bounds):
+    return VolatilityField(
+        sigma=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
+        sigma_t=lambda t, xi: 0.0 * np.asarray(t) + 0.0 * xi,
+        sigma_xi=lambda t, xi: np.cos(xi) + 0.0 * np.asarray(t),
+        **bounds,
+    )
+
+
+def test_field_validation_rejects_non_finite():
+    with np.errstate(invalid="ignore", divide="ignore"):
+        with pytest.raises(DomainError):
+            field_from_expression("sqrt(xi)")  # sigma_xi is NaN for xi < 0
+    for bounds in ({"sup_sigma_t": 0.0, "sup_sigma_xi": float("nan")},
+                   {"sup_sigma_t": float("nan"), "sup_sigma_xi": 1.0},
+                   {"sup_sigma_t": 0.0, "sup_sigma_xi": float("inf")}):
+        with pytest.raises(DomainError):
+            sin_field(**bounds)
+    assert sin_field(sup_sigma_t=0.0, sup_sigma_xi=1.0).sup_sigma_xi == 1.0
+
+
+def test_integrator_raises_on_nan():
+    # sqrt(xi) is NaN from the first stage at xi = -1
+    bare = SimpleNamespace(sigma=lambda t, xi: np.sqrt(xi),
+                           sigma_t=lambda t, xi: 0.0,
+                           sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi))
+    # a valid field whose flow from -5.9 runs out of its domain xi >= -6
+    leaves = VolatilityField(
+        sigma=lambda t, xi: np.sqrt(xi + 6.0),
+        sigma_t=lambda t, xi: 0.0,
+        sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
+        sup_sigma_t=0.0,
+        sup_sigma_xi=0.5,
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for field, xi, t in ((bare, -1.0, 0.5), (leaves, -5.9, -1.0)):
+            with pytest.raises(FlowIntegrationError):
+                flow(field, 0.0, xi, t)
+            with pytest.raises(FlowIntegrationError):
+                flow(field, np.zeros(2), np.array([xi, 0.5]), np.array([t, t]))
+    assert np.isfinite(flow(leaves, 0.0, -5.9, 0.5))
 
 
 def test_step_budget_guard():

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathqv import (
     BVDriver,
@@ -11,6 +14,8 @@ from pathqv import (
     build_x,
     constant_field,
     flow,
+    flow_with_derivatives,
+    grid_points,
     langevin_closed_form,
     linear_closed_form,
     preset,
@@ -239,7 +244,81 @@ def test_picard_nonconvergence_reports_trace(x12):
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 5.0 * xi, x12, 1.0, LEVEL)
     with pytest.raises(NumericalError) as err:
         solve_B(prob, level=LEVEL, max_iter=2)
-    assert len(err.value.trace) >= 1
+    assert len(err.value.trace) == 3  # one defect per sweep: max_iter + 1 sweeps
+
+
+def full_tolerance_defect(prob, B):
+    """sup |B - z0 - S(B)| with every flow quantity at the default tolerance."""
+    level = B.level
+    t = grid_points(level)
+    phi, dxi, dtau, dtt = flow_with_derivatives(prob.field, t, B.values,
+                                                prob.x.restrict(level).values)
+    b = np.asarray(prob.drift(t, phi), dtype=np.float64)
+    dA = np.diff(prob.driver_A.restrict(level).path.values)
+    dQ = np.diff(prob.qv_x.restrict(level).values)
+    cells = ((b / dxi)[:-1] * dA + (-dtau / dxi)[:-1] * np.diff(t)
+             + (-0.5 * dtt / dxi)[:-1] * dQ)
+    S = np.concatenate([[0.0], np.cumsum(cells)])
+    return float(np.max(np.abs(B.values - prob.z0 - S)))
+
+
+def geometric_problem(x, mu=0.05, z0=1.0):
+    return linear_qv_problem(scalar_linear_field(*bs_sig()), lambda t, xi: mu * xi,
+                             x, z0, x.level)
+
+
+def test_picard_reuses_the_converged_sweep(x12):
+    x = x12.restrict(10)
+    prob = geometric_problem(x)
+    sol = solve_ide(prob, 10)
+    # z and the defect come from the last sweep, not from fresh solves, and
+    # equal what those solves would give at the returned B
+    assert np.array_equal(sol.z.values, flow(prob.field, grid_points(10), sol.B.values,
+                                             x.values))
+    assert sol.residual_report == full_tolerance_defect(prob, sol.B)
+    assert sol.residual_report <= 1e-10
+
+
+def test_picard_makes_one_flow_solve_per_sweep(x12, monkeypatch):
+    ide = sys.modules["pathqv.ide"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return flow_with_derivatives(*args, **kwargs)
+
+    monkeypatch.setattr(ide, "flow_with_derivatives", counting)
+    prob = geometric_problem(x12.restrict(10))
+    solve_ide(prob, 10)
+    sweeps = len(calls)
+    # one sweep fewer fails, so every flow solve was a sweep the solve needed
+    with pytest.raises(NumericalError) as err:
+        solve_B(prob, level=10, max_iter=sweeps - 2)
+    assert len(err.value.trace) == sweeps - 1
+    assert err.value.trace[-1] > 1e-10
+
+
+def test_warm_start_matches_cold_solve(x12):
+    x = x12.restrict(10)
+    cold = solve_B(geometric_problem(x), level=10)
+    nearby = solve_B(geometric_problem(x, mu=0.07), level=10)
+    warm = solve_B(geometric_problem(x), level=10, initial=nearby)
+    assert np.max(np.abs(warm.values - cold.values)) <= 1e-10
+    assert np.max(np.abs(nearby.values - cold.values)) > 1e-4
+
+
+X8 = build_x(preset("one"), 8)
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(z0=st.floats(-1.0, 1.0), c=st.floats(-1.0, 0.5), geometric=st.booleans())
+def test_picard_defect_and_tonelli_agreement(z0, c, geometric):
+    field = scalar_linear_field(*bs_sig()) if geometric else constant_field(1.0)
+    prob = linear_qv_problem(field, lambda t, xi: c * xi, X8, z0, 8)
+    picard = solve_B(prob, "picard", 8)
+    assert full_tolerance_defect(prob, picard) <= 1e-10
+    tonelli = solve_B(prob, "tonelli", 8, tonelli_n=2**8)
+    assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
 
 
 def test_solution_reports(x12):
