@@ -49,6 +49,7 @@ from .flow import (
     constant_field,
     flow,
     flow_derivatives,
+    flow_identity_defects,
     flow_with_derivatives,
     scalar_linear_field,
     sqrt1p_field,
@@ -85,7 +86,8 @@ __all__ = [
     "ell1", "ell2", "qv_curve", "qv_level",
     "follmer_integral", "ito_residual",
     "FlowPoint", "VolatilityField", "constant_field", "flow",
-    "flow_derivatives", "flow_with_derivatives", "scalar_linear_field",
+    "flow_derivatives", "flow_identity_defects", "flow_with_derivatives",
+    "scalar_linear_field",
     "sqrt1p_field",
     "IDEProblem", "IDESolution", "langevin_closed_form", "linear_closed_form",
     "solve_B", "solve_ide", "sqrt1p_closed_form", "verify_local_qv",

@@ -15,7 +15,6 @@ nothing here draws randomness.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -24,10 +23,10 @@ from . import __version__
 from .construct import (FunctionSequence, IrrationalShift, PRESETS, build_x,
                         build_y, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
-                     _check_level, grid_points)
+                     _check_level, grid_points, read_json)
 from .errors import DomainError, NumericalError, PathQVError
 from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
-from .flow import flow, flow_derivatives, flow_with_derivatives, sqrt1p_field
+from .flow import FLOW_CHECKS, flow_identity_defects, flow_with_derivatives, sqrt1p_field
 from .follmer import follmer_integral, ito_residual
 from .ide import IDEProblem, solve_ide
 from .quadvar import cov_curve, cov_level, qv_curve, qv_level
@@ -195,71 +194,11 @@ def _cmd_ito_check(args):
     return 0
 
 
-_FLOW_CHECKS = (
-    ("semigroup", 1e-8),
-    ("reverse-time identity", 1e-7),
-    ("second-order identity", 1e-5),
-    ("d_xi vs finite differences", 1e-5),
-)
-
-
-def _flow_suite(field):
-    """Deterministic identity suite on a fixed sample box; returns
-    {name: defect}."""
-    taus = np.array([0.0, 0.3, 0.7, 1.0])
-    xis = np.array([-1.5, -0.4, 0.2, 1.1])
-    ss = np.array([-0.6, 0.25, 0.5])
-    ts = np.array([-0.5, 0.3, 0.8])
-    defects = dict.fromkeys(n for n, _ in _FLOW_CHECKS)
-
-    worst = 0.0
-    for tau in taus:
-        for xi in xis:
-            for s in ss:
-                for t in ts:
-                    mid = flow(field, tau, xi, s)
-                    lhs = flow(field, tau, mid, t)
-                    rhs = flow(field, tau, xi, s + t)
-                    worst = max(worst, abs(lhs - rhs))
-    defects["semigroup"] = worst
-
-    worst8 = 0.0
-    worst9 = 0.0
-    worst_fd = 0.0
-    h = 1e-4
-    for tau in taus:
-        for xi in xis:
-            for t in ts:
-                fp = flow_derivatives(field, tau, xi, -t)
-                sig_xi = float(np.asarray(field.sigma(tau, xi), dtype=np.float64))
-                lhs8 = float(np.asarray(field.sigma(tau, fp.value), dtype=np.float64))
-                worst8 = max(worst8, abs(lhs8 - fp.d_xi * sig_xi))
-
-                up = flow_derivatives(field, tau, xi + h, -t)
-                dn = flow_derivatives(field, tau, xi - h, -t)
-                phi_xixi = (up.d_xi - dn.d_xi) / (2 * h)
-                phi_xit = (float(np.asarray(field.sigma(tau, up.value)))
-                           - float(np.asarray(field.sigma(tau, dn.value)))) / (2 * h)
-                phi_tt_here = fp.d_tt
-                y = fp.value
-                fwd = flow_derivatives(field, tau, y, t)
-                lhs9 = phi_xixi * sig_xi**2 - 2.0 * phi_xit * sig_xi + phi_tt_here
-                rhs9 = -fp.d_xi * fwd.d_tt
-                worst9 = max(worst9, abs(lhs9 - rhs9))
-
-                fd = (up.value - dn.value) / (2 * h)
-                worst_fd = max(worst_fd, abs(fd - fp.d_xi))
-    defects["reverse-time identity"] = worst8
-    defects["second-order identity"] = worst9
-    defects["d_xi vs finite differences"] = worst_fd
-    return defects
-
-
 def _cmd_flow_check(args):
     field = _resolve_field(args.sigma)
-    defects = _flow_suite(field)
+    defects = flow_identity_defects(field)
     failed = False
-    for name, tol in _FLOW_CHECKS:
+    for name, tol in FLOW_CHECKS:
         d = defects[name]
         ok = d <= tol
         failed = failed or not ok
@@ -269,12 +208,16 @@ def _cmd_flow_check(args):
     return 0
 
 
-def _load_problem(spec_path, scheme, tonelli_n):
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+def _load_problem(spec_path):
+    doc = read_json(spec_path)
+    if not isinstance(doc, dict):
+        raise DomainError(f"{spec_path}: expected a JSON object")
     for key in ("sigma", "b", "A", "x", "z0", "level"):
         if key not in doc:
             raise DomainError(f"{spec_path}: missing key {key!r}")
+    for key in ("sigma", "A", "x"):
+        if not isinstance(doc[key], str):
+            raise DomainError(f"{spec_path}: {key} must be a string, got {doc[key]!r}")
     level = _check_level(doc["level"])
     field = _resolve_field(doc["sigma"])
     drift = _resolve_drift(str(doc["b"]))
@@ -297,13 +240,16 @@ def _load_problem(spec_path, scheme, tonelli_n):
         qv = qv_curve(x, min(level, x.level))
     else:
         raise DomainError(f"bad qv spec {qv_spec!r}: use analytic | empirical | t")
-    problem = IDEProblem(field=field, drift=drift, driver_A=driver, x=x,
-                         qv_x=qv, z0=float(doc["z0"]))
+    try:
+        z0 = float(doc["z0"])
+    except (TypeError, ValueError):
+        raise DomainError(f"{spec_path}: z0 must be a number, got {doc['z0']!r}") from None
+    problem = IDEProblem(field=field, drift=drift, driver_A=driver, x=x, qv_x=qv, z0=z0)
     return problem, level
 
 
 def _cmd_solve(args):
-    problem, level = _load_problem(args.problem, args.scheme, args.tonelli_n)
+    problem, level = _load_problem(args.problem)
     sol = solve_ide(problem, level, scheme=args.scheme, tonelli_n=args.tonelli_n)
     print(f"solved at level {level} ({args.scheme}): "
           f"fixed-point defect {sol.residual_report:.3e}, "

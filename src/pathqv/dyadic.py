@@ -170,12 +170,12 @@ class SampledPath:
 
     @classmethod
     def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = read_json(path)
         try:
-            return cls(_check_level(doc["level"]), doc["values"])
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"{path}: expected {{'level': n, 'values': [...]}}") from exc
+            level, values = doc["level"], np.asarray(doc["values"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"{path}: expected {{'level': n, 'values': [numbers]}}") from exc
+        return cls(_check_level(level), values)
 
     @classmethod
     def from_file(cls, path):
@@ -189,6 +189,15 @@ class SampledPath:
         """Sample a callable at the level's grid points."""
         t = grid_points(level)
         return cls(level, np.asarray(fn(t), dtype=np.float64))
+
+
+def read_json(path):
+    """Parse a JSON file; text that is not JSON is a DomainError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise DomainError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def csv_text(path):
@@ -230,10 +239,6 @@ class BVDriver:
     @property
     def level(self):
         return self.path.level
-
-    @classmethod
-    def from_function(cls, fn, level):
-        return cls(SampledPath.from_function(fn, level))
 
     @classmethod
     def identity(cls, level):

@@ -287,9 +287,6 @@ class Expression:
             raise DomainError(f"{var!r} is not a variable of this expression")
         return Expression(f"d/d{var}({self.src})", self.variables, _ast=_diff(self.ast, var))
 
-    def is_constant(self):
-        return _is_const(self.ast)
-
 
 def evaluate_constant(src):
     """Evaluate a closed expression (no variables), e.g. "10*e" for alpha."""

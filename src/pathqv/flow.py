@@ -17,6 +17,11 @@ s in [0, 1] so that a whole batch of points with different horizons
 (including negative ones: that is the reversed equation) shares one
 vectorized solve.  Step control uses the max norm over the batch, which
 keeps results independent of batch composition order.
+
+``flow_identity_defects`` checks a field's flow against the semigroup,
+reverse-time and second-order identities and d_xi against finite
+differences, on a fixed (tau, xi, s, t) sample box in seven batched
+solves; ``pathqv flow-check`` prints its report against FLOW_CHECKS.
 """
 
 from __future__ import annotations
@@ -75,11 +80,12 @@ class VolatilityField:
         tt, xx = np.meshgrid(_SAMPLE_T, _SAMPLE_XI)
         h = 1e-5
         tol = 1e-4
+        sig = np.asarray(self.sigma(tt, xx), dtype=np.float64)
         d_xi = np.asarray(self.sigma_xi(tt, xx), dtype=np.float64)
         d_t = np.asarray(self.sigma_t(tt, xx), dtype=np.float64)
         # NaN fails every comparison below, so non-finite values go first
-        if not (np.all(np.isfinite(d_xi)) and np.all(np.isfinite(d_t))):
-            raise DomainError("sigma_t or sigma_xi is not finite at sampled points")
+        if not all(np.all(np.isfinite(v)) for v in (sig, d_xi, d_t)):
+            raise DomainError("sigma, sigma_t or sigma_xi is not finite at sampled points")
         if not (math.isfinite(self.sup_sigma_t) and math.isfinite(self.sup_sigma_xi)):
             raise DomainError("declared sup-bounds must be finite")
         fd_xi = (self.sigma(tt, xx + h) - self.sigma(tt, xx - h)) / (2 * h)
@@ -280,6 +286,58 @@ def flow_derivatives(field, tau, xi, t, rtol=RTOL, atol=ATOL):
     """FlowPoint at scalar (tau, xi, t)."""
     phi, d_xi, d_tau, d_tt = flow_with_derivatives(field, tau, xi, t, rtol, atol)
     return FlowPoint(float(phi), float(d_xi), float(d_tau), float(d_tt))
+
+
+#: The identity suite's checks and their tolerances, in report order.
+FLOW_CHECKS = (
+    ("semigroup", 1e-8),
+    ("reverse-time identity", 1e-7),
+    ("second-order identity", 1e-5),
+    ("d_xi vs finite differences", 1e-5),
+)
+
+# fixed sample box of the identity suite: tau, xi, s, t
+_BOX = (
+    np.array([0.0, 0.3, 0.7, 1.0]),
+    np.array([-1.5, -0.4, 0.2, 1.1]),
+    np.array([-0.6, 0.25, 0.5]),
+    np.array([-0.5, 0.3, 0.8]),
+)
+
+
+def flow_identity_defects(field):
+    """Worst defect of each FLOW_CHECKS identity over a fixed sample box.
+
+    Returns {name: defect}.  The identities, at every (tau, xi, s, t):
+
+    * semigroup:  phi(phi(xi, s), t) = phi(xi, s + t);
+    * reverse time:  sigma(phi(xi, -t)) = phi_xi(xi, -t) sigma(xi);
+    * second order:  phi_xixi sig^2 - 2 phi_xit sig + phi_tt (all at -t)
+      = -phi_xi(xi, -t) phi_tt(phi(xi, -t), t), with phi_xixi and phi_xit
+      central differences of step h = 1e-4 in xi;
+    * d_xi against the central difference of phi.
+
+    The whole box goes through seven batched flow solves.
+    """
+    h = 1e-4
+    taus, xis, ss, ts = _BOX
+    tau, xi, s, t = np.meshgrid(taus, xis, ss, ts, indexing="ij")
+    mid = flow(field, tau, xi, s)
+    semigroup = np.abs(flow(field, tau, mid, t) - flow(field, tau, xi, s + t))
+
+    tau, xi, t = np.meshgrid(taus, xis, ts, indexing="ij")
+    phi, d_xi, _, d_tt = flow_with_derivatives(field, tau, xi, -t)
+    up, d_xi_up, _, _ = flow_with_derivatives(field, tau, xi + h, -t)
+    dn, d_xi_dn, _, _ = flow_with_derivatives(field, tau, xi - h, -t)
+    _, _, _, d_tt_fwd = flow_with_derivatives(field, tau, phi, t)
+    sig = eval_on(field.sigma, tau, xi)
+    reverse = np.abs(eval_on(field.sigma, tau, phi) - d_xi * sig)
+    phi_xixi = (d_xi_up - d_xi_dn) / (2 * h)
+    phi_xit = (eval_on(field.sigma, tau, up) - eval_on(field.sigma, tau, dn)) / (2 * h)
+    second = np.abs(phi_xixi * sig**2 - 2.0 * phi_xit * sig + d_tt + d_xi * d_tt_fwd)
+    fd = np.abs((up - dn) / (2 * h) - d_xi)
+    worst = (semigroup, reverse, second, fd)
+    return {name: float(np.max(d)) for (name, _), d in zip(FLOW_CHECKS, worst)}
 
 
 # -- ready-made fields -----------------------------------------------------

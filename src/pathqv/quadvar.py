@@ -79,9 +79,6 @@ class CovCurve:
         partial = np.cumsum(prod)
         return cls(n, np.concatenate([partial, partial[-1:]]))
 
-    def value_at_index(self, j):
-        return float(self.values[j])
-
 
 def cov_curve(x, y, n):
     return CovCurve.from_paths(x, y, n)

@@ -4,8 +4,10 @@
 equation  dz = sigma(t, z) dx + b dt  (for a driver with linear quadratic
 variation) from z0 to a prescribed z1 at time t0: the hit value is
 continuous and monotone in b and sweeps all of R, so bracket doubling
-followed by root refinement always lands.  ``match_path`` goes the other
-way: given a smooth bounded-variation component B it reads off the
+followed by Illinois regula falsi always lands.  The refiner reuses the
+bracket's hit values and stops at the first b within tol of the target,
+so no Picard solve is repeated.  ``match_path`` goes the other way:
+given a smooth bounded-variation component B it reads off the
 time-dependent drift
 
     b(t) = phi_xi B'(t) + phi_tau + phi_tt / 2      (at (t, B(t), x(t)))
@@ -31,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_index, grid_points
 from .errors import DomainError, NumericalError
@@ -41,6 +42,7 @@ from .schauder import synthesize
 
 SHOOT_TOL = 1e-6
 MAX_B = 1e6
+MAX_REFINE = 60
 
 
 def _linear_qv_problem(field, x, z0, drift, level):
@@ -58,9 +60,15 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
                      max_b=MAX_B, trace=None):
     """Constant drift b with |z_b(t0) - z1| <= tol, for <x>_t = t.
 
-    Bracket expansion doubles b from +-1 (the comparison bounds guarantee
-    z_b(t0) sweeps all of R), then Brent refinement on the monotone map
-    b -> z_b(t0).  ``trace``, if given, collects (b, z_b(t0)) pairs.
+    The map b -> z_b(t0) is increasing and sweeps all of R (comparison
+    bounds), so walking out from b = -1 (down by doubling, or up through
+    +1 by doubling) brackets the target; the last two probes are the
+    bracket.  Illinois regula falsi then refines it, starting from the end
+    points' hit values already in hand.  Every probe is one Picard solve
+    and the search stops at the first probe within ``tol``, which is the
+    b returned.  ``trace``, if given, collects (b, z_b(t0)) per probe.
+    Raises NumericalError when no bracket exists within |b| <= ``max_b``
+    or no probe lands within MAX_REFINE refinement steps.
     """
     level = int(level)
     j = grid_index(t0, level)
@@ -82,27 +90,45 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
             trace.append((float(b), z))
         return z - z1
 
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = hit(lo), hit(hi)
-    while f_lo > 0.0:
-        lo *= 2.0
-        if abs(lo) > max_b:
-            raise NumericalError(f"no bracket below b = -{max_b:g}; hypotheses violated?")
-        f_lo = hit(lo)
-    while f_hi < 0.0:
-        hi *= 2.0
-        if abs(hi) > max_b:
-            raise NumericalError(f"no bracket above b = {max_b:g}; hypotheses violated?")
-        f_hi = hit(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    b_star = float(brentq(hit, lo, hi, xtol=1e-13, rtol=8.9e-16, maxiter=200))
-    err = abs(hit(b_star))
-    if err > tol:
-        raise NumericalError(f"shooting landed {err:.3e} away from the target (tol {tol:g})")
-    return b_star
+    # bracket: lo has f < 0, hi has f > 0
+    lo = hi = None
+    b = -1.0
+    while True:
+        f = hit(b)
+        if abs(f) <= tol:
+            return b
+        if f < 0.0:
+            lo = (b, f)
+        else:
+            hi = (b, f)
+        if lo is not None and hi is not None:
+            break
+        b = 2.0 * b if lo is None or b > 0.0 else 1.0
+        if abs(b) > max_b:
+            side, edge = ("below", -max_b) if lo is None else ("above", max_b)
+            raise NumericalError(f"no bracket {side} b = {edge:g}; hypotheses violated?")
+
+    # Illinois regula falsi: halve the stale end's value when the same end
+    # moves twice running, so the bracket shrinks from both sides
+    (a, fa), (c, fc) = lo, hi
+    moved = 0
+    for _ in range(MAX_REFINE):
+        b = a - fa * (c - a) / (fc - fa)
+        f = hit(b)
+        if abs(f) <= tol:
+            return b
+        if f < 0.0:
+            a, fa = b, f
+            if moved < 0:
+                fc *= 0.5
+            moved = -1
+        else:
+            c, fc = b, f
+            if moved > 0:
+                fa *= 0.5
+            moved = 1
+    raise NumericalError(f"shooting landed {abs(f):.3e} away from the target after "
+                         f"{MAX_REFINE} refinement steps (tol {tol:g})")
 
 
 def _derivative_on_grid(values, h):

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
-from pathqv import SampledPath, grid_points
+import pathqv.cli as cli
+from pathqv import SampledPath, grid_points, sqrt1p_field
 from pathqv.cli import main
 
 
@@ -113,6 +120,21 @@ def test_flow_check_command(capsys):
     assert out.count("PASS") == 4
 
 
+def test_flow_check_failure_exit_3(monkeypatch, capsys):
+    base = sqrt1p_field()
+    wrong = SimpleNamespace(sigma=base.sigma, sigma_t=base.sigma_t,
+                            sigma_xi=lambda t, xi: base.sigma_xi(t, xi) + 0.1)
+    monkeypatch.setattr(cli, "_resolve_field", lambda spec: wrong)
+    assert run(["flow-check", "--sigma", "sqrt1p"]) == 3
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "PASS semigroup", "FAIL reverse-time identity", "FAIL second-order identity",
+        "FAIL d_xi vs finite differences"]
+    assert lines[1].endswith("(tol 1e-07)")
+    assert "identity suite failed" in captured.err
+
+
 def test_solve_command(tmp_path, capsys):
     problem = {
         "sigma": "sqrt1p",
@@ -163,6 +185,44 @@ def test_solve_non_integer_level_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"level": "ten", "values": [0.0, 1.0]}))
     assert run(["qv", "--in", str(path)]) == 2
     assert_one_line_error(capsys)
+
+
+GOOD_PROBLEM = {"sigma": "sqrt1p", "b": "0.5*xi", "A": "t", "x": "preset:one",
+                "z0": 0.4, "level": 6, "qv": "t"}
+
+
+def test_qv_path_json_with_string_value_exit_2(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"level": 1, "values": [0.0, "abc", 1.0]}))
+    assert run(["qv", "--in", str(path), "--levels", "1"]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_file_that_is_not_json_exit_2(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text("level: 1, values: 0 1 2\n")
+    assert run(["qv", "--in", str(path)]) == 2
+    assert_one_line_error(capsys)
+    assert run(["solve", "--problem", str(path)]) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("z0", "abc"), ("z0", None), ("A", True),
+                                        ("sigma", 1.5), ("x", ["preset:one"])])
+def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import pathqv.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
 
 
 def test_missing_input_file_exit_2(tmp_path, capsys):

@@ -11,11 +11,12 @@ from pathqv import (
     field_from_expression,
     flow,
     flow_derivatives,
+    flow_identity_defects,
     flow_with_derivatives,
     scalar_linear_field,
     sqrt1p_field,
 )
-from pathqv.flow import _integrate
+from pathqv.flow import FLOW_CHECKS, _integrate
 
 
 def bs_field():
@@ -197,6 +198,8 @@ def test_field_validation_rejects_non_finite():
     with np.errstate(invalid="ignore", divide="ignore"):
         with pytest.raises(DomainError):
             field_from_expression("sqrt(xi)")  # sigma_xi is NaN for xi < 0
+        with pytest.raises(DomainError):
+            field_from_expression("1e999")  # sigma itself is inf
     for bounds in ({"sup_sigma_t": 0.0, "sup_sigma_xi": float("nan")},
                    {"sup_sigma_t": float("nan"), "sup_sigma_xi": 1.0},
                    {"sup_sigma_t": 0.0, "sup_sigma_xi": float("inf")}):
@@ -241,3 +244,76 @@ def test_zero_horizon_is_identity():
     assert fp.value == 1.3
     assert fp.d_xi == 1.0
     assert fp.d_tau == 0.0
+
+
+# -- identity suite ----------------------------------------------------------
+
+IDENTITY_FIELDS = {
+    "constant": lambda: constant_field(0.7),
+    "sqrt1p": sqrt1p_field,
+    "geometric": bs_field,
+    "expression": lambda: field_from_expression("1+0.3*sin(xi)"),
+}
+
+
+def scalar_identity_defects(field, h=1e-4):
+    """The identity suite point by point, one scalar flow solve at a time."""
+    def sig(tau, xi):
+        return float(np.asarray(field.sigma(tau, xi)))
+
+    taus, xis = (0.0, 0.3, 0.7, 1.0), (-1.5, -0.4, 0.2, 1.1)
+    ss, ts = (-0.6, 0.25, 0.5), (-0.5, 0.3, 0.8)
+    worst = dict.fromkeys((name for name, _ in FLOW_CHECKS), 0.0)
+
+    def record(name, d):
+        worst[name] = max(worst[name], d)
+
+    for tau in taus:
+        for xi in xis:
+            for s in ss:
+                for t in ts:
+                    mid = flow(field, tau, xi, s)
+                    record("semigroup", abs(flow(field, tau, mid, t) - flow(field, tau, xi, s + t)))
+            for t in ts:
+                fp = flow_derivatives(field, tau, xi, -t)
+                up = flow_derivatives(field, tau, xi + h, -t)
+                dn = flow_derivatives(field, tau, xi - h, -t)
+                fwd = flow_derivatives(field, tau, fp.value, t)
+                s0 = sig(tau, xi)
+                record("reverse-time identity", abs(sig(tau, fp.value) - fp.d_xi * s0))
+                phi_xixi = (up.d_xi - dn.d_xi) / (2 * h)
+                phi_xit = (sig(tau, up.value) - sig(tau, dn.value)) / (2 * h)
+                lhs = phi_xixi * s0**2 - 2.0 * phi_xit * s0 + fp.d_tt
+                record("second-order identity", abs(lhs + fp.d_xi * fwd.d_tt))
+                record("d_xi vs finite differences",
+                       abs((up.value - dn.value) / (2 * h) - fp.d_xi))
+    return worst
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FIELDS))
+def test_identity_defects_within_tolerance(name):
+    defects = flow_identity_defects(IDENTITY_FIELDS[name]())
+    assert list(defects) == [check for check, _ in FLOW_CHECKS]
+    for check, tol in FLOW_CHECKS:
+        assert defects[check] <= tol, check
+
+
+@pytest.mark.parametrize("name", sorted(IDENTITY_FIELDS))
+def test_identity_defects_match_scalar_recomputation(name):
+    field = IDENTITY_FIELDS[name]()
+    batched = flow_identity_defects(field)
+    scalar = scalar_identity_defects(field)
+    for check, _ in FLOW_CHECKS:
+        assert abs(batched[check] - scalar[check]) <= 1e-9, check
+
+
+def test_identity_defects_flag_a_wrong_sensitivity():
+    # sigma_xi off by 0.1 (bypassing field validation) breaks the
+    # reverse-time identity and the d_xi finite-difference check
+    base = sqrt1p_field()
+    wrong = SimpleNamespace(sigma=base.sigma, sigma_t=base.sigma_t,
+                            sigma_xi=lambda t, xi: base.sigma_xi(t, xi) + 0.1)
+    defects = flow_identity_defects(wrong)
+    assert defects["semigroup"] <= 1e-8
+    assert defects["reverse-time identity"] > 1e-3
+    assert defects["d_xi vs finite differences"] > 1e-3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pathqv.support as support
 from pathqv import (
     BVDriver,
     DomainError,
@@ -12,6 +13,7 @@ from pathqv import (
     coefficients_x,
     constant_field,
     drift_from_path,
+    field_from_expression,
     flow_with_derivatives,
     grid_points,
     match_path,
@@ -22,6 +24,7 @@ from pathqv import (
     solve_ide,
     sqrt1p_field,
 )
+from pathqv.support import SHOOT_TOL
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +104,39 @@ def test_shoot_bracket_failure(x10):
     field = constant_field(1.0)
     with pytest.raises(NumericalError):
         shoot_constant_b(field, x10, 0.0, 50.0, 1.0, 8, max_b=4.0)
+
+
+def test_shoot_trace_has_no_repeats_and_ends_at_b(x10):
+    field = sqrt1p_field()
+    for z1, t0 in ((2.0, 1.0), (-1.3, 0.5), (0.1, 0.25)):
+        trace = []
+        b = shoot_constant_b(field, x10, 0.0, z1, t0, 8, trace=trace)
+        bs = [b_ for b_, _ in trace]
+        assert len(set(bs)) == len(bs)
+        assert trace[-1][0] == b
+        assert abs(trace[-1][1] - z1) <= SHOOT_TOL
+
+
+def test_shoot_cli_pattern_hit_budget():
+    # the pattern of the benchmark's shoot command
+    field = field_from_expression("1+0.3*sin(xi)")
+    x9 = build_x(preset("one"), 9)
+    traces = []
+    for _ in range(2):
+        trace = []
+        b = shoot_constant_b(field, x9, 0.0, 0.4, 0.5, 9, trace=trace)
+        traces.append((b, trace))
+    assert len(traces[0][1]) <= 8
+    assert abs(traces[0][1][-1][1] - 0.4) <= SHOOT_TOL
+    assert traces[0] == traces[1]  # bit-reproducible
+
+
+def test_shoot_refiner_cap_raises(x10, monkeypatch):
+    monkeypatch.setattr(support, "MAX_REFINE", 2)
+    trace = []
+    with pytest.raises(NumericalError, match="after 2 refinement steps"):
+        shoot_constant_b(sqrt1p_field(), x10, 0.0, 2.0, 1.0, 8, tol=1e-14, trace=trace)
+    assert len(trace) == 5 + 2  # b = -1, 1, 2, 4, 8 bracket the target, then the cap
 
 
 def test_shoot_t0_validation(x10):
