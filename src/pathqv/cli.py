@@ -84,6 +84,8 @@ def _resolve_drift(spec):
     except ValueError:
         e = Expression(spec, ("t", "xi"))
         return lambda t, xi: e(t, xi)
+    if not np.isfinite(value):
+        raise DomainError(f"drift b must be finite, got {spec!r}")
     return lambda t, xi: np.broadcast_to(
         np.float64(value), np.broadcast_shapes(np.shape(t), np.shape(xi))
     )

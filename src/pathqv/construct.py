@@ -128,9 +128,10 @@ def coefficients_x(fseq, depth):
 def coefficients_y(fseq, shift, depth):
     """Wedge rows theta[n][k] = f_n(alpha k mod 1) for n < depth."""
     depth = _check_level(depth)
+    fracs = shift.frac_array(2 ** max(depth - 1, 0))  # row n samples the first 2^n
     rows = []
     for n in range(depth):
-        pts = shift.frac_array(2**n)
+        pts = fracs[: 2**n].copy()  # a copy, so that a term cannot write into fracs
         rows.append(np.asarray(fseq.term(n, pts), dtype=np.float64))
     return FSCoefficients(0.0, 0.0, rows)
 

@@ -11,12 +11,16 @@ together with three partial derivatives:
 * d2/dt2  is algebraic:  sigma_xi(tau, u) sigma(tau, u)  composed with the
   flow itself -- never a numerical second difference.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with adaptive
-steps, run on the time-rescaled system du/ds = t * sigma(tau, u) over
-s in [0, 1] so that a whole batch of points with different horizons
-(including negative ones: that is the reversed equation) shares one
-vectorized solve.  Step control uses the max norm over the batch, which
-keeps results independent of batch composition order.
+A field that supplies ``exact_flow`` (the three built-in fields below
+do) is evaluated in closed form.  Every other field goes through an
+embedded Dormand-Prince 5(4) pair with adaptive steps, run on the
+time-rescaled system du/ds = t * sigma(tau, u) over s in [0, 1] so that
+a whole batch of points with different horizons (including negative
+ones: that is the reversed equation) shares one vectorized solve.  Step
+control uses the max norm over the batch, so a DP45 value can shift in
+its last digits (~4e-13) with the other points of its batch; closed-form
+values are bit-identical alone and in any batch.  The tests cross-check
+the closed forms against DP45.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -67,6 +71,15 @@ class VolatilityField:
     and the declared bounds on a fixed sample box; fields whose true
     derivatives grow beyond the box (e.g. sigma(t, xi) = s(t) xi) should
     declare bounds valid on that box.
+
+    ``exact_flow(tau, xi, t)``, optional, returns the flow in closed form
+    as (phi, d_xi, d_tau): phi(tau, xi, t), its derivative in xi and its
+    derivative in tau, broadcasting over arrays.  When it is given the
+    flow functions call it instead of integrating (their rtol and atol
+    are then unused).  Construction checks it on the same sample box:
+    phi = xi, d_xi = 1 and d_tau = 0 at t = 0, and at t = +-0.5 a
+    central difference in t matches sigma(tau, phi) while d_xi and d_tau
+    match central differences of phi, to the tolerance above.
     """
 
     sigma: callable
@@ -75,6 +88,7 @@ class VolatilityField:
     sup_sigma_t: float
     sup_sigma_xi: float
     name: str = ""
+    exact_flow: callable = None
 
     def __post_init__(self):
         tt, xx = np.meshgrid(_SAMPLE_T, _SAMPLE_XI)
@@ -99,6 +113,33 @@ class VolatilityField:
             raise DomainError("declared sup|sigma_t| violated at sampled points")
         if np.max(np.abs(d_xi)) > self.sup_sigma_xi + slack:
             raise DomainError("declared sup|sigma_xi| violated at sampled points")
+        if self.exact_flow is not None:
+            try:
+                self._check_exact_flow(tt, xx, h, tol)
+            except FlowIntegrationError:
+                raise DomainError("exact_flow is not finite at sampled points") from None
+
+    def _check_exact_flow(self, tt, xx, h, tol):
+        def close(got, want):  # written so that NaN fails
+            return np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want)))
+
+        def phi(tau, xi, t):
+            return _exact(self.exact_flow, tau, xi, t)[0]
+
+        at0 = _exact(self.exact_flow, tt, xx, 0.0)
+        if not all(close(got, want) for got, want in zip(at0, (xx, 1.0, 0.0))):
+            raise DomainError("exact_flow is not (xi, 1, 0) at t = 0")
+        for t in (-0.5, 0.5):
+            value, d_xi, d_tau = _exact(self.exact_flow, tt, xx, t)
+            fd_t = (phi(tt, xx, t + h) - phi(tt, xx, t - h)) / (2 * h)
+            if not close(fd_t, eval_on(self.sigma, tt, value)):
+                raise DomainError("exact_flow does not solve u' = sigma(tau, u)")
+            fd_xi = (phi(tt, xx + h, t) - phi(tt, xx - h, t)) / (2 * h)
+            if not close(d_xi, fd_xi):
+                raise DomainError("exact_flow d_xi disagrees with finite differences")
+            fd_tau = (phi(tt + h, xx, t) - phi(tt - h, xx, t)) / (2 * h)
+            if not close(d_tau, fd_tau):
+                raise DomainError("exact_flow d_tau disagrees with finite differences")
 
 
 @dataclass(frozen=True)
@@ -186,12 +227,29 @@ def _integrate_scalar(field, tau, xi, horizon, rtol, atol, max_steps):
     return y
 
 
-def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
-    """Vectorized DP45 solve of the augmented (u, v, w) system.
+def _exact(exact_flow, tau, xi, t):
+    """exact_flow's (phi, d_xi, d_tau) as fresh float arrays of the joint
+    input shape (numpy scalars for scalar inputs); raises
+    FlowIntegrationError on any non-finite value."""
+    shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
+    with np.errstate(all="ignore"):
+        out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()]
+                    for v in exact_flow(tau, xi, t))
+    if not all(np.all(np.isfinite(v)) for v in out):
+        raise FlowIntegrationError("non-finite value from the closed-form flow")
+    return out
 
-    Returns (phi, d_xi, d_tau) arrays with the broadcast shape of the
-    inputs.  One shared adaptive step serves the whole batch.
+
+def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
+    """(phi, d_xi, d_tau) with the broadcast shape of the inputs.
+
+    A field's ``exact_flow`` is used when present.  Otherwise this is a
+    vectorized DP45 solve of the augmented (u, v, w) system, in which one
+    shared adaptive step serves the whole batch.
     """
+    exact_flow = getattr(field, "exact_flow", None)
+    if exact_flow is not None:
+        return _exact(exact_flow, tau, xi, horizon)
     if (np.ndim(tau) == 0 and np.ndim(xi) == 0 and np.ndim(horizon) == 0):
         u, v, w = _integrate_scalar(field, tau, xi, horizon, rtol, atol, max_steps)
         return np.float64(u), np.float64(v), np.float64(w)
@@ -362,6 +420,7 @@ def constant_field(c):
         sup_sigma_t=0.0,
         sup_sigma_xi=0.0,
         name=f"const({c:g})",
+        exact_flow=lambda tau, xi, t: (xi + c * t, 1.0, 0.0),
     )
 
 
@@ -375,6 +434,11 @@ def scalar_linear_field(sig, dsig, name="linear"):
     tt = np.linspace(0.0, 1.0, 201)
     sup_t = float(np.max(np.abs(np.asarray(dsig(tt), dtype=np.float64)))) * 5.0
     sup_xi = float(np.max(np.abs(np.asarray(sig(tt), dtype=np.float64))))
+
+    def exact_flow(tau, xi, t):  # xi e^{sig(tau) t}
+        e = np.exp(sig(tau) * t)
+        return xi * e, e, xi * t * dsig(tau) * e
+
     return VolatilityField(
         sigma=lambda t, xi: sig(t) * xi,
         sigma_t=lambda t, xi: dsig(t) * xi,
@@ -382,6 +446,7 @@ def scalar_linear_field(sig, dsig, name="linear"):
         sup_sigma_t=sup_t,
         sup_sigma_xi=sup_xi,
         name=name,
+        exact_flow=exact_flow,
     )
 
 
@@ -394,4 +459,10 @@ def sqrt1p_field():
         sup_sigma_t=0.0,
         sup_sigma_xi=1.0,
         name="sqrt1p",
+        exact_flow=_sqrt1p_flow,
     )
+
+
+def _sqrt1p_flow(tau, xi, t):
+    a = t + np.arcsinh(xi)
+    return np.sinh(a), np.cosh(a) / np.sqrt(1.0 + xi * xi), 0.0

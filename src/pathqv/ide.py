@@ -18,8 +18,9 @@ the resulting discrete fixed-point system:
 
 * ``picard``  iterates B -> z0 + S(B) from the constant z0 with one
   vectorized flow solve per sweep, loose while the defect is large and
-  at full tolerance before it may stop; the flow values of that last
-  sweep are phi(t, B(t), x(t)) and assemble z without a further solve;
+  at full tolerance before it may stop (a closed-form flow is always at
+  full accuracy); the flow values of that last sweep are
+  phi(t, B(t), x(t)) and assemble z without a further solve;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
@@ -66,6 +67,8 @@ class IDEProblem:
         if self.x.values[0] != 0.0:
             raise DomainError(f"integrator must satisfy x(0) = 0, got {self.x.values[0]}")
         object.__setattr__(self, "z0", float(self.z0))
+        if not np.isfinite(self.z0):
+            raise DomainError(f"z0 must be finite, got {self.z0}")
 
     def working_level(self, level=None):
         cap = min(self.x.level, self.driver_A.level, self.qv_x.level)
@@ -161,7 +164,9 @@ def _solve_picard(problem, level, tol, max_iter, initial=None):
     with F = _FORCING and ATOL scaled alike (inexact Newton), so the first
     sweep runs at F.  Only a sweep at full (RTOL, ATOL) may stop, so B
     has a full-accuracy defect <= ``tol``; that sweep's flow values
-    phi(t, B(t), x(t)) and its defect are returned for reuse.
+    phi(t, B(t), x(t)) and its defect are returned for reuse.  A field
+    with a closed-form flow ignores the tolerance, so there every sweep
+    is at full accuracy and any sweep may stop.
     """
     tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
     B = np.full(tgrid.shape[0], problem.z0)
@@ -169,6 +174,7 @@ def _solve_picard(problem, level, tol, max_iter, initial=None):
         B = np.asarray(getattr(initial, "values", initial), dtype=np.float64)
         if B.shape != tgrid.shape:
             raise DomainError("initial iterate must live on the working grid")
+    exact = getattr(problem.field, "exact_flow", None) is not None
     trace, defect = [], np.inf
     for _ in range(max_iter + 1):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
@@ -176,7 +182,7 @@ def _solve_picard(problem, level, tol, max_iter, initial=None):
         S = np.concatenate([[0.0], np.cumsum(cells)])
         defect = float(np.max(np.abs(B - problem.z0 - S)))
         trace.append(defect)
-        if defect <= tol and rtol == RTOL:
+        if defect <= tol and (exact or rtol == RTOL):
             return SampledPath(level, B), phi, defect
         if len(trace) >= 8 and defect >= 0.9999 * trace[-2]:
             raise NumericalError(

@@ -67,9 +67,12 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     points' hit values already in hand.  Every probe is one Picard solve
     and the search stops at the first probe within ``tol``, which is the
     b returned.  ``trace``, if given, collects (b, z_b(t0)) per probe.
-    Raises NumericalError when no bracket exists within |b| <= ``max_b``
-    or no probe lands within MAX_REFINE refinement steps.
+    Raises DomainError on a non-finite z1 (the problem and the grid check
+    z0 and t0), and NumericalError when no bracket exists within
+    |b| <= ``max_b`` or no probe lands within MAX_REFINE refinement steps.
     """
+    if not np.isfinite(z1):
+        raise DomainError(f"z1 must be finite, got {z1}")
     level = int(level)
     j = grid_index(t0, level)
     if j == 0:

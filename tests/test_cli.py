@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -136,28 +137,31 @@ def test_flow_check_failure_exit_3(monkeypatch, capsys):
 
 
 def test_solve_command(tmp_path, capsys):
-    problem = {
-        "sigma": "sqrt1p",
-        "b": "0.5*xi",
-        "A": "t",
-        "x": "preset:one",
-        "z0": 0.4,
-        "level": 8,
-        "qv": "t",
-    }
-    pfile = tmp_path / "problem.json"
-    pfile.write_text(json.dumps(problem))
-    zout = tmp_path / "z.csv"
-    bout = tmp_path / "B.csv"
-    assert run(["solve", "--problem", str(pfile), "--out-z", str(zout),
-                "--out-b", str(bout)]) == 0
-    z = SampledPath.from_csv(zout)
-    B = SampledPath.from_csv(bout)
-    assert np.max(np.abs(B.values - 0.4)) <= 1e-10
     from pathqv import build_x, preset
 
     x = build_x(preset("one"), 8)
-    assert np.max(np.abs(z.values - np.sinh(x.values + np.arcsinh(0.4)))) <= 1e-6
+    # the built-in field (closed-form flow) and the same field as an
+    # expression (DP45)
+    for sigma in ("sqrt1p", "sqrt(1+xi^2)"):
+        problem = {
+            "sigma": sigma,
+            "b": "0.5*xi",
+            "A": "t",
+            "x": "preset:one",
+            "z0": 0.4,
+            "level": 8,
+            "qv": "t",
+        }
+        pfile = tmp_path / "problem.json"
+        pfile.write_text(json.dumps(problem))
+        zout = tmp_path / "z.csv"
+        bout = tmp_path / "B.csv"
+        assert run(["solve", "--problem", str(pfile), "--out-z", str(zout),
+                    "--out-b", str(bout)]) == 0
+        z = SampledPath.from_csv(zout)
+        B = SampledPath.from_csv(bout)
+        assert np.max(np.abs(B.values - 0.4)) <= 1e-10
+        assert np.max(np.abs(z.values - np.sinh(x.values + np.arcsinh(0.4)))) <= 1e-6
     capsys.readouterr()
 
 
@@ -171,7 +175,7 @@ def test_solve_missing_key(tmp_path, capsys):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err
+    assert "Traceback" not in err and "Warning" not in err
 
 
 def test_solve_non_integer_level_exit_2(tmp_path, capsys):
@@ -213,6 +217,27 @@ def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
     assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("key, value", [("b", "1e999"), ("b", "nan"), ("z0", float("nan")),
+                                        ("z0", "1e999")])
+def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("flag, value", [("--z0", "inf"), ("--z1", "nan"), ("--t0", "nan")])
+def test_shoot_non_finite_exit_2(capsys, flag, value):
+    args = {"--z0": "0", "--z1": "1.0", "--t0": "0.5", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["shoot", "--sigma", "1", "--x", "preset:one", "--level", "6",
+                    *[s for kv in args.items() for s in kv]]) == 2
     assert_one_line_error(capsys)
 
 

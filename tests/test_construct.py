@@ -82,6 +82,16 @@ def test_rotation_fractional_parts_exact():
     assert abs(arr[17] - (float(np.e) * 17) % 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha", [float(np.e), 10.0 * float(np.pi)])
+def test_coefficients_y_rows_are_rotation_prefixes(alpha):
+    shift = IrrationalShift(alpha)
+    ident = FunctionSequence.constant_in_n(lambda t: np.asarray(t, dtype=np.float64), 1.0)
+    rows = coefficients_y(ident, shift, 12).theta
+    assert len(rows) == 12
+    for n, row in enumerate(rows):
+        assert np.array_equal(row, shift.frac_array(2**n))
+
+
 def test_rotation_requires_positive_alpha():
     with pytest.raises(DomainError):
         IrrationalShift(0.0)

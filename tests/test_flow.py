@@ -1,7 +1,9 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathqv import (
     DomainError,
@@ -27,8 +29,22 @@ def bs_field():
     )
 
 
+def dp45(field):
+    """The same field without its closed-form flow, so that it runs DP45."""
+    return replace(field, exact_flow=None)
+
+
+def both_paths(*fields):
+    """Each field as given (closed form where it has one) and through DP45."""
+    return [g for f in fields for g in (f, dp45(f))]
+
+
 def test_constant_field_flow_is_line():
-    f = constant_field(0.7)
+    for f in both_paths(constant_field(0.7)):
+        check_constant_flow(f)
+
+
+def check_constant_flow(f):
     for tau in (0.0, 0.5):
         for t in (-1.0, 0.0, 0.25, 1.0):
             assert flow(f, tau, 1.2, t) == pytest.approx(1.2 + 0.7 * t, abs=1e-12)
@@ -39,7 +55,11 @@ def test_constant_field_flow_is_line():
 
 
 def test_linear_field_flow_closed_form():
-    f = bs_field()
+    for f in both_paths(bs_field()):
+        check_linear_flow(f)
+
+
+def check_linear_flow(f):
     for tau in (0.0, 0.4, 1.0):
         s = 0.2 + 0.1 * tau
         for xi in (-1.5, 0.3, 2.0):
@@ -57,7 +77,11 @@ def test_linear_field_flow_closed_form():
 
 
 def test_sqrt_field_flow_closed_form():
-    f = sqrt1p_field()
+    for f in both_paths(sqrt1p_field()):
+        check_sqrt_flow(f)
+
+
+def check_sqrt_flow(f):
     for xi in (-2.0, 0.0, 0.5):
         for t in (-1.0, 0.3, 1.0):
             want = np.sinh(t + np.arcsinh(xi))
@@ -75,7 +99,7 @@ def test_sqrt_field_flow_closed_form():
 
 def test_semigroup_property():
     rng = np.random.default_rng(12)
-    for field in (constant_field(-0.3), bs_field(), sqrt1p_field()):
+    for field in both_paths(constant_field(-0.3), bs_field(), sqrt1p_field()):
         for _ in range(8):
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-2, 2))
@@ -90,7 +114,7 @@ def test_semigroup_property():
 def test_reverse_time_identity():
     # phi_t(tau, xi, -t) = phi_xi(tau, xi, -t) sigma(tau, xi)
     rng = np.random.default_rng(21)
-    for field in (bs_field(), sqrt1p_field()):
+    for field in both_paths(bs_field(), sqrt1p_field()):
         for _ in range(6):
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-1.5, 1.5))
@@ -106,7 +130,7 @@ def test_second_order_reverse_identity():
     #   = -phi_xi(-t) * phi_tt at the pulled-back point
     rng = np.random.default_rng(33)
     h = 1e-4
-    for field in (bs_field(), sqrt1p_field()):
+    for field in both_paths(bs_field(), sqrt1p_field()):
         for _ in range(5):
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-1.2, 1.2))
@@ -231,7 +255,7 @@ def test_integrator_raises_on_nan():
 
 
 def test_step_budget_guard():
-    field = sqrt1p_field()
+    field = dp45(sqrt1p_field())
     with pytest.raises(FlowIntegrationError):
         _integrate(field, 0.0, 1.0, 1.0, max_steps=3)
     with pytest.raises(FlowIntegrationError):
@@ -253,6 +277,9 @@ IDENTITY_FIELDS = {
     "sqrt1p": sqrt1p_field,
     "geometric": bs_field,
     "expression": lambda: field_from_expression("1+0.3*sin(xi)"),
+    "constant-dp45": lambda: dp45(constant_field(0.7)),
+    "sqrt1p-dp45": lambda: dp45(sqrt1p_field()),
+    "geometric-dp45": lambda: dp45(bs_field()),
 }
 
 
@@ -317,3 +344,96 @@ def test_identity_defects_flag_a_wrong_sensitivity():
     assert defects["semigroup"] <= 1e-8
     assert defects["reverse-time identity"] > 1e-3
     assert defects["d_xi vs finite differences"] > 1e-3
+
+
+# -- closed-form flows: properties over generated points ---------------------
+
+def make_field(kind, p, q):
+    """A built-in field with a closed-form flow; p and q parametrize it."""
+    if kind == "constant":
+        return constant_field(p)
+    if kind == "geometric":
+        return scalar_linear_field(lambda t: p + q * np.asarray(t, dtype=np.float64),
+                                   lambda t: q + 0.0 * np.asarray(t, dtype=np.float64))
+    return sqrt1p_field()
+
+
+kinds = st.sampled_from(["constant", "geometric", "sqrt1p"])
+params = st.floats(-0.5, 0.5)
+points = st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)),
+                  min_size=1, max_size=12)
+
+
+def columns(pts):
+    return tuple(np.array(c) for c in zip(*pts))
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kind=kinds, p=params, q=params, pts=points)
+def test_exact_flow_agrees_with_dp45(kind, p, q, pts):
+    field = make_field(kind, p, q)
+    tau, xi, t = columns(pts)
+    exact = _integrate(field, tau, xi, t)
+    numeric = _integrate(dp45(field), tau, xi, t)
+    for a, b in zip(exact, numeric):
+        assert np.max(np.abs(a - b)) <= 1e-9
+
+
+def bits(v):
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kind=kinds, p=params, q=params, pts=points, data=st.data())
+def test_exact_flow_is_batch_invariant(kind, p, q, pts, data):
+    field = make_field(kind, p, q)
+    i = data.draw(st.integers(0, len(pts) - 1))
+    batch = _integrate(field, *columns(pts))
+    alone = _integrate(field, *pts[i])
+    assert [bits(v) for v in alone] == [bits(v[i]) for v in batch]
+    assert all(np.ndim(v) == 0 for v in alone)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kind=kinds, p=params, q=params, pts=points,
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())
+def test_exact_flow_raises_on_non_finite_xi(kind, p, q, pts, bad, data):
+    field = make_field(kind, p, q)
+    tau, xi, t = columns(pts)
+    xi[data.draw(st.integers(0, len(pts) - 1))] = bad
+    with pytest.raises(FlowIntegrationError):
+        flow_with_derivatives(field, tau, xi, t)
+    with pytest.raises(FlowIntegrationError):
+        flow(field, tau[0], bad, t[0])
+
+
+def wrong_flow(exact_flow, member, factor):
+    """exact_flow with one member broken; except "d_xi at t = 0" the defect
+    vanishes at t = 0, so only the finite-difference checks can see it."""
+    def broken(tau, xi, t):
+        if member == "time":  # the flow of factor * sigma
+            return exact_flow(tau, xi, factor * t)
+        phi, d_xi, d_tau = exact_flow(tau, xi, t)
+        if member == "d_xi at t = 0":
+            return phi, factor * d_xi, d_tau
+        if member == "d_xi":
+            return phi, (1.0 + (factor - 1.0) * t) * d_xi, d_tau
+        return phi, d_xi, d_tau + (factor - 1.0) * t
+
+    return broken
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(kind=kinds, p=st.floats(0.1, 0.5), q=params, factor=st.floats(1.01, 2.0),
+       member=st.sampled_from(["time", "d_xi at t = 0", "d_xi", "d_tau"]))
+def test_wrong_exact_flow_is_refused(kind, p, q, factor, member):
+    # p >= 0.1 keeps the field off zero, whose flow ignores a time scale
+    field = make_field(kind, p, q)
+    with pytest.raises(DomainError):
+        replace(field, exact_flow=wrong_flow(field.exact_flow, member, factor))
+
+
+def test_non_finite_exact_flow_is_refused():
+    field = sqrt1p_field()
+    with pytest.raises(DomainError, match="not finite"):
+        replace(field, exact_flow=lambda tau, xi, t: (xi / (xi - xi), 1.0, 0.0))

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,14 @@ from pathqv import (
     sqrt1p_field,
     verify_local_qv,
 )
+from pathqv.flow import ATOL, RTOL
 
 LEVEL = 12
+
+
+def both_paths(field):
+    """The field as given (closed form where it has one) and through DP45."""
+    return (field, replace(field, exact_flow=None))
 
 
 def linear_qv_problem(field, drift, x, z0, level, drift_growth=None):
@@ -85,14 +92,15 @@ def test_langevin_closed_form_oracle_is_independent(x12):
 
 
 def test_langevin_solver_matches_closed_form(x12):
-    prob = linear_qv_problem(
-        constant_field(1.0), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL, drift_growth=0.5,
-    )
-    sol = solve_ide(prob, LEVEL)
     oracle = langevin_closed_form(x12, 1.0, -0.5, 1.0)
-    assert np.max(np.abs(sol.z.values - oracle.values)) <= 1e-4
-    assert sol.residual_report <= 1e-8
-    assert sol.z.values[0] == prob.z0
+    for field in both_paths(constant_field(1.0)):
+        prob = linear_qv_problem(
+            field, lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL, drift_growth=0.5,
+        )
+        sol = solve_ide(prob, LEVEL)
+        assert np.max(np.abs(sol.z.values - oracle.values)) <= 1e-4
+        assert sol.residual_report <= 1e-8
+        assert sol.z.values[0] == prob.z0
 
 
 def test_langevin_growth_parameters_trend(x12):
@@ -140,11 +148,12 @@ def test_black_scholes_b_formula(x12):
 
 
 def test_sqrt_problem_constant_B_and_exact_solution(x12):
-    prob = linear_qv_problem(sqrt1p_field(), lambda t, xi: 0.5 * xi, x12, 0.4, LEVEL)
-    sol = solve_ide(prob, LEVEL)
-    assert np.max(np.abs(sol.B.values - 0.4)) <= 1e-12
     oracle = sqrt1p_closed_form(x12, 0.4)
-    assert np.max(np.abs(sol.z.values - oracle.values)) <= 1e-6
+    for field in both_paths(sqrt1p_field()):
+        prob = linear_qv_problem(field, lambda t, xi: 0.5 * xi, x12, 0.4, LEVEL)
+        sol = solve_ide(prob, LEVEL)
+        assert np.max(np.abs(sol.B.values - 0.4)) <= 1e-12
+        assert np.max(np.abs(sol.z.values - oracle.values)) <= 1e-6
 
 
 def test_picard_and_tonelli_agree(x12):
@@ -262,40 +271,63 @@ def full_tolerance_defect(prob, B):
     return float(np.max(np.abs(B.values - prob.z0 - S)))
 
 
-def geometric_problem(x, mu=0.05, z0=1.0):
-    return linear_qv_problem(scalar_linear_field(*bs_sig()), lambda t, xi: mu * xi,
-                             x, z0, x.level)
+GEOMETRIC = scalar_linear_field(*bs_sig())
+
+
+def geometric_problem(x, mu=0.05, z0=1.0, field=GEOMETRIC):
+    return linear_qv_problem(field, lambda t, xi: mu * xi, x, z0, x.level)
 
 
 def test_picard_reuses_the_converged_sweep(x12):
     x = x12.restrict(10)
-    prob = geometric_problem(x)
-    sol = solve_ide(prob, 10)
-    # z and the defect come from the last sweep, not from fresh solves, and
-    # equal what those solves would give at the returned B
-    assert np.array_equal(sol.z.values, flow(prob.field, grid_points(10), sol.B.values,
-                                             x.values))
-    assert sol.residual_report == full_tolerance_defect(prob, sol.B)
-    assert sol.residual_report <= 1e-10
+    for field in both_paths(GEOMETRIC):
+        prob = geometric_problem(x, field=field)
+        sol = solve_ide(prob, 10)
+        # z and the defect come from the last sweep, not from fresh solves,
+        # and equal what those solves would give at the returned B
+        assert np.array_equal(sol.z.values, flow(prob.field, grid_points(10),
+                                                 sol.B.values, x.values))
+        assert sol.residual_report == full_tolerance_defect(prob, sol.B)
+        assert sol.residual_report <= 1e-10
+
+
+def count_flow_solves(monkeypatch):
+    """Record the rtol of every flow solve the Picard sweeps make."""
+    ide = sys.modules["pathqv.ide"]
+    rtols = []
+
+    def counting(field, tau, xi, t, rtol=RTOL, atol=ATOL):
+        rtols.append(rtol)
+        return flow_with_derivatives(field, tau, xi, t, rtol, atol)
+
+    monkeypatch.setattr(ide, "flow_with_derivatives", counting)
+    return rtols
 
 
 def test_picard_makes_one_flow_solve_per_sweep(x12, monkeypatch):
-    ide = sys.modules["pathqv.ide"]
-    calls = []
+    rtols = count_flow_solves(monkeypatch)
+    for field in both_paths(GEOMETRIC):
+        prob = geometric_problem(x12.restrict(10), field=field)
+        rtols.clear()
+        solve_ide(prob, 10)
+        sweeps = len(rtols)
+        # one sweep fewer fails, so every flow solve was a sweep the solve needed
+        with pytest.raises(NumericalError) as err:
+            solve_B(prob, level=10, max_iter=sweeps - 2)
+        assert len(err.value.trace) == sweeps - 1
+        assert err.value.trace[-1] > 1e-10
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return flow_with_derivatives(*args, **kwargs)
 
-    monkeypatch.setattr(ide, "flow_with_derivatives", counting)
-    prob = geometric_problem(x12.restrict(10))
-    solve_ide(prob, 10)
-    sweeps = len(calls)
-    # one sweep fewer fails, so every flow solve was a sweep the solve needed
-    with pytest.raises(NumericalError) as err:
-        solve_B(prob, level=10, max_iter=sweeps - 2)
-    assert len(err.value.trace) == sweeps - 1
-    assert err.value.trace[-1] > 1e-10
+def test_picard_stops_at_the_first_landing_sweep_of_a_closed_form(x12, monkeypatch):
+    # B = z0 solves the sqrt1p problem, so the first sweep lands; DP45 must
+    # still repeat it at full tolerance, a closed-form flow need not
+    rtols = count_flow_solves(monkeypatch)
+    exact, numeric = both_paths(sqrt1p_field())
+    solve_ide(linear_qv_problem(exact, lambda t, xi: 0.5 * xi, x12, 0.4, 10), 10)
+    assert len(rtols) == 1
+    rtols.clear()
+    solve_ide(linear_qv_problem(numeric, lambda t, xi: 0.5 * xi, x12, 0.4, 10), 10)
+    assert rtols[0] > RTOL and rtols[-1] == RTOL and len(rtols) == 2
 
 
 def test_warm_start_matches_cold_solve(x12):
@@ -313,12 +345,12 @@ X8 = build_x(preset("one"), 8)
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(z0=st.floats(-1.0, 1.0), c=st.floats(-1.0, 0.5), geometric=st.booleans())
 def test_picard_defect_and_tonelli_agreement(z0, c, geometric):
-    field = scalar_linear_field(*bs_sig()) if geometric else constant_field(1.0)
-    prob = linear_qv_problem(field, lambda t, xi: c * xi, X8, z0, 8)
-    picard = solve_B(prob, "picard", 8)
-    assert full_tolerance_defect(prob, picard) <= 1e-10
-    tonelli = solve_B(prob, "tonelli", 8, tonelli_n=2**8)
-    assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
+    for field in both_paths(GEOMETRIC if geometric else constant_field(1.0)):
+        prob = linear_qv_problem(field, lambda t, xi: c * xi, X8, z0, 8)
+        picard = solve_B(prob, "picard", 8)
+        assert full_tolerance_defect(prob, picard) <= 1e-10
+        tonelli = solve_B(prob, "tonelli", 8, tonelli_n=2**8)
+        assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
 
 
 def test_solution_reports(x12):
