@@ -26,7 +26,8 @@ from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
                      _check_level, grid_points, read_json)
 from .errors import DomainError, NumericalError, PathQVError
 from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
-from .flow import FLOW_CHECKS, flow_identity_defects, flow_with_derivatives, sqrt1p_field
+from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
+                   sample_box_values, sqrt1p_field)
 from .follmer import follmer_integral, ito_residual
 from .ide import IDEProblem, solve_ide
 from .quadvar import cov_curve, cov_level, qv_curve, qv_level
@@ -83,6 +84,7 @@ def _resolve_drift(spec):
         value = float(spec)
     except ValueError:
         e = Expression(spec, ("t", "xi"))
+        sample_box_values(e, f"drift b = {spec!r}")
         return lambda t, xi: e(t, xi)
     if not np.isfinite(value):
         raise DomainError(f"drift b must be finite, got {spec!r}")
@@ -141,8 +143,7 @@ def _cmd_qv(args):
         columns = [tcol]
         header = ["t"]
         for n in levels:
-            curve = qv_curve(path, n)
-            columns.append([curve.value_at(t) for t in tcol])
+            columns.append(qv_curve(path, n).restrict(base).values)
             header.append(f"qv_n{n}")
         pred = _predicted_column(args, tcol)
         if pred is not None:

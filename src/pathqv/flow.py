@@ -16,11 +16,13 @@ do) is evaluated in closed form.  Every other field goes through an
 embedded Dormand-Prince 5(4) pair with adaptive steps, run on the
 time-rescaled system du/ds = t * sigma(tau, u) over s in [0, 1] so that
 a whole batch of points with different horizons (including negative
-ones: that is the reversed equation) shares one vectorized solve.  Step
-control uses the max norm over the batch, so a DP45 value can shift in
-its last digits (~4e-13) with the other points of its batch; closed-form
-values are bit-identical alone and in any batch.  The tests cross-check
-the closed forms against DP45.
+ones: that is the reversed equation) shares one vectorized solve.  One
+step controller runs every such solve, on three plain floats for a
+single point and on a (3, m) array for a batch.  Step control uses the
+max norm over the batch, so a DP45 value can shift in its last digits
+(~4e-13) with the other points of its batch; closed-form values are
+bit-identical alone and in any batch.  The tests cross-check the closed
+forms against DP45.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -56,8 +58,9 @@ _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 RTOL = 1e-11
 ATOL = 1e-13
 
-_SAMPLE_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-_SAMPLE_XI = np.array([-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
+# field construction's (t, xi) sample box, read-only as every check shares it
+_SAMPLE_BOX = np.meshgrid([0.0, 0.25, 0.5, 0.75, 1.0], [-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
+_SAMPLE_BOX[0].flags.writeable = _SAMPLE_BOX[1].flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -91,15 +94,13 @@ class VolatilityField:
     exact_flow: callable = None
 
     def __post_init__(self):
-        tt, xx = np.meshgrid(_SAMPLE_T, _SAMPLE_XI)
+        tt, xx = _SAMPLE_BOX
         h = 1e-5
         tol = 1e-4
-        sig = np.asarray(self.sigma(tt, xx), dtype=np.float64)
-        d_xi = np.asarray(self.sigma_xi(tt, xx), dtype=np.float64)
-        d_t = np.asarray(self.sigma_t(tt, xx), dtype=np.float64)
         # NaN fails every comparison below, so non-finite values go first
-        if not all(np.all(np.isfinite(v)) for v in (sig, d_xi, d_t)):
-            raise DomainError("sigma, sigma_t or sigma_xi is not finite at sampled points")
+        sig = sample_box_values(self.sigma, "sigma")
+        d_xi = sample_box_values(self.sigma_xi, "sigma_xi")
+        d_t = sample_box_values(self.sigma_t, "sigma_t")
         if not (math.isfinite(self.sup_sigma_t) and math.isfinite(self.sup_sigma_xi)):
             raise DomainError("declared sup-bounds must be finite")
         fd_xi = (self.sigma(tt, xx + h) - self.sigma(tt, xx - h)) / (2 * h)
@@ -158,75 +159,6 @@ class FlowPoint:
             )
 
 
-def _integrate_scalar(field, tau, xi, horizon, rtol, atol, max_steps):
-    """Plain-float DP45 for a single point; avoids numpy small-array
-    overhead in the strictly sequential solvers (Tonelli, shooting traces)."""
-    tau = float(tau)
-    scale = float(horizon)
-    u, v, w = float(xi), 1.0, 0.0
-    if scale == 0.0:
-        return u, v, w
-
-    sigma, sigma_t, sigma_xi = field.sigma, field.sigma_t, field.sigma_xi
-
-    def rhs(state):
-        su, sv, sw = state
-        s_val = float(sigma(tau, su))
-        s_xi = float(sigma_xi(tau, su))
-        s_t = float(sigma_t(tau, su))
-        return (scale * s_val, scale * s_xi * sv, scale * (s_t + s_xi * sw))
-
-    s = 0.0
-    h = 0.01
-    y = (u, v, w)
-    k = [None] * 7
-    k[0] = rhs(y)
-    steps = 0
-    while s < 1.0:
-        h = min(h, 1.0 - s)
-        for i in range(1, 7):
-            acc0, acc1, acc2 = y
-            for j, a in enumerate(_A[i]):
-                if a:
-                    kj = k[j]
-                    acc0 += h * a * kj[0]
-                    acc1 += h * a * kj[1]
-                    acc2 += h * a * kj[2]
-            k[i] = rhs((acc0, acc1, acc2))
-        y5 = list(y)
-        y4 = list(y)
-        for i in range(7):
-            ki = k[i]
-            if _B5[i]:
-                for c in range(3):
-                    y5[c] += h * _B5[i] * ki[c]
-            if _B4[i]:
-                for c in range(3):
-                    y4[c] += h * _B4[i] * ki[c]
-        err = 0.0
-        for c in range(3):
-            tol_c = atol + rtol * max(abs(y[c]), abs(y5[c]))
-            e = abs(y5[c] - y4[c]) / tol_c
-            if not e <= err:  # unlike max(), keeps a NaN from any stage or state
-                err = e
-        if not math.isfinite(err):
-            raise FlowIntegrationError("non-finite state during flow integration")
-        if err <= 1.0:
-            s += h
-            y = tuple(y5)
-            k[0] = k[6]
-        factor = 0.9 * err**-0.2 if err > 0.0 else 5.0
-        h *= min(5.0, max(0.2, factor))
-        if h < 1e-14:
-            raise FlowIntegrationError(
-                f"flow step size underflow at s={s:.6f} (pathological field?)"
-            )
-        steps += 1
-        if steps > max_steps:
-            raise FlowIntegrationError(f"flow exceeded {max_steps} steps")
-    return y
-
-
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau) as fresh float arrays of the joint
     input shape (numpy scalars for scalar inputs); raises
@@ -243,76 +175,64 @@ def _exact(exact_flow, tau, xi, t):
 def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
     """(phi, d_xi, d_tau) with the broadcast shape of the inputs.
 
-    A field's ``exact_flow`` is used when present.  Otherwise this is a
-    vectorized DP45 solve of the augmented (u, v, w) system, in which one
-    shared adaptive step serves the whole batch.
+    A field's ``exact_flow`` is used when present.  Otherwise the
+    augmented (u, v, w) system goes through ``_dp45`` with one adaptive
+    step shared by the whole batch, so a value can shift in its last
+    digits with the other points of its batch.  Inputs that broadcast to
+    a single point (size 1, any shape) are stored as three plain floats,
+    avoiding numpy's per-call overhead in the strictly sequential solvers
+    (lag-1 Tonelli); larger batches as a (3, m) array.
     """
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
         return _exact(exact_flow, tau, xi, horizon)
-    if (np.ndim(tau) == 0 and np.ndim(xi) == 0 and np.ndim(horizon) == 0):
-        u, v, w = _integrate_scalar(field, tau, xi, horizon, rtol, atol, max_steps)
-        return np.float64(u), np.float64(v), np.float64(w)
     tau_b, xi_b, hz_b = np.broadcast_arrays(
         np.asarray(tau, dtype=np.float64),
         np.asarray(xi, dtype=np.float64),
         np.asarray(horizon, dtype=np.float64),
     )
     if tau_b.size == 1:
-        u, v, w = _integrate_scalar(
-            field, tau_b.reshape(-1)[0], xi_b.reshape(-1)[0], hz_b.reshape(-1)[0],
-            rtol, atol, max_steps,
-        )
-        shape = tau_b.shape
-        return (np.full(shape, u), np.full(shape, v), np.full(shape, w))
-    shape = tau_b.shape
-    tau_f = tau_b.reshape(-1)
-    scale = hz_b.reshape(-1)
-    m = tau_f.shape[0]
+        y = (float(xi_b.flat[0]), 1.0, 0.0)
+        ops = (_float_rhs(field, float(tau_b.flat[0]), float(hz_b.flat[0])),
+               _combine_floats, _norm_floats)
+    else:
+        y = np.zeros((3, tau_b.size))
+        y[0] = xi_b.reshape(-1)
+        y[1] = 1.0
+        ops = (_array_rhs(field, tau_b.reshape(-1), hz_b.reshape(-1)),
+               _combine_arrays, _norm_arrays)
+    if np.any(hz_b):
+        y = _dp45(*ops, y, rtol, atol, max_steps)
+    return tuple(np.reshape(c, tau_b.shape)[()] for c in y)
 
-    y = np.zeros((3, m))
-    y[0] = xi_b.reshape(-1)
-    y[1] = 1.0
-    if m == 0 or not np.any(scale):
-        return y[0].reshape(shape), y[1].reshape(shape), y[2].reshape(shape)
 
-    def rhs(state):
-        u, v, w = state
-        s_val = np.asarray(field.sigma(tau_f, u), dtype=np.float64)
-        s_xi = np.asarray(field.sigma_xi(tau_f, u), dtype=np.float64)
-        s_t = np.asarray(field.sigma_t(tau_f, u), dtype=np.float64)
-        return np.stack((scale * s_val, scale * s_xi * v, scale * (s_t + s_xi * w)))
+def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
+    """Dormand-Prince 5(4) on the rescaled time s in [0, 1] from state y.
 
+    ``rhs(y)`` is the derivative, ``combine(y, h, coeffs, k)`` is
+    y + h sum_j coeffs[j] k[j] (y None for zero) and ``norm(y, y5, e,
+    rtol, atol)`` is the largest |e| / (atol + rtol max(|y|, |y5|)),
+    kept NaN when any term is.  Raises FlowIntegrationError on a
+    non-finite error, a step below 1e-14 or more than ``max_steps`` steps.
+    """
     s = 0.0
     h = 0.01
-    k = [None] * 7
-    k[0] = rhs(y)
-    buf = np.empty_like(y)
+    k = [rhs(y)] + [None] * 6
     steps = 0
     while s < 1.0:
         h = min(h, 1.0 - s)
         for i in range(1, 7):
-            np.multiply(k[0], h * _A[i][0], out=buf)
-            for j, a in enumerate(_A[i][1:], start=1):
-                if a:
-                    buf += (h * a) * k[j]
-            buf += y
-            k[i] = rhs(buf)
-        y5 = y.copy()
-        errvec = np.zeros_like(y)
-        for i in range(7):
-            if _B5[i]:
-                y5 += (h * _B5[i]) * k[i]
-            if _ERR[i]:
-                errvec += (h * _ERR[i]) * k[i]
-        tol_scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        err = float(np.max(np.abs(errvec) / tol_scale))
+            y5 = combine(y, h, _A[i], k)
+            k[i] = rhs(y5)
+        # the last stage sits at the fifth-order solution y5, so its
+        # derivative starts the next step (FSAL)
+        err = norm(y, y5, combine(None, h, _ERR, k), rtol, atol)
         if not math.isfinite(err):
             raise FlowIntegrationError("non-finite state during flow integration")
         if err <= 1.0:
             s += h
             y = y5
-            k[0] = k[6]  # FSAL: stage 7 sits at the accepted point
+            k[0] = k[6]
         factor = 0.9 * err ** -0.2 if err > 0.0 else 5.0
         h *= min(5.0, max(0.2, factor))
         if h < 1e-14:
@@ -322,7 +242,77 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
         steps += 1
         if steps > max_steps:
             raise FlowIntegrationError(f"flow exceeded {max_steps} steps")
-    return y[0].reshape(shape), y[1].reshape(shape), y[2].reshape(shape)
+    return y
+
+
+# One point as a tuple of three plain floats.
+
+def _float_rhs(field, tau, scale):
+    sigma, sigma_t, sigma_xi = field.sigma, field.sigma_t, field.sigma_xi
+
+    def rhs(y):
+        u, v, w = y
+        s_val = float(sigma(tau, u))
+        s_xi = float(sigma_xi(tau, u))
+        s_t = float(sigma_t(tau, u))
+        return (scale * s_val, scale * s_xi * v, scale * (s_t + s_xi * w))
+
+    return rhs
+
+
+def _combine_floats(y, h, coeffs, k):
+    u, v, w = (0.0, 0.0, 0.0) if y is None else y
+    for a, kj in zip(coeffs, k):
+        if a:
+            ha = h * a
+            u += ha * kj[0]
+            v += ha * kj[1]
+            w += ha * kj[2]
+    return u, v, w
+
+
+def _norm_floats(y, y5, e, rtol, atol):
+    err = 0.0
+    for yc, y5c, ec in zip(y, y5, e):
+        r = abs(ec) / (atol + rtol * max(abs(yc), abs(y5c)))
+        if not r <= err:  # unlike max(), keeps a NaN
+            err = r
+    return err
+
+
+# A batch as a (3, m) array of u, v and w rows.
+
+def _array_rhs(field, tau, scale):
+    def rhs(y):
+        u, v, w = y
+        s_val = np.asarray(field.sigma(tau, u), dtype=np.float64)
+        s_xi = np.asarray(field.sigma_xi(tau, u), dtype=np.float64)
+        s_t = np.asarray(field.sigma_t(tau, u), dtype=np.float64)
+        return np.stack((scale * s_val, scale * s_xi * v, scale * (s_t + s_xi * w)))
+
+    return rhs
+
+
+def _combine_arrays(y, h, coeffs, k):
+    out = k[0] * (h * coeffs[0])
+    for a, kj in zip(coeffs[1:], k[1:]):
+        if a:
+            out += (h * a) * kj
+    if y is not None:
+        out += y
+    return out
+
+
+def _norm_arrays(y, y5, e, rtol, atol):
+    # in place where it can: each temporary of the batch's size that is
+    # freed at once can cost fresh pages on the next allocation
+    tol = np.abs(y)
+    np.maximum(tol, np.abs(y5), out=tol)
+    tol *= rtol
+    tol += atol
+    np.abs(e, out=e)
+    e /= tol
+    return float(e.max())
 
 
 def flow(field, tau, xi, t, rtol=RTOL, atol=ATOL):
@@ -408,6 +398,16 @@ def eval_on(fn, t, xi):
     """Evaluate a field component and broadcast to the joint shape."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(xi))
     return np.broadcast_to(np.asarray(fn(t, xi), dtype=np.float64), shape)
+
+
+def sample_box_values(fn, what):
+    """fn(t, xi) on the 5 x 7 sample box of field construction, warnings
+    off; raises DomainError naming ``what`` when a value is not finite."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(*_SAMPLE_BOX), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{what} is not finite on the sample box t in [0, 1], xi in [-5, 5]")
+    return values
 
 
 def constant_field(c):

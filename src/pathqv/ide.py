@@ -225,11 +225,12 @@ def _solve_tonelli(problem, level, tonelli_n):
 
 
 def solve_ide(problem, level=None, *, scheme="picard", tol=PICARD_TOL,
-              max_iter=MAX_PICARD_ITER, tonelli_n=64):
+              max_iter=MAX_PICARD_ITER, tonelli_n=64, initial=None):
     """Solve the pathwise Ito equation and assemble z = phi(t, B, x).
 
-    ``residual_report`` carries the fixed-point defect of the B-solve;
-    ``follmer_defect`` is the sup over the grid of
+    ``initial`` warm-starts Picard as in ``solve_B``.  ``residual_report``
+    carries the fixed-point defect of the B-solve; ``follmer_defect`` is
+    the sup over the grid of
 
         |z(t) - z0 - sum sigma(s, z) dx - sum b(s, z) dA|,
 
@@ -239,7 +240,7 @@ def solve_ide(problem, level=None, *, scheme="picard", tol=PICARD_TOL,
     level = problem.working_level(level)
     tgrid, xvals, dA, _, _ = _restricted(problem, level)
     if scheme == "picard":
-        B, phi, resid = _solve_picard(problem, level, tol, max_iter)
+        B, phi, resid = _solve_picard(problem, level, tol, max_iter, initial)
     else:
         B = solve_B(problem, scheme=scheme, level=level, tonelli_n=tonelli_n)
         phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B.values, xvals)

@@ -6,9 +6,9 @@ variation) from z0 to a prescribed z1 at time t0: the hit value is
 continuous and monotone in b and sweeps all of R, so bracket doubling
 followed by Illinois regula falsi always lands.  The refiner reuses the
 bracket's hit values and stops at the first b within tol of the target,
-so no Picard solve is repeated.  ``match_path`` goes the other way:
-given a smooth bounded-variation component B it reads off the
-time-dependent drift
+so no Picard solve is repeated, and no flow solve is added to the
+sweeps.  ``match_path`` goes the other way: given a smooth
+bounded-variation component B it reads off the time-dependent drift
 
     b(t) = phi_xi B'(t) + phi_tau + phi_tt / 2      (at (t, B(t), x(t)))
 
@@ -37,7 +37,7 @@ import numpy as np
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_index, grid_points
 from .errors import DomainError, NumericalError
 from .flow import flow_with_derivatives
-from .ide import IDEProblem, solve_B
+from .ide import IDEProblem, solve_ide
 from .schauder import synthesize
 
 SHOOT_TOL = 1e-6
@@ -77,18 +77,15 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     j = grid_index(t0, level)
     if j == 0:
         raise DomainError("t0 must be positive")
-    tgrid = grid_points(level)
-    xval = x.restrict(level).values[j]
     warm = [None]  # B for the previous b warm-starts the next Picard solve
 
     def hit(b):
         problem = _linear_qv_problem(
             field, x, z0, lambda t, xi, b=b: np.full(np.shape(t), float(b)), level
         )
-        B = solve_B(problem, level=level, initial=warm[0])
-        warm[0] = B.values
-        phi, _, _, _ = flow_with_derivatives(field, tgrid[j], B.values[j], xval)
-        z = float(phi)
+        sol = solve_ide(problem, level, initial=warm[0])
+        warm[0] = sol.B.values
+        z = float(sol.z.values[j])  # phi(t0, B(t0), x(t0)) of the converged sweep
         if trace is not None:
             trace.append((float(b), z))
         return z - z1

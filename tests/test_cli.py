@@ -221,7 +221,8 @@ def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value", [("b", "1e999"), ("b", "nan"), ("z0", float("nan")),
-                                        ("z0", "1e999")])
+                                        ("z0", "1e999"), ("b", "1e999*xi"),
+                                        ("b", "exp(1000)")])
 def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))

@@ -18,7 +18,7 @@ from pathqv import (
     scalar_linear_field,
     sqrt1p_field,
 )
-from pathqv.flow import FLOW_CHECKS, _integrate
+from pathqv.flow import FLOW_CHECKS, _integrate, sample_box_values
 
 
 def bs_field():
@@ -262,6 +262,31 @@ def test_step_budget_guard():
         _integrate(field, np.zeros(4), np.ones(4), np.ones(4), max_steps=3)
 
 
+def dp45_fields():
+    return [field_from_expression("1+0.3*sin(xi)"), dp45(sqrt1p_field())]
+
+
+def test_one_point_gives_the_same_bits_in_any_shape():
+    point = (0.3, 0.7, -0.8)
+    for field in dp45_fields():
+        scalar = _integrate(field, *point)
+        for shape in ((), (1,), (1, 1)):
+            out = _integrate(field, *(np.full(shape, v) for v in point))
+            assert all(np.shape(v) == shape for v in out)
+            assert [bits(v) for v in out] == [bits(v) for v in scalar]
+
+
+def test_zero_horizons_in_a_batch_are_identities():
+    xi = np.array([-1.2, 0.4, 0.9, 2.5, -0.3])
+    t = np.array([0.0, 0.6, 0.0, -0.7, 0.0])
+    for field in dp45_fields():
+        phi, d_xi, d_tau = _integrate(field, np.full(5, 0.4), xi, t)
+        still = t == 0.0
+        assert np.array_equal(phi[still], xi[still])
+        assert np.all(d_xi[still] == 1.0) and np.all(d_tau[still] == 0.0)
+        assert np.all(phi[~still] != xi[~still])
+
+
 def test_zero_horizon_is_identity():
     field = bs_field()
     fp = flow_derivatives(field, 0.5, 1.3, 0.0)
@@ -433,7 +458,35 @@ def test_wrong_exact_flow_is_refused(kind, p, q, factor, member):
         replace(field, exact_flow=wrong_flow(field.exact_flow, member, factor))
 
 
+def test_sample_box_is_shared_read_only():
+    # every field construction reads the same box, so a callable that
+    # writes into its arguments must not change it for the next one
+    def scribble(t, xi):
+        xi *= 0.0
+        return 1.0
+
+    with pytest.raises(ValueError):
+        sample_box_values(scribble, "scribble")
+    t, xi = sample_box_values(lambda t, xi: t, "t"), sample_box_values(lambda t, xi: xi, "xi")
+    assert (t.min(), t.max(), xi.min(), xi.max()) == (0.0, 1.0, -5.0, 5.0)
+    with pytest.raises(DomainError, match=r"xi in \[-5, 5\]"):
+        sample_box_values(lambda t, xi: 1.0 / xi, "1/xi")
+
+
 def test_non_finite_exact_flow_is_refused():
     field = sqrt1p_field()
     with pytest.raises(DomainError, match="not finite"):
         replace(field, exact_flow=lambda tau, xi, t: (xi / (xi - xi), 1.0, 0.0))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(which=st.sampled_from([0, 1]), pts=points, data=st.data())
+def test_dp45_one_point_agrees_with_its_batch(which, pts, data):
+    # one point runs on floats, a batch on arrays; the shared step of a
+    # batch moves a value only in its last digits
+    field = dp45_fields()[which]
+    i = data.draw(st.integers(0, len(pts) - 1))
+    batch = _integrate(field, *columns(pts))
+    alone = _integrate(field, *pts[i])
+    for a, b in zip(alone, batch):
+        assert abs(a - b[i]) <= 1e-11

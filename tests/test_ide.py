@@ -339,6 +339,21 @@ def test_warm_start_matches_cold_solve(x12):
     assert np.max(np.abs(nearby.values - cold.values)) > 1e-4
 
 
+def test_solve_ide_warm_start_saves_sweeps(x12, monkeypatch):
+    rtols = count_flow_solves(monkeypatch)
+    x = x12.restrict(10)
+    for field in both_paths(GEOMETRIC):
+        cold = solve_ide(geometric_problem(x, field=field), 10)
+        cold_sweeps = len(rtols)
+        nearby = solve_B(geometric_problem(x, mu=0.05 + 1e-7, field=field), level=10)
+        rtols.clear()
+        warm = solve_ide(geometric_problem(x, field=field), 10, initial=nearby)
+        # both stop at defect <= 1e-10, so they agree to a small multiple of it
+        assert np.max(np.abs(warm.z.values - cold.z.values)) <= 1e-9
+        assert len(rtols) < cold_sweeps
+        rtols.clear()
+
+
 X8 = build_x(preset("one"), 8)
 
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import pathqv.ide as ide
 import pathqv.support as support
 from pathqv import (
     BVDriver,
@@ -14,6 +17,7 @@ from pathqv import (
     constant_field,
     drift_from_path,
     field_from_expression,
+    flow,
     flow_with_derivatives,
     grid_points,
     match_path,
@@ -129,6 +133,53 @@ def test_shoot_cli_pattern_hit_budget():
     assert len(traces[0][1]) <= 8
     assert abs(traces[0][1][-1][1] - 0.4) <= SHOOT_TOL
     assert traces[0] == traces[1]  # bit-reproducible
+
+
+def counting(calls, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+def test_shoot_makes_no_flow_solve_beyond_its_sweeps(x10, monkeypatch):
+    # every flow solve of a shoot is a Picard sweep: a hit reads z_b(t0)
+    # off the converged sweep instead of solving the flow again
+    flow_module = sys.modules["pathqv.flow"]  # the package's `flow` is the function
+    solves, sweeps = [], []
+    monkeypatch.setattr(flow_module, "_integrate", counting(solves, flow_module._integrate))
+    monkeypatch.setattr(ide, "flow_with_derivatives",
+                        counting(sweeps, ide.flow_with_derivatives))
+    for field in (field_from_expression("1+0.3*sin(xi)"), sqrt1p_field()):
+        solves.clear()
+        sweeps.clear()
+        trace = []
+        shoot_constant_b(field, x10, 0.0, 0.4, 0.5, 8, trace=trace)
+        assert len(sweeps) > len(trace) > 1
+        assert len(solves) == len(sweeps)
+
+
+def test_shoot_trace_is_the_flow_at_each_probe(x10, monkeypatch):
+    solved = []
+    solve = support.solve_ide
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        solved.append(sol.B.values)
+        return sol
+
+    monkeypatch.setattr(support, "solve_ide", recording)
+    level, t0 = 8, 0.5
+    j = int(t0 * 2**level)
+    xval = x10.restrict(level).values[j]
+    for field in (field_from_expression("1+0.3*sin(xi)"), sqrt1p_field()):
+        solved.clear()
+        trace = []
+        shoot_constant_b(field, x10, 0.0, 0.4, t0, level, trace=trace)
+        assert len(solved) == len(trace)
+        for (_, z), B in zip(trace, solved):
+            assert abs(z - flow(field, t0, B[j], xval)) <= 1e-11
 
 
 def test_shoot_refiner_cap_raises(x10, monkeypatch):
