@@ -10,12 +10,10 @@ style shooting and non-differentiability diagnostics.
 from .dyadic import (
     BVDriver,
     DEFAULT_LEVEL,
-    DyadicGrid,
     MAX_LEVEL,
     QVCurve,
     SampledPath,
     grid_points,
-    restrict,
     stieltjes_integral,
     successor,
 )
@@ -76,8 +74,8 @@ from .expr import Expression, evaluate_constant, field_from_expression, scalar_f
 __version__ = "0.1.0"
 
 __all__ = [
-    "BVDriver", "DEFAULT_LEVEL", "DyadicGrid", "MAX_LEVEL", "QVCurve",
-    "SampledPath", "grid_points", "restrict", "stieltjes_integral", "successor",
+    "BVDriver", "DEFAULT_LEVEL", "MAX_LEVEL", "QVCurve",
+    "SampledPath", "grid_points", "stieltjes_integral", "successor",
     "DomainError", "FlowIntegrationError", "NumericalError", "PathQVError",
     "FSCoefficients", "analyze", "basis_eval", "synthesize",
     "FunctionSequence", "IrrationalShift", "PRESETS", "build_x", "build_y",

@@ -31,7 +31,8 @@ from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
 from .follmer import follmer_integral, ito_residual
 from .ide import IDEProblem, solve_ide
 from .quadvar import cov_curve, cov_level, qv_curve, qv_level
-from .support import drift_from_path, match_path, nondiff_quotients, shoot_constant_b
+from .support import (_linear_qv_problem, drift_from_path, match_path, nondiff_quotients,
+                      shoot_constant_b)
 
 
 def _fmt(v):
@@ -68,8 +69,11 @@ def _resolve_fseq(args):
         return preset(args.preset)
     if getattr(args, "f", None):
         fn = scalar_function(args.f, "t")
-        bound = float(np.max(np.abs(fn(np.linspace(0.0, 1.0, 1024)))))
-        return FunctionSequence.constant_in_n(fn, bound, name=args.f)
+        with np.errstate(all="ignore"):
+            values = np.asarray(fn(np.linspace(0.0, 1.0, 1024)), dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise DomainError(f"--f {args.f!r} is not finite on [0, 1]")
+        return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
     raise DomainError("need --preset or --f")
 
 
@@ -85,7 +89,7 @@ def _resolve_drift(spec):
     except ValueError:
         e = Expression(spec, ("t", "xi"))
         sample_box_values(e, f"drift b = {spec!r}")
-        return lambda t, xi: e(t, xi)
+        return e
     if not np.isfinite(value):
         raise DomainError(f"drift b must be finite, got {spec!r}")
     return lambda t, xi: np.broadcast_to(
@@ -123,31 +127,24 @@ def _cmd_synth_y(args):
     return 0
 
 
-def _predicted_column(args, tcol):
-    if not getattr(args, "predicted", None):
-        return None
-    name, _, kind = args.predicted.partition(":")
-    kind = kind or "curved"
-    fseq = preset(name)
-    return [predicted_qv(fseq, kind, t) for t in tcol]
-
-
 def _cmd_qv(args):
     path = SampledPath.from_file(args.infile)
     levels = _parse_levels(args.levels)
+    base = min(levels)
+    pred = None
+    if args.predicted:
+        name, _, kind = args.predicted.partition(":")
+        pred = predicted_qv(preset(name), kind or "curved", base)
     for n in levels:
         print(f"qv level {n} at t=1: {_fmt(qv_level(path, n, 1.0))}")
     if args.out:
-        base = min(levels)
-        tcol = grid_points(base)
-        columns = [tcol]
+        columns = [grid_points(base)]
         header = ["t"]
         for n in levels:
             columns.append(qv_curve(path, n).restrict(base).values)
             header.append(f"qv_n{n}")
-        pred = _predicted_column(args, tcol)
         if pred is not None:
-            columns.append(pred)
+            columns.append(pred.values)
             header.append("predicted")
         _write_rows(args.out, ",".join(header), columns)
         print(f"wrote {args.out}")
@@ -191,8 +188,7 @@ def _cmd_ito_check(args):
     d2F = dF.diff("xi")
     levels = _parse_levels(args.levels)
     for n in levels:
-        r = ito_residual(lambda v: float(F(v)), lambda v: dF(v), lambda v: d2F(v),
-                         x, n, 1.0)
+        r = ito_residual(F, dF, d2F, x, n, 1.0)
         print(f"ito residual F={args.F} level {n}: {_fmt(r)}")
     return 0
 
@@ -233,10 +229,7 @@ def _load_problem(spec_path):
     if qv_spec == "analytic":
         if fseq is None:
             raise DomainError("qv=analytic needs a preset x")
-        qv = QVCurve.from_function(
-            lambda tt: np.array([predicted_qv(fseq, "curved", t) for t in np.atleast_1d(tt)]),
-            level,
-        )
+        qv = predicted_qv(fseq, "curved", level)
     elif qv_spec == "t":
         qv = QVCurve.from_function(lambda t: t, level)
     elif qv_spec == "empirical":
@@ -292,12 +285,8 @@ def _cmd_match(args):
     _write_path(drift_path, args.out)
     # round trip: solve with the recovered drift and compare against the target z
     level = drift_path.level
-    problem = IDEProblem(
-        field=field, drift=drift_from_path(drift_path),
-        driver_A=BVDriver.identity(level), x=x.restrict(level),
-        qv_x=QVCurve.from_function(lambda t: t, level),
-        z0=float(target.restrict(level).values[0]),
-    )
+    problem = _linear_qv_problem(field, x, float(target.restrict(level).values[0]),
+                                 drift_from_path(drift_path), level)
     sol = solve_ide(problem, level)
     tgrid = grid_points(level)
     phi, _, _, _ = flow_with_derivatives(field, tgrid, target.restrict(level).values,
@@ -340,9 +329,8 @@ def _cmd_figures(args):
     for name in ("fig1-left", "fig1-right"):
         fseq = preset(name)
         x = build_x(fseq, level)
-        curve7 = qv_curve(x, 7)
-        qv7 = [curve7.value_at(ti) for ti in t]
-        pred = [predicted_qv(fseq, "curved", ti) for ti in t]
+        qv7 = qv_curve(x, 7).value_at(t)
+        pred = predicted_qv(fseq, "curved", level).values
         _write_rows(f"{args.out_dir}/{name}.csv", "t,x,qv7,predicted",
                     [t, x.values, qv7, pred])
     for name in ("fig2-left", "fig2-right"):

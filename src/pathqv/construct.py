@@ -10,6 +10,9 @@ converges uniformly to a Riemann-integrable limit f:
   instead; equidistribution flattens the quadratic variation to the
   linear  t -> t * integral_0^1 f(s)^2 ds.
 
+``predicted_qv`` gives either limit as a QVCurve on a dyadic grid, from
+one cumulative composite-Simpson pass over f_inf^2.
+
 Coefficients depend linearly on the sequence, so each family is a vector
 space and covariations exist pairwise.
 """
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import _check_level
+from .dyadic import QVCurve, _check_level, grid_points
 from .errors import DomainError
 from .schauder import FSCoefficients, synthesize
 
@@ -146,35 +149,34 @@ def build_y(fseq, shift, level):
     return synthesize(coefficients_y(fseq, shift, level), level)
 
 
-_QUAD_PANELS = 2**14
+_QUAD_LEVEL = 14  # no Simpson panel is wider than 2^-14
 
 
-def _simpson(fn, a, b, panels=_QUAD_PANELS):
-    if b <= a:
-        return 0.0
-    t = np.linspace(a, b, panels + 1)
-    y = np.asarray(fn(t), dtype=np.float64)
-    h = (b - a) / panels
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2])))
+def predicted_qv(fseq, kind, level):
+    """Limit quadratic variation on the level-``level`` grid, as a QVCurve.
 
+    kind="curved":  t -> integral_0^t f_inf(s)^2 ds
+    kind="linear":  t -> t * integral_0^1 f_inf(s)^2 ds
 
-def predicted_qv(fseq, kind, t):
-    """Limit quadratic variation at time t.
-
-    kind="curved":  integral_0^t f_inf(s)^2 ds
-    kind="linear":  t * integral_0^1 f_inf(s)^2 ds
-
-    Composite Simpson on 2^14 panels.
+    One cumulative composite-Simpson pass: f_inf^2 is sampled once, with
+    each grid cell split into 2^max(1, 14 - level) panels, so no panel is
+    wider than 2^-14.  Per-cell sums and their running total use fixed-order
+    numpy reductions (no BLAS), so the curve is bit-reproducible.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise DomainError(f"t must lie in [0, 1], got {t}")
-    sq = lambda s: np.asarray(fseq.limit(s), dtype=np.float64) ** 2
+    level = _check_level(level)
+    if kind not in ("curved", "linear"):
+        raise DomainError(f"kind must be 'curved' or 'linear', got {kind!r}")
+    fine = max(level + 1, _QUAD_LEVEL)
+    panels = 2 ** (fine - level)
+    s = np.arange(2**fine + 1, dtype=np.float64) * 2.0 ** (-fine)
+    y = np.asarray(fseq.limit(s), dtype=np.float64) ** 2
+    cells = y[:-1].reshape(2**level, panels)  # row k: cell k without its right end
+    simpson = (cells[:, 0] + y[panels::panels] + 4.0 * np.sum(cells[:, 1::2], axis=1)
+               + 2.0 * np.sum(cells[:, 2::2], axis=1)) * (2.0 ** (-fine) / 3.0)
+    curved = np.concatenate([[0.0], np.cumsum(simpson)])
     if kind == "curved":
-        return _simpson(sq, 0.0, t)
-    if kind == "linear":
-        return t * _simpson(sq, 0.0, 1.0)
-    raise DomainError(f"kind must be 'curved' or 'linear', got {kind!r}")
+        return QVCurve(level, curved)
+    return QVCurve(level, grid_points(level) * curved[-1])
 
 
 # -- shipped sequences (the four figure presets plus the all-ones row) ----

@@ -57,27 +57,12 @@ def successor(s, n):
     return (k + 1) * 2.0 ** (-n)
 
 
-@dataclass(frozen=True)
-class DyadicGrid:
-    """The partition T_n = {k 2^-n : k = 0, ..., 2^n} of [0, 1]."""
-
-    level: int
-
-    def __post_init__(self):
-        _check_level(self.level)
-
-    @property
-    def npoints(self):
-        return 2**self.level + 1
-
-    def points(self):
-        return grid_points(self.level)
-
-    def index(self, t):
-        return grid_index(t, self.level)
-
-    def successor(self, s):
-        return successor(s, self.level)
+def _unit_times(t):
+    """t as a float array, or DomainError if any entry is outside [0, 1] or NaN."""
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all((t >= 0.0) & (t <= 1.0)):
+        raise DomainError("evaluation point outside [0, 1]")
+    return t
 
 
 def _freeze(values):
@@ -110,19 +95,12 @@ class SampledPath:
             raise DomainError("path values must be finite")
         object.__setattr__(self, "values", arr)
 
-    @property
-    def grid(self):
-        return DyadicGrid(self.level)
-
     def times(self):
         return grid_points(self.level)
 
     def value_at(self, t):
         """Evaluate at t in [0, 1] (linear interpolation off the grid)."""
-        t = np.asarray(t, dtype=np.float64)
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise DomainError("evaluation point outside [0, 1]")
-        out = np.interp(t, self.times(), self.values)
+        out = np.interp(_unit_times(t), self.times(), self.values)
         return float(out) if out.ndim == 0 else out
 
     def restrict(self, m):
@@ -216,11 +194,6 @@ def _level_from_count(count):
     return level
 
 
-def restrict(path, m):
-    """Module-level alias for :meth:`SampledPath.restrict`."""
-    return path.restrict(m)
-
-
 @dataclass(frozen=True, eq=False)
 class BVDriver:
     """A continuous bounded-variation integrator, held as a sampled path.
@@ -312,10 +285,10 @@ class QVCurve:
         return cls(level, np.asarray(fn(t), dtype=np.float64))
 
     def value_at(self, t):
-        """Grid read: the partial sum at the largest grid point <= t."""
-        j = int(np.floor(float(t) * 2**self.level))
-        j = min(max(j, 0), 2**self.level)
-        return float(self.values[j])
+        """Grid read: the partial sum at the largest grid point <= t, for
+        t in [0, 1] or an array of such t."""
+        out = self.values[np.floor(_unit_times(t) * 2**self.level).astype(np.intp)]
+        return float(out) if out.ndim == 0 else out
 
     def restrict(self, m):
         m = _check_level(m)

@@ -289,8 +289,13 @@ class Expression:
 
 
 def evaluate_constant(src):
-    """Evaluate a closed expression (no variables), e.g. "10*e" for alpha."""
-    return float(Expression(src, variables=()).__call__())
+    """Evaluate a closed expression (no variables), e.g. "10*e" for alpha;
+    DomainError if the value is not finite."""
+    with np.errstate(all="ignore"):
+        value = float(Expression(src, variables=()).__call__())
+    if not math.isfinite(value):
+        raise DomainError(f"constant {src!r} is not finite")
+    return value
 
 
 def scalar_function(src, var="t"):

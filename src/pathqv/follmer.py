@@ -43,13 +43,20 @@ def ito_residual(F, dF, d2F, x, n, t):
 
     Quadratic F has zero residual at every level (exact Taylor); for
     smoother paths-with-QV the residual is a third-order Taylor remainder
-    and shrinks as n grows.
+    and shrinks as n grows.  Raises DomainError when F, F' or F'' is not
+    finite at a path value it is evaluated at.
     """
     n = _check_level(n)
     v = x.restrict(n).values
     j = grid_index(t, n)
     base = v[:j]
     dx = np.diff(v[: j + 1])
-    first = float(np.sum(np.asarray(dF(base), dtype=np.float64) * dx))
-    second = float(np.sum(np.asarray(d2F(base), dtype=np.float64) * dx**2))
-    return float(F(v[j]) - F(v[0])) - first - 0.5 * second
+    with np.errstate(all="ignore"):
+        ends = np.asarray([F(v[0]), F(v[j])], dtype=np.float64)
+        d1 = np.asarray(dF(base), dtype=np.float64)
+        d2 = np.asarray(d2F(base), dtype=np.float64)
+    if not all(np.all(np.isfinite(a)) for a in (ends, d1, d2)):
+        raise DomainError("F, F' or F'' is not finite at a value of the path")
+    first = float(np.sum(d1 * dx))
+    second = float(np.sum(d2 * dx**2))
+    return float(ends[1] - ends[0]) - first - 0.5 * second

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import pathqv.cli as cli
-from pathqv import SampledPath, grid_points, sqrt1p_field
+from pathqv import (QVCurve, SampledPath, build_x, grid_points, predicted_qv, preset,
+                    qv_curve, sqrt1p_field)
 from pathqv.cli import main
 
 
@@ -74,6 +75,19 @@ def test_determinism_bit_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def count_calls(monkeypatch, owner, name):
+    """Record the arguments of every call to owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_qv_table_with_predicted(tmp_path, capsys):
     x = tmp_path / "x.csv"
     run(["synth-x", "--preset", "fig1-left", "--level", "10", "--out", str(x)])
@@ -83,6 +97,34 @@ def test_qv_table_with_predicted(tmp_path, capsys):
     header = table.read_text().splitlines()[0]
     assert header == "t,qv_n8,qv_n10,predicted"
     capsys.readouterr()
+
+
+def test_qv_predicted_is_one_curve_at_the_base_level(tmp_path, monkeypatch, capsys):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "fig1-left", "--level", "10", "--out", str(x)])
+    calls = count_calls(monkeypatch, cli, "predicted_qv")
+    table = tmp_path / "qv.csv"
+    assert run(["qv", "--in", str(x), "--levels", "10,8",
+                "--predicted", "fig1-left", "--out", str(table)]) == 0
+    assert calls == [(preset("fig1-left"), "curved", 8)]
+    column = np.loadtxt(table, delimiter=",", skiprows=1)[:, -1]
+    assert np.array_equal(column, predicted_qv(preset("fig1-left"), "curved", 8).values)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("spec", ["nope", "one:weird", "nope:curved"])
+def test_qv_bad_predicted_prints_nothing_before_the_error(tmp_path, capsys, spec):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "one", "--level", "8", "--out", str(x)])
+    capsys.readouterr()
+    assert run(["qv", "--in", str(x), "--levels", "6,8", "--predicted", spec,
+                "--out", str(tmp_path / "qv.csv")]) == 2
+    assert capsys.readouterr().out == ""
+    assert run(["qv", "--in", str(x), "--levels", "6,8", "--predicted", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "qv.csv").exists()
 
 
 def test_cov_command(tmp_path, capsys):
@@ -105,6 +147,15 @@ def test_integrate_command(tmp_path, capsys):
     out = capsys.readouterr().out
     val = float(out.strip().split(":")[1])
     assert abs(val) <= 1e-12  # x(1) - x(0) = 0 for this preset
+
+
+def test_ito_check_non_finite_F_exit_2(capsys):
+    # the preset path starts at 0, where 1/xi is infinite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["ito-check", "--x", "preset:one", "--F", "1/xi", "--levels", "8",
+                    "--level", "8"]) == 2
+    assert_one_line_error(capsys)
 
 
 def test_ito_check_command(capsys):
@@ -232,6 +283,51 @@ def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     assert_one_line_error(capsys)
 
 
+def test_solve_analytic_qv_is_the_default_for_a_preset_x(tmp_path, monkeypatch, capsys):
+    problem = {k: v for k, v in GOOD_PROBLEM.items() if k != "qv"}
+    problem.update({"x": "preset:fig1-left", "level": 8})
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    calls = count_calls(monkeypatch, cli, "predicted_qv")
+    loaded, level = cli._load_problem(str(pfile))
+    assert calls == [(preset("fig1-left"), "curved", 8)]
+    assert np.array_equal(loaded.qv_x.values,
+                          predicted_qv(preset("fig1-left"), "curved", 8).values)
+    assert run(["solve", "--problem", str(pfile)]) == 0
+    out = capsys.readouterr().out
+    defect = float(out.split("fixed-point defect ")[1].split(",")[0])
+    assert defect <= 1e-10
+
+
+def test_solve_analytic_qv_needs_a_preset_x(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "one", "--level", "6", "--out", str(x)])
+    capsys.readouterr()
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "x": str(x), "qv": "analytic"}))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-x", "--f", "1/t"],
+    ["synth-x", "--f", "sqrt(t-1)"],
+    ["synth-x", "--f", "exp(1000*t)"],
+    ["synth-y", "--f", "1/t"],
+    ["synth-y", "--f", "sqrt(t-1)"],
+    ["synth-y", "--f", "exp(1000*t)"],
+    ["synth-y", "--preset", "one", "--alpha", "sqrt(0-1)"],
+    ["synth-y", "--preset", "one", "--alpha", "exp(1000)"],
+])
+def test_synth_non_finite_input_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run([*argv, "--level", "6", "--out", str(out)]) == 2
+    assert_one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--z0", "inf"), ("--z1", "nan"), ("--t0", "nan")])
 def test_shoot_non_finite_exit_2(capsys, flag, value):
     args = {"--z0": "0", "--z1": "1.0", "--t0": "0.5", flag: value}
@@ -315,4 +411,21 @@ def test_figures_command(tmp_path, capsys):
     assert header == "t,x,qv7,predicted"
     header2 = (tmp_path / "fig2-left.csv").read_text().splitlines()[0]
     assert header2 == "t,y_alpha_e,y_alpha_10e"
+    capsys.readouterr()
+
+
+def test_figures_read_each_curve_in_one_call(tmp_path, monkeypatch, capsys):
+    pred_calls = count_calls(monkeypatch, cli, "predicted_qv")
+    read_calls = count_calls(monkeypatch, QVCurve, "value_at")
+    assert run(["figures", "--out-dir", str(tmp_path), "--level", "8"]) == 0
+    assert pred_calls == [(preset("fig1-left"), "curved", 8),
+                          (preset("fig1-right"), "curved", 8)]
+    assert len(read_calls) == 2
+    t = grid_points(8)
+    for name in ("fig1-left", "fig1-right"):
+        rows = np.loadtxt(tmp_path / f"{name}.csv", delimiter=",", skiprows=1)
+        curve7 = qv_curve(build_x(preset(name), 8), 7)
+        assert np.array_equal(rows[:, 0], t)
+        assert np.array_equal(rows[:, 2], [curve7.values[int(ti * 2**7)] for ti in t])
+        assert np.array_equal(rows[:, 3], predicted_qv(preset(name), "curved", 8).values)
     capsys.readouterr()

@@ -10,6 +10,7 @@ from pathqv import (
     build_y,
     coefficients_x,
     coefficients_y,
+    grid_points,
     predicted_qv,
     preset,
     qv_level,
@@ -66,7 +67,7 @@ def test_different_alpha_same_qv_limit():
     assert np.max(np.abs(y_e.values - y_10e.values)) > 0.05  # genuinely different paths
     q1 = qv_level(y_e, 12, 1.0)
     q2 = qv_level(y_10e, 12, 1.0)
-    pred = predicted_qv(f, "linear", 1.0)
+    pred = predicted_qv(f, "linear", 12).value_at(1.0)
     assert abs(q1 - pred) <= 0.05 and abs(q2 - pred) <= 0.05
 
 
@@ -100,15 +101,68 @@ def test_rotation_requires_positive_alpha():
 
 
 def test_predicted_qv_examples():
-    assert predicted_qv(const_seq(1.0), "curved", 0.3) == pytest.approx(0.3, abs=1e-10)
+    assert predicted_qv(const_seq(1.0), "curved", 4).value_at(0.3125) == pytest.approx(
+        0.3125, abs=1e-10
+    )
     oracle, _ = quad(lambda s: np.cos(2 * np.pi * s) ** 2, 0.0, 1.0)
-    assert predicted_qv(preset("fig1-left"), "curved", 1.0) == pytest.approx(oracle, abs=1e-9)
+    assert predicted_qv(preset("fig1-left"), "curved", 4).value_at(1.0) == pytest.approx(
+        oracle, abs=1e-9
+    )
     oracle_sin, _ = quad(lambda s: np.sin(2 * np.pi * s) ** 2, 0.0, 1.0)
-    assert predicted_qv(preset("fig2-left"), "linear", 0.25) == pytest.approx(
+    assert predicted_qv(preset("fig2-left"), "linear", 4).value_at(0.25) == pytest.approx(
         0.25 * oracle_sin, abs=1e-9
     )
     with pytest.raises(DomainError):
-        predicted_qv(const_seq(1.0), "weird", 0.5)
+        predicted_qv(const_seq(1.0), "weird", 4)
+    with pytest.raises(DomainError):
+        predicted_qv(const_seq(1.0), "curved", 0.5)  # a level, not a time
+
+
+# closed forms of t -> integral_0^t f_inf(s)^2 ds for the shipped presets
+PRESET_CURVED_QV = {
+    "one": lambda t: t,
+    "fig1-left": lambda t: t / 2 + np.sin(4 * np.pi * t) / (8 * np.pi),
+    "fig1-right": lambda t: 3 * t / 8 - np.sin(14 * t) / 28 + np.sin(28 * t) / 224,
+    "fig2-left": lambda t: t / 2 - np.sin(4 * np.pi * t) / (8 * np.pi),
+    "fig2-right": lambda t: t / 2 + np.sin(12 * np.pi * t) / (24 * np.pi),
+}
+
+
+@pytest.mark.parametrize("level", [8, 12])
+@pytest.mark.parametrize("name", sorted(PRESET_CURVED_QV))
+def test_predicted_qv_matches_closed_forms_on_the_grid(name, level):
+    closed = PRESET_CURVED_QV[name]
+    t = grid_points(level)
+    curved = predicted_qv(preset(name), "curved", level)
+    linear = predicted_qv(preset(name), "linear", level)
+    assert curved.level == linear.level == level
+    assert np.max(np.abs(curved.values - closed(t))) <= 1e-12
+    assert np.max(np.abs(linear.values - t * closed(1.0))) <= 1e-12
+
+
+def per_point_simpson(fseq, t, panels=2**14):
+    """The per-point rule the curve replaced: composite Simpson on [0, t]."""
+    y = np.asarray(fseq.limit(np.linspace(0.0, t, panels + 1))) ** 2
+    return t / panels / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_CURVED_QV))
+def test_predicted_qv_matches_the_per_point_rule(name):
+    fseq = preset(name)
+    curved = predicted_qv(fseq, "curved", 8).values
+    linear = predicted_qv(fseq, "linear", 8).values
+    total = per_point_simpson(fseq, 1.0)
+    for k in (1, 37, 128, 255, 256):
+        assert abs(curved[k] - per_point_simpson(fseq, k / 256)) <= 1e-14
+        assert abs(linear[k] - k / 256 * total) <= 1e-14
+
+
+def test_predicted_qv_closed_forms_match_the_quadrature_oracle():
+    for name, closed in PRESET_CURVED_QV.items():
+        f = preset(name).limit
+        for t in (0.3, 1.0):
+            oracle, _ = quad(lambda s: float(f(s)) ** 2, 0.0, t, limit=200)
+            assert closed(t) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_coefficients_linear_in_f():
@@ -140,7 +194,7 @@ def test_empirical_qv_error_trend():
     for name in ("fig1-left", "fig1-right"):
         f = preset(name)
         x = build_x(f, 14)
-        pred = predicted_qv(f, "curved", 1.0)
+        pred = predicted_qv(f, "curved", 14).value_at(1.0)
         errs = [abs(qv_level(x, n, 1.0) - pred) for n in (8, 10, 12, 14)]
         for a, b in zip(errs, errs[1:]):
             assert b <= 2.0 * a + 1e-12  # non-increasing within factor-2 slack

@@ -4,7 +4,6 @@ import pytest
 from pathqv import (
     BVDriver,
     DomainError,
-    DyadicGrid,
     QVCurve,
     SampledPath,
     build_x,
@@ -17,9 +16,8 @@ from pathqv.dyadic import csv_text
 
 
 def test_grid_points_exact():
-    g = DyadicGrid(3)
-    assert g.npoints == 9
-    pts = g.points()
+    pts = grid_points(3)
+    assert pts.shape == (9,)
     assert pts[0] == 0.0 and pts[-1] == 1.0
     assert np.all(np.diff(pts) > 0)
     # level-n grid is a subset of the level-m grid for m >= n
@@ -84,6 +82,8 @@ def test_value_at_interpolates():
     assert p.value_at(0.5) == 1.0
     with pytest.raises(DomainError):
         p.value_at(1.5)
+    with pytest.raises(DomainError):
+        p.value_at(float("nan"))
 
 
 def test_stieltjes_constant_integrand_telescopes():
@@ -149,6 +149,20 @@ def test_qv_curve_monotone_and_first_value():
     sq = np.diff(x.restrict(8).values) ** 2
     assert np.allclose(curve.masses()[:-1], sq, atol=1e-15)
     assert curve.masses()[-1] == 0.0
+
+
+def test_qv_curve_value_at_reads_arrays_like_points():
+    curve = QVCurve.from_path(build_x(preset("fig2-left"), 10), 8)
+    t = np.concatenate([grid_points(10), np.random.default_rng(5).uniform(size=199)])
+    per_point = [curve.value_at(ti) for ti in t]
+    assert all(type(v) is float for v in per_point)
+    assert np.array_equal(curve.value_at(t), per_point)
+    assert np.array_equal(curve.value_at(t.reshape(2, -1)), np.reshape(per_point, (2, -1)))
+    # the largest grid point <= t
+    assert np.array_equal(per_point, curve.values[np.floor(t * 2**8).astype(int)])
+    for bad in (-1e-300, 1.5, float("nan"), [0.5, float("nan")], [0.0, -0.25]):
+        with pytest.raises(DomainError):
+            curve.value_at(bad)
 
 
 def test_qv_curve_rejects_decreasing():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,3 +102,15 @@ def test_ito_residual_partial_time():
     x = build_x(preset("one"), 10)
     r = ito_residual(lambda v: v**2, lambda v: 2 * v, lambda v: 2 + 0 * v, x, 10, 0.5)
     assert abs(r) <= 1e-12
+
+
+@pytest.mark.parametrize("which", [0, 1, 2])
+@pytest.mark.parametrize("bad", [lambda v: 1.0 / np.asarray(v), lambda v: np.sqrt(v - 10.0)])
+def test_ito_residual_rejects_non_finite_maps(which, bad):
+    x = build_x(preset("one"), 8)  # x(0) = 0, where 1/v is infinite
+    maps = [lambda v: v**2, lambda v: 2 * v, lambda v: 2 + 0 * v]
+    maps[which] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError):
+            ito_residual(*maps, x, 8, 1.0)
