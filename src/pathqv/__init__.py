@@ -14,7 +14,6 @@ from .dyadic import (
     QVCurve,
     SampledPath,
     grid_points,
-    stieltjes_integral,
     successor,
 )
 from .errors import DomainError, FlowIntegrationError, NumericalError, PathQVError
@@ -42,11 +41,9 @@ from .quadvar import (
 )
 from .follmer import follmer_integral, ito_residual
 from .flow import (
-    FlowPoint,
     VolatilityField,
     constant_field,
     flow,
-    flow_derivatives,
     flow_identity_defects,
     flow_with_derivatives,
     scalar_linear_field,
@@ -57,7 +54,6 @@ from .ide import (
     IDESolution,
     langevin_closed_form,
     linear_closed_form,
-    solve_B,
     solve_ide,
     sqrt1p_closed_form,
     verify_local_qv,
@@ -75,7 +71,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BVDriver", "DEFAULT_LEVEL", "MAX_LEVEL", "QVCurve",
-    "SampledPath", "grid_points", "stieltjes_integral", "successor",
+    "SampledPath", "grid_points", "successor",
     "DomainError", "FlowIntegrationError", "NumericalError", "PathQVError",
     "FSCoefficients", "analyze", "basis_eval", "synthesize",
     "FunctionSequence", "IrrationalShift", "PRESETS", "build_x", "build_y",
@@ -83,12 +79,10 @@ __all__ = [
     "CovCurve", "coincidence_frequency", "cov_curve", "cov_level",
     "ell1", "ell2", "qv_curve", "qv_level",
     "follmer_integral", "ito_residual",
-    "FlowPoint", "VolatilityField", "constant_field", "flow",
-    "flow_derivatives", "flow_identity_defects", "flow_with_derivatives",
-    "scalar_linear_field",
-    "sqrt1p_field",
+    "VolatilityField", "constant_field", "flow", "flow_identity_defects",
+    "flow_with_derivatives", "scalar_linear_field", "sqrt1p_field",
     "IDEProblem", "IDESolution", "langevin_closed_form", "linear_closed_form",
-    "solve_B", "solve_ide", "sqrt1p_closed_form", "verify_local_qv",
+    "solve_ide", "sqrt1p_closed_form", "verify_local_qv",
     "NondiffReport", "drift_from_path", "match_path", "nondiff_quotients",
     "shoot_constant_b",
     "Expression", "evaluate_constant", "field_from_expression", "scalar_function",

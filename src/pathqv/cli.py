@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .construct import (FunctionSequence, IrrationalShift, PRESETS, build_x,
-                        build_y, predicted_qv, preset)
+from .construct import (SPOT_GRID, FunctionSequence, IrrationalShift, PRESETS,
+                        build_x, build_y, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
                      _check_level, grid_points, read_json)
 from .errors import DomainError, NumericalError, PathQVError
@@ -54,13 +54,18 @@ def _write_path(path_obj, out):
         path_obj.to_csv(out)
 
 
-def _parse_levels(spec):
+def _parse_levels(spec, top):
+    """--levels as a list of levels, each checked against ``top``, the level
+    of the path(s) read, so that a bad entry fails before any output."""
     try:
         levels = [int(s) for s in spec.split(",") if s]
     except ValueError:
         raise DomainError(f"bad --levels {spec!r}; expected e.g. 8,10,12")
     if not levels:
         raise DomainError("--levels is empty")
+    for n in levels:
+        if _check_level(n) > top:
+            raise DomainError(f"level {n} exceeds path level {top}")
     return levels
 
 
@@ -70,7 +75,7 @@ def _resolve_fseq(args):
     if getattr(args, "f", None):
         fn = scalar_function(args.f, "t")
         with np.errstate(all="ignore"):
-            values = np.asarray(fn(np.linspace(0.0, 1.0, 1024)), dtype=np.float64)
+            values = np.asarray(fn(SPOT_GRID), dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise DomainError(f"--f {args.f!r} is not finite on [0, 1]")
         return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
@@ -92,9 +97,7 @@ def _resolve_drift(spec):
         return e
     if not np.isfinite(value):
         raise DomainError(f"drift b must be finite, got {spec!r}")
-    return lambda t, xi: np.broadcast_to(
-        np.float64(value), np.broadcast_shapes(np.shape(t), np.shape(xi))
-    )
+    return lambda t, xi: value
 
 
 def _resolve_x(spec, level):
@@ -129,7 +132,7 @@ def _cmd_synth_y(args):
 
 def _cmd_qv(args):
     path = SampledPath.from_file(args.infile)
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, path.level)
     base = min(levels)
     pred = None
     if args.predicted:
@@ -154,7 +157,7 @@ def _cmd_qv(args):
 def _cmd_cov(args):
     x = SampledPath.from_file(args.infile)
     y = SampledPath.from_file(args.infile2)
-    levels = _parse_levels(args.levels)
+    levels = _parse_levels(args.levels, min(x.level, y.level))
     for n in levels:
         print(f"cov level {n} at t=1: {_fmt(cov_level(x, y, n, 1.0))}")
     if args.out:
@@ -182,11 +185,15 @@ def _cmd_integrate(args):
 
 
 def _cmd_ito_check(args):
-    x, _ = _resolve_x(args.x, args.level)
+    # --level is the synthesis level of a preset; a file keeps its own
+    if args.x.startswith("preset:"):
+        x, _ = _resolve_x(args.x, args.level)
+    else:
+        x = SampledPath.from_file(args.x)
+    levels = _parse_levels(args.levels, x.level)
     F = Expression(args.F, ("xi",))
     dF = F.diff("xi")
     d2F = dF.diff("xi")
-    levels = _parse_levels(args.levels)
     for n in levels:
         r = ito_residual(F, dF, d2F, x, n, 1.0)
         print(f"ito residual F={args.F} level {n}: {_fmt(r)}")

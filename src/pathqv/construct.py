@@ -29,7 +29,9 @@ from .dyadic import QVCurve, _check_level, grid_points
 from .errors import DomainError
 from .schauder import FSCoefficients, synthesize
 
-_SPOT_GRID = np.linspace(0.0, 1.0, 1024)
+#: Where sequences are spot-checked: the level-10 dyadic grid, which holds
+#: the points that the coarse coefficient rows sample.
+SPOT_GRID = grid_points(10)
 _SPOT_MAX_N = 32
 
 
@@ -39,8 +41,8 @@ class FunctionSequence:
 
     ``term(n, t)`` and ``limit(t)`` must accept numpy arrays of times.
     Uniform convergence cannot be verified for arbitrary closures; the
-    constructor spot-checks the bound for n <= 32 on a 1024-point grid
-    and warns if sup|f_n - f_infinity| fails to shrink along n = 16, 32, 64.
+    constructor spot-checks the bound for n <= 32 on SPOT_GRID and warns
+    if sup|f_n - f_infinity| fails to shrink along n = 16, 32, 64.
     """
 
     term: callable
@@ -55,17 +57,17 @@ class FunctionSequence:
         object.__setattr__(self, "uniform_bound", bound)
         slack = 1e-9 * (1.0 + bound)
         for n in range(_SPOT_MAX_N + 1):
-            vals = np.asarray(self.term(n, _SPOT_GRID), dtype=np.float64)
-            if vals.shape != _SPOT_GRID.shape or not np.all(np.isfinite(vals)):
+            vals = np.asarray(self.term(n, SPOT_GRID), dtype=np.float64)
+            if vals.shape != SPOT_GRID.shape or not np.all(np.isfinite(vals)):
                 raise DomainError(f"term({n}, t) must return finite values per point")
             if np.max(np.abs(vals)) > bound + slack:
                 raise DomainError(
                     f"|f_{n}| exceeds the declared uniform bound {bound} "
                     f"(max {np.max(np.abs(vals)):.6g})"
                 )
-        lim = np.asarray(self.limit(_SPOT_GRID), dtype=np.float64)
+        lim = np.asarray(self.limit(SPOT_GRID), dtype=np.float64)
         gaps = [
-            float(np.max(np.abs(np.asarray(self.term(n, _SPOT_GRID)) - lim)))
+            float(np.max(np.abs(np.asarray(self.term(n, SPOT_GRID)) - lim)))
             for n in (16, 32, 64)
         ]
         if gaps[0] < gaps[1] - slack or gaps[1] < gaps[2] - slack:
@@ -77,8 +79,13 @@ class FunctionSequence:
 
     @classmethod
     def constant_in_n(cls, fn, uniform_bound, name=""):
-        """The sequence f_n = fn for every n (limit = fn)."""
-        return cls(lambda n, t: fn(t), fn, uniform_bound, name)
+        """The sequence f_n = fn for every n (limit = fn).  fn may return
+        anything that broadcasts against t (a constant, say); its values
+        are padded to t's shape (a read-only view)."""
+        def padded(t):
+            return np.broadcast_to(np.asarray(fn(t), dtype=np.float64), np.shape(t))
+
+        return cls(lambda n, t: padded(t), padded, uniform_bound, name)
 
 
 @dataclass(frozen=True)
@@ -188,11 +195,7 @@ def _fig2_right_term(n, t):
 
 def _make_presets():
     presets = {
-        "one": FunctionSequence.constant_in_n(
-            lambda t: np.ones_like(np.asarray(t, dtype=np.float64)),
-            1.0,
-            name="one",
-        ),
+        "one": FunctionSequence.constant_in_n(lambda t: 1.0, 1.0, name="one"),
         "fig1-left": FunctionSequence.constant_in_n(
             lambda t: np.cos(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
             1.0,

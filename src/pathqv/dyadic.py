@@ -1,4 +1,5 @@
-"""Dyadic grids on [0, 1], sampled paths, and left-point Stieltjes sums.
+"""Dyadic grids on [0, 1], sampled paths, bounded-variation drivers and
+quadratic-variation curves.
 
 Everything downstream (quadratic variation estimators, pathwise integrals,
 the integral-equation solver) works on the dyadic grids T_n = {k 2^-n}.
@@ -220,24 +221,6 @@ class BVDriver:
 
     def restrict(self, m):
         return BVDriver(self.path.restrict(m))
-
-
-def stieltjes_integral(integrand, driver, t):
-    """Left-point Riemann-Stieltjes sum  sum_{s < t} g(s) (A(s') - A(s)).
-
-    ``integrand`` and ``driver`` must share one grid level and t must lie
-    on that grid.  The left-endpoint (non-anticipative) convention matches
-    the pathwise Ito integral, so both integral types share this kernel.
-    """
-    if integrand.level != driver.level:
-        raise DomainError(
-            f"integrand level {integrand.level} != driver level {driver.level}"
-        )
-    j = grid_index(t, integrand.level)
-    if j == 0:
-        return 0.0
-    dA = np.diff(driver.path.values[: j + 1])
-    return float(np.sum(integrand.values[:j] * dA))
 
 
 @dataclass(frozen=True, eq=False)

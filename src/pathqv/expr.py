@@ -263,7 +263,12 @@ def _diff(node, var):
 
 
 class Expression:
-    """A parsed expression over a fixed variable tuple."""
+    """A parsed expression over a fixed variable tuple.
+
+    Calls evaluate with numpy semantics and return whatever that gives, not
+    padded to the arguments' shape: "2" returns 2.0 for array arguments.
+    That meets the field and drift contract (see ``VolatilityField``).
+    """
 
     def __init__(self, src, variables=("t", "xi"), _ast=None):
         self.src = src
@@ -275,12 +280,7 @@ class Expression:
             raise DomainError(
                 f"expression over {self.variables} called with {len(args)} arguments"
             )
-        env = dict(zip(self.variables, args))
-        out = _eval(self.ast, env)
-        shape = np.broadcast_shapes(*(np.shape(a) for a in args)) if args else ()
-        if np.shape(out) != shape:
-            out = np.broadcast_to(np.asarray(out, dtype=np.float64), shape).copy()
-        return out
+        return _eval(self.ast, dict(zip(self.variables, args)))
 
     def diff(self, var):
         if var not in self.variables:
@@ -309,7 +309,7 @@ def field_from_expression(src):
     The partial derivatives come from symbolic differentiation of the
     parsed tree (so they satisfy the field's finite-difference check by
     construction), and the declared sup-bounds are sampled on the box
-    [0, 1] x [-8, 8].
+    [0, 1] x [-8, 8]; DomainError if a derivative is not finite there.
     """
     from .flow import VolatilityField
 
@@ -317,8 +317,12 @@ def field_from_expression(src):
     d_t = sigma.diff("t")
     d_xi = sigma.diff("xi")
     tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(-8.0, 8.0, 65))
-    sup_t = float(np.max(np.abs(d_t(tt, xx))))
-    sup_xi = float(np.max(np.abs(d_xi(tt, xx))))
+    with np.errstate(all="ignore"):
+        sup_t = float(np.max(np.abs(d_t(tt, xx))))
+        sup_xi = float(np.max(np.abs(d_xi(tt, xx))))
+    if not (math.isfinite(sup_t) and math.isfinite(sup_xi)):
+        raise DomainError(f"field {src!r} has a derivative that is not finite on the box "
+                          "t in [0, 1], xi in [-8, 8]")
     return VolatilityField(
         sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,
         sup_sigma_t=sup_t, sup_sigma_xi=sup_xi, name=src,

@@ -68,8 +68,11 @@ class VolatilityField:
     """sigma(t, xi) together with its first partial derivatives and
     declared sup-bounds for them.
 
-    ``sigma``, ``sigma_t`` and ``sigma_xi`` must broadcast over numpy
-    arrays.  Construction cross-checks each derivative against a central
+    ``sigma``, ``sigma_t`` and ``sigma_xi`` take (t, xi), numbers or numpy
+    arrays, and may return anything that broadcasts against the joint
+    shape of their arguments, e.g. a scalar when the formula ignores an
+    argument: numpy broadcasting absorbs it in all arithmetic, and code
+    that needs a full-shape array pads with ``eval_on``.  Construction cross-checks each derivative against a central
     difference (h = 1e-5, tolerance 1e-4 relative to 1 + |derivative|)
     and the declared bounds on a fixed sample box; fields whose true
     derivatives grow beyond the box (e.g. sigma(t, xi) = s(t) xi) should
@@ -78,8 +81,8 @@ class VolatilityField:
     ``exact_flow(tau, xi, t)``, optional, returns the flow in closed form
     as (phi, d_xi, d_tau): phi(tau, xi, t), its derivative in xi and its
     derivative in tau, broadcasting over arrays.  When it is given the
-    flow functions call it instead of integrating (their rtol and atol
-    are then unused).  Construction checks it on the same sample box:
+    flow functions call it instead of integrating (their rtol is then
+    unused).  Construction checks it on the same sample box:
     phi = xi, d_xi = 1 and d_tau = 0 at t = 0, and at t = +-0.5 a
     central difference in t matches sigma(tau, phi) while d_xi and d_tau
     match central differences of phi, to the tolerance above.
@@ -143,22 +146,6 @@ class VolatilityField:
                 raise DomainError("exact_flow d_tau disagrees with finite differences")
 
 
-@dataclass(frozen=True)
-class FlowPoint:
-    """The flow and its sensitivities at one (tau, xi, t)."""
-
-    value: float
-    d_xi: float
-    d_tau: float
-    d_tt: float
-
-    def __post_init__(self):
-        if not np.all(np.asarray(self.d_xi) > 0.0):
-            raise FlowIntegrationError(
-                "flow sensitivity d_xi must be positive (exponential formula)"
-            )
-
-
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau) as fresh float arrays of the joint
     input shape (numpy scalars for scalar inputs); raises
@@ -172,7 +159,7 @@ def _exact(exact_flow, tau, xi, t):
     return out
 
 
-def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
+def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=100000):
     """(phi, d_xi, d_tau) with the broadcast shape of the inputs.
 
     A field's ``exact_flow`` is used when present.  Otherwise the
@@ -181,7 +168,8 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
     digits with the other points of its batch.  Inputs that broadcast to
     a single point (size 1, any shape) are stored as three plain floats,
     avoiding numpy's per-call overhead in the strictly sequential solvers
-    (lag-1 Tonelli); larger batches as a (3, m) array.
+    (lag-1 Tonelli); larger batches as a (3, m) array.  The absolute
+    tolerance scales with ``rtol``: ATOL * (rtol / RTOL).
     """
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
@@ -202,7 +190,7 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, atol=ATOL, max_steps=100000):
         ops = (_array_rhs(field, tau_b.reshape(-1), hz_b.reshape(-1)),
                _combine_arrays, _norm_arrays)
     if np.any(hz_b):
-        y = _dp45(*ops, y, rtol, atol, max_steps)
+        y = _dp45(*ops, y, rtol, ATOL * (rtol / RTOL), max_steps)
     return tuple(np.reshape(c, tau_b.shape)[()] for c in y)
 
 
@@ -315,25 +303,21 @@ def _norm_arrays(y, y5, e, rtol, atol):
     return float(e.max())
 
 
-def flow(field, tau, xi, t, rtol=RTOL, atol=ATOL):
+def flow(field, tau, xi, t, rtol=RTOL):
     """phi(tau, xi, t): the flow value alone (broadcasts over arrays)."""
-    phi, _, _ = _integrate(field, tau, xi, t, rtol=rtol, atol=atol)
+    phi, _, _ = _integrate(field, tau, xi, t, rtol=rtol)
     return float(phi) if np.ndim(phi) == 0 else phi
 
 
-def flow_with_derivatives(field, tau, xi, t, rtol=RTOL, atol=ATOL):
-    """(phi, d_xi, d_tau, d_tt) as arrays; the batch-friendly interface."""
-    phi, d_xi, d_tau = _integrate(field, tau, xi, t, rtol=rtol, atol=atol)
+def flow_with_derivatives(field, tau, xi, t, rtol=RTOL):
+    """(phi, d_xi, d_tau, d_tt), each with the broadcast shape of the inputs
+    (numpy scalars when they are all scalars).  Raises FlowIntegrationError
+    unless d_xi > 0, which the exponential formula guarantees."""
+    phi, d_xi, d_tau = _integrate(field, tau, xi, t, rtol=rtol)
     if np.any(d_xi <= 0.0):
         raise FlowIntegrationError("computed d_xi <= 0; integration not trustworthy")
-    d_tt = np.asarray(field.sigma_xi(tau, phi)) * np.asarray(field.sigma(tau, phi))
+    d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
     return phi, d_xi, d_tau, d_tt
-
-
-def flow_derivatives(field, tau, xi, t, rtol=RTOL, atol=ATOL):
-    """FlowPoint at scalar (tau, xi, t)."""
-    phi, d_xi, d_tau, d_tt = flow_with_derivatives(field, tau, xi, t, rtol, atol)
-    return FlowPoint(float(phi), float(d_xi), float(d_tau), float(d_tt))
 
 
 #: The identity suite's checks and their tolerances, in report order.
@@ -389,13 +373,10 @@ def flow_identity_defects(field):
 
 
 # -- ready-made fields -----------------------------------------------------
-#
-# Field callables may return scalars when the formula does not involve an
-# argument (numpy broadcasting absorbs that in all arithmetic); callers
-# that need a full-shape array use ``eval_on``.
 
 def eval_on(fn, t, xi):
-    """Evaluate a field component and broadcast to the joint shape."""
+    """fn(t, xi) broadcast to the joint shape of t and xi: the one place
+    that pads a field or drift callable's output (a read-only view)."""
     shape = np.broadcast_shapes(np.shape(t), np.shape(xi))
     return np.broadcast_to(np.asarray(fn(t, xi), dtype=np.float64), shape)
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_level
 from .errors import DomainError, NumericalError
-from .flow import ATOL, RTOL, eval_on, flow_with_derivatives
+from .flow import RTOL, eval_on, flow_with_derivatives
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
@@ -50,6 +50,11 @@ class IDEProblem:
     """One pathwise Ito equation: field sigma, drift b, driver A, the
     integrator path x with x(0) = 0, its quadratic variation as a curve,
     and the initial value z0.
+
+    ``drift`` takes (t, xi) and, like the field's callables, may return
+    anything that broadcasts against the joint shape of its arguments, e.g.
+    a scalar for a constant drift; the solvers pad with ``eval_on`` where
+    they need a full-shape array.
 
     ``drift_growth`` declares a constant c with |b(t, xi)| <= c (1 + |xi|);
     it feeds the a-priori Gronwall bound and is not otherwise enforced.
@@ -121,9 +126,8 @@ class IDESolution:
 def _cell_contributions(problem, tpts, xpts, y, dA, ds, dQ, rtol=RTOL):
     """Flow values at (t, B, x(t)) points and the left-point contributions
     of the len(dA) cells starting there, from one vectorized flow solve at
-    relative tolerance rtol (ATOL scaled alike)."""
-    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts,
-                                                rtol, ATOL * (rtol / RTOL))
+    relative tolerance rtol."""
+    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts, rtol)
     bvals = np.asarray(problem.drift(tpts, phi), dtype=np.float64)
     n = dA.shape[0]
     return phi, (bvals / dxi)[:n] * dA + (-dtau / dxi)[:n] * ds + (-0.5 * dtt / dxi)[:n] * dQ
@@ -137,36 +141,17 @@ def _restricted(problem, level):
     return tgrid, x.values, np.diff(A.path.values), np.diff(tgrid), Q.increments()
 
 
-def solve_B(problem, scheme="picard", level=None, *, tol=PICARD_TOL,
-            max_iter=MAX_PICARD_ITER, tonelli_n=64, initial=None):
-    """Solve the discrete Stieltjes integral equation for B.
-
-    Returns a SampledPath at the working level whose fixed-point defect
-    (sup over grid points) is at most ``tol`` for the Picard scheme; the
-    Tonelli scheme is defect-free by construction for its own delayed
-    equation.  Raises NumericalError with the defect trace if Picard
-    stalls or exhausts ``max_iter``.  ``initial`` warm-starts Picard
-    (e.g. with the solution for nearby parameters); the fixed point is
-    unique, so it only affects the sweep count.
-    """
-    level = problem.working_level(level)
-    if scheme == "picard":
-        return _solve_picard(problem, level, tol, max_iter, initial)[0]
-    if scheme == "tonelli":
-        return _solve_tonelli(problem, level, tonelli_n)
-    raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
-
-
-def _solve_picard(problem, level, tol, max_iter, initial=None):
+def _solve_picard(problem, level, max_iter, initial=None):
     """Picard sweeps from z0 or ``initial``; returns (B, phi, defect).
 
     Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
-    with F = _FORCING and ATOL scaled alike (inexact Newton), so the first
-    sweep runs at F.  Only a sweep at full (RTOL, ATOL) may stop, so B
-    has a full-accuracy defect <= ``tol``; that sweep's flow values
-    phi(t, B(t), x(t)) and its defect are returned for reuse.  A field
-    with a closed-form flow ignores the tolerance, so there every sweep
-    is at full accuracy and any sweep may stop.
+    with F = _FORCING (inexact Newton; the flow scales its absolute
+    tolerance alike), so the first sweep runs at F.  Only a sweep at full
+    tolerance may stop, so B has a full-accuracy defect <= PICARD_TOL;
+    that sweep's flow values phi(t, B(t), x(t)) and its defect are
+    returned for reuse.  A field with a closed-form flow ignores the
+    tolerance, so there every sweep is at full accuracy and any sweep may
+    stop.
     """
     tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
     B = np.full(tgrid.shape[0], problem.z0)
@@ -182,22 +167,26 @@ def _solve_picard(problem, level, tol, max_iter, initial=None):
         S = np.concatenate([[0.0], np.cumsum(cells)])
         defect = float(np.max(np.abs(B - problem.z0 - S)))
         trace.append(defect)
-        if defect <= tol and (exact or rtol == RTOL):
+        if defect <= PICARD_TOL and (exact or rtol == RTOL):
             return SampledPath(level, B), phi, defect
         if len(trace) >= 8 and defect >= 0.9999 * trace[-2]:
             raise NumericalError(
-                f"Picard iteration stalled at defect {defect:.3e} (tol {tol:.1e})",
+                f"Picard iteration stalled at defect {defect:.3e} "
+                f"(tol {PICARD_TOL:.1e})",
                 trace=trace,
             )
         B = problem.z0 + S
     raise NumericalError(
-        f"Picard did not reach defect {tol:.1e} in {max_iter} sweeps "
+        f"Picard did not reach defect {PICARD_TOL:.1e} in {max_iter} sweeps "
         f"(last defect {trace[-1]:.3e})",
         trace=trace,
     )
 
 
 def _solve_tonelli(problem, level, tonelli_n):
+    """The delayed iterate with lag 1/tonelli_n, built block by block;
+    returns (B, phi, 0.0) like ``_solve_picard``, with phi from one
+    full-grid flow solve at B (the delayed equation has no defect)."""
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
             f"tonelli delay 1/{tonelli_n} must divide the grid: "
@@ -221,16 +210,24 @@ def _solve_tonelli(problem, level, tonelli_n):
         running = prefix[hi]
         B[j0 : j1 + 1] = problem.z0 + prefix[lo : hi + 1]
         j0 = j1 + 1
-    return SampledPath(level, B)
+    phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B, xvals)
+    return SampledPath(level, B), phi, 0.0
 
 
-def solve_ide(problem, level=None, *, scheme="picard", tol=PICARD_TOL,
-              max_iter=MAX_PICARD_ITER, tonelli_n=64, initial=None):
-    """Solve the pathwise Ito equation and assemble z = phi(t, B, x).
+def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
+              tonelli_n=64, initial=None):
+    """Solve the pathwise Ito equation for B and assemble z = phi(t, B, x).
 
-    ``initial`` warm-starts Picard as in ``solve_B``.  ``residual_report``
-    carries the fixed-point defect of the B-solve; ``follmer_defect`` is
-    the sup over the grid of
+    ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
+    must divide 2^level).  Picard stops at a fixed-point defect (sup over
+    grid points) <= PICARD_TOL and raises NumericalError with the defect
+    trace if it stalls or exhausts ``max_iter``; ``initial`` warm-starts it
+    (e.g. with the B for nearby parameters), which, the fixed point being
+    unique, only affects the sweep count.  The Tonelli scheme is
+    defect-free by construction for its own delayed equation.
+
+    ``residual_report`` carries the fixed-point defect of the B-solve;
+    ``follmer_defect`` is the sup over the grid of
 
         |z(t) - z0 - sum sigma(s, z) dx - sum b(s, z) dA|,
 
@@ -238,13 +235,13 @@ def solve_ide(problem, level=None, *, scheme="picard", tol=PICARD_TOL,
     only in the limit, so this is reported, not asserted small).
     """
     level = problem.working_level(level)
-    tgrid, xvals, dA, _, _ = _restricted(problem, level)
     if scheme == "picard":
-        B, phi, resid = _solve_picard(problem, level, tol, max_iter, initial)
+        B, phi, resid = _solve_picard(problem, level, max_iter, initial)
+    elif scheme == "tonelli":
+        B, phi, resid = _solve_tonelli(problem, level, tonelli_n)
     else:
-        B = solve_B(problem, scheme=scheme, level=level, tonelli_n=tonelli_n)
-        phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B.values, xvals)
-        resid = 0.0
+        raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
+    tgrid, xvals, dA, _, _ = _restricted(problem, level)
     z = SampledPath(level, phi)
     sig = eval_on(problem.field.sigma, tgrid, z.values)
     bv = eval_on(problem.drift, tgrid, z.values)

@@ -80,9 +80,7 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     warm = [None]  # B for the previous b warm-starts the next Picard solve
 
     def hit(b):
-        problem = _linear_qv_problem(
-            field, x, z0, lambda t, xi, b=b: np.full(np.shape(t), float(b)), level
-        )
+        problem = _linear_qv_problem(field, x, z0, lambda t, xi, b=float(b): b, level)
         sol = solve_ide(problem, level, initial=warm[0])
         warm[0] = sol.B.values
         z = float(sol.z.values[j])  # phi(t0, B(t0), x(t0)) of the converged sweep
@@ -175,12 +173,7 @@ def drift_from_path(bpath):
     """Wrap a sampled drift b(t) as the (t, xi) callable solvers expect."""
     tgrid = bpath.times()
     vals = bpath.values
-
-    def drift(t, xi):
-        out = np.interp(np.asarray(t, dtype=np.float64), tgrid, vals)
-        return np.broadcast_to(out, np.broadcast_shapes(np.shape(t), np.shape(xi))).copy()
-
-    return drift
+    return lambda t, xi: np.interp(t, tgrid, vals)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,7 @@ from pathqv import (
     cov_curve,
     ell1,
     flow,
-    flow_derivatives,
+    flow_with_derivatives,
     ito_residual,
     langevin_closed_form,
     linear_closed_form,
@@ -34,7 +34,6 @@ from pathqv import (
     qv_level,
     scalar_linear_field,
     shoot_constant_b,
-    solve_B,
     solve_ide,
     sqrt1p_closed_form,
     sqrt1p_field,
@@ -174,23 +173,23 @@ def test_criterion_6_flow_identity_suite():
                 tau = float(rng.uniform(0, 1))
                 xi = float(rng.uniform(-1.5, 1.5))
                 t = float(rng.uniform(-0.9, 0.9))
-                fp = flow_derivatives(field, tau, xi, -t)
+                phi, d_xi, _, d_tt = flow_with_derivatives(field, tau, xi, -t)
                 sig = float(np.asarray(field.sigma(tau, xi)))
-                lhs8 = float(np.asarray(field.sigma(tau, fp.value)))
-                assert abs(lhs8 - fp.d_xi * sig) <= 1e-7
+                lhs8 = float(np.asarray(field.sigma(tau, phi)))
+                assert abs(lhs8 - d_xi * sig) <= 1e-7
 
                 h = 1e-4
-                up = flow_derivatives(field, tau, xi + h, -t)
-                dn = flow_derivatives(field, tau, xi - h, -t)
-                phi_xixi = (up.d_xi - dn.d_xi) / (2 * h)
-                phi_xit = (float(np.asarray(field.sigma(tau, up.value)))
-                           - float(np.asarray(field.sigma(tau, dn.value)))) / (2 * h)
-                lhs9 = phi_xixi * sig**2 - 2 * phi_xit * sig + fp.d_tt
-                fwd = flow_derivatives(field, tau, fp.value, t)
-                assert abs(lhs9 - (-fp.d_xi * fwd.d_tt)) <= 1e-5
+                up, d_xi_up, _, _ = flow_with_derivatives(field, tau, xi + h, -t)
+                dn, d_xi_dn, _, _ = flow_with_derivatives(field, tau, xi - h, -t)
+                phi_xixi = (d_xi_up - d_xi_dn) / (2 * h)
+                phi_xit = (float(np.asarray(field.sigma(tau, up)))
+                           - float(np.asarray(field.sigma(tau, dn)))) / (2 * h)
+                lhs9 = phi_xixi * sig**2 - 2 * phi_xit * sig + d_tt
+                _, _, _, d_tt_fwd = flow_with_derivatives(field, tau, phi, t)
+                assert abs(lhs9 - (-d_xi * d_tt_fwd)) <= 1e-5
 
-                fd = (up.value - dn.value) / (2 * h)
-                assert abs(fd - fp.d_xi) <= 1e-5
+                fd = (up - dn) / (2 * h)
+                assert abs(fd - d_xi) <= 1e-5
 
         # closed forms for the three example fields
         for xi in (-1.2, 0.4):
@@ -239,8 +238,8 @@ def test_criterion_7_closed_form_ide_oracles():
             _linear_qv_problem(sqrt1p_field(), lambda t, xi: 0.5 * xi, x10, 0.4, 10),
         )
         for p in cases:
-            picard = solve_B(p, "picard", 10)
-            tonelli = solve_B(p, "tonelli", 10, tonelli_n=2**10)
+            picard = solve_ide(p, 10).B
+            tonelli = solve_ide(p, 10, scheme="tonelli", tonelli_n=2**10).B
             assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
 
     _criterion(7, "closed-form solutions (Langevin, geometric, square-root) "

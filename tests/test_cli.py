@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import pathqv.cli as cli
-from pathqv import (QVCurve, SampledPath, build_x, grid_points, predicted_qv, preset,
-                    qv_curve, sqrt1p_field)
+from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, grid_points,
+                    predicted_qv, preset, qv_curve, sqrt1p_field)
 from pathqv.cli import main
 
 
@@ -318,6 +318,8 @@ def test_solve_analytic_qv_needs_a_preset_x(tmp_path, capsys):
     ["synth-y", "--f", "exp(1000*t)"],
     ["synth-y", "--preset", "one", "--alpha", "sqrt(0-1)"],
     ["synth-y", "--preset", "one", "--alpha", "exp(1000)"],
+    ["synth-x", "--f", "1/(t-0.5)"],
+    ["synth-y", "--f", "1/(t-0.5)"],
 ])
 def test_synth_non_finite_input_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "p.csv"
@@ -429,3 +431,47 @@ def test_figures_read_each_curve_in_one_call(tmp_path, monkeypatch, capsys):
         assert np.array_equal(rows[:, 2], [curve7.values[int(ti * 2**7)] for ti in t])
         assert np.array_equal(rows[:, 3], predicted_qv(preset(name), "curved", 8).values)
     capsys.readouterr()
+
+
+def test_synth_constant_f_writes_a_path(tmp_path, capsys):
+    # f = 2 evaluates to a scalar; the sequence pads it to one value per point
+    ones = {"synth-x": build_x(preset("one"), 6),
+            "synth-y": build_y(preset("one"), IrrationalShift(float(np.e)), 6)}
+    for cmd, one in ones.items():
+        out = tmp_path / f"{cmd}.csv"
+        assert run([cmd, "--f", "2", "--level", "6", "--out", str(out)]) == 0
+        assert np.array_equal(SampledPath.from_csv(out).values, 2.0 * one.values)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["qv", "--in", "{x8}", "--levels", "6,9"],
+    ["cov", "--in", "{x8}", "--in2", "{x10}", "--levels", "6,9"],
+    ["ito-check", "--x", "preset:fig1-left", "--F", "xi^3", "--levels", "8,12,14"],
+])
+def test_levels_are_checked_before_any_output(tmp_path, capsys, argv):
+    paths = {"x8": tmp_path / "x8.csv", "x10": tmp_path / "x10.csv"}
+    for name, path in paths.items():
+        run(["synth-x", "--preset", "fig1-left", "--level", name[1:], "--out", str(path)])
+    capsys.readouterr()
+    assert run([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_ito_check_reads_a_file_at_its_own_level(tmp_path, capsys):
+    # --level (default 12) is the synthesis level of a preset, not a file's
+    x10 = tmp_path / "x10.csv"
+    run(["synth-x", "--preset", "fig1-left", "--level", "10", "--out", str(x10)])
+    capsys.readouterr()
+    assert run(["ito-check", "--x", str(x10), "--F", "xi^3", "--levels", "6,8,10"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize("sigma", ["1/(xi-7)", "xi^0.5"], ids=["pole", "root"])
+def test_flow_check_non_finite_derivative_exit_2(capsys, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["flow-check", "--sigma", sigma]) == 2
+    assert_one_line_error(capsys)

@@ -7,9 +7,9 @@ from pathqv import (
     QVCurve,
     SampledPath,
     build_x,
+    follmer_integral,
     grid_points,
     preset,
-    stieltjes_integral,
     successor,
 )
 from pathqv.dyadic import csv_text
@@ -86,20 +86,22 @@ def test_value_at_interpolates():
         p.value_at(float("nan"))
 
 
+# Left-point Riemann-Stieltjes sums  sum_{s < t} g(s) (A(s') - A(s));
+# follmer_integral is the one kernel for them.
+
 def test_stieltjes_constant_integrand_telescopes():
     x = build_x(preset("fig1-left"), 10)
-    driver = BVDriver(x)
     ones = SampledPath(10, np.ones(2**10 + 1))
     for t in (0.25, 0.5, 1.0):
         want = x.value_at(t) - x.value_at(0.0)
-        assert stieltjes_integral(ones, driver, t) == pytest.approx(want, abs=1e-14)
+        assert follmer_integral(ones, x, 10, t) == pytest.approx(want, abs=1e-14)
 
 
 def test_stieltjes_left_sum_value():
     # integral of s ds over [0,1]: left sum = 1/2 - 2^-13, within one mesh of 1/2
     n = 12
     ident = SampledPath.from_function(lambda t: t, n)
-    val = stieltjes_integral(ident, BVDriver(ident), 1.0)
+    val = follmer_integral(ident, ident, n, 1.0)
     assert abs(val - 0.5) <= 2.0**-n
     assert val == pytest.approx(0.5 - 2.0 ** -(n + 1), abs=1e-15)
 
@@ -109,28 +111,27 @@ def test_stieltjes_bounded_by_variation():
     driver = BVDriver(x)
     c = 3.7
     g = SampledPath(9, np.full(2**9 + 1, c))
-    val = stieltjes_integral(g, driver, 1.0)
+    val = follmer_integral(g, x, 9, 1.0)
     assert abs(val) <= abs(c) * driver.total_variation + 1e-12
 
 
 def test_stieltjes_additive_over_intervals():
     x = build_x(preset("fig1-right"), 12)
-    driver = BVDriver(x)
     g = SampledPath.from_function(lambda t: np.cos(3 * t), 12)
-    a = stieltjes_integral(g, driver, 0.375)
-    b = stieltjes_integral(g, driver, 1.0)
+    a = follmer_integral(g, x, 12, 0.375)
+    b = follmer_integral(g, x, 12, 1.0)
     # sum over [0, t) plus [t, u) equals sum over [0, u)
-    tail = float(np.sum(g.values[1536:-1] * np.diff(driver.path.values[1536:])))
+    tail = float(np.sum(g.values[1536:-1] * np.diff(x.values[1536:])))
     assert a + tail == pytest.approx(b, abs=1e-12)
 
 
 def test_stieltjes_level_mismatch():
     g = SampledPath.from_function(lambda t: t, 3)
-    driver = BVDriver(SampledPath.from_function(lambda t: t, 4))
+    driver = SampledPath.from_function(lambda t: t, 4)
     with pytest.raises(DomainError):
-        stieltjes_integral(g, driver, 0.5)
+        follmer_integral(g, driver, 4, 0.5)  # g exists at level 3 only
     with pytest.raises(DomainError):
-        stieltjes_integral(g, BVDriver(g), 0.3)
+        follmer_integral(g, g, 3, 0.3)  # t off the grid
 
 
 def test_bv_driver_total_variation():

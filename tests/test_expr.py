@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,20 @@ def test_expression_wrong_arity():
     e = Expression("xi", ("xi",))
     with pytest.raises(DomainError):
         e(1.0, 2.0)
+
+
+def test_expression_returns_what_numpy_gives_unpadded():
+    # the field contract: anything that broadcasts; eval_on pads where needed
+    t, xi = np.zeros(3), np.linspace(-1.0, 1.0, 3)
+    assert Expression("2")(t, xi) == 2.0 and np.ndim(Expression("2")(t, xi)) == 0
+    assert np.shape(Expression("2*t")(0.5, xi)) == ()
+    assert np.shape(Expression("1+t*0")(t, 0.0)) == (3,)
+
+
+@pytest.mark.parametrize("src", ["1/(xi-7)", "xi^0.5"], ids=["pole", "root"])
+def test_field_from_expression_non_finite_derivative_on_its_box(src):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError) as err:
+            field_from_expression(src)
+    assert src in str(err.value) and "xi in [-8, 8]" in str(err.value)

@@ -12,7 +12,6 @@ from pathqv import (
     constant_field,
     field_from_expression,
     flow,
-    flow_derivatives,
     flow_identity_defects,
     flow_with_derivatives,
     scalar_linear_field,
@@ -48,10 +47,10 @@ def check_constant_flow(f):
     for tau in (0.0, 0.5):
         for t in (-1.0, 0.0, 0.25, 1.0):
             assert flow(f, tau, 1.2, t) == pytest.approx(1.2 + 0.7 * t, abs=1e-12)
-    fp = flow_derivatives(f, 0.3, -0.4, 0.8)
-    assert fp.d_xi == pytest.approx(1.0, abs=1e-12)
-    assert fp.d_tau == pytest.approx(0.0, abs=1e-12)
-    assert fp.d_tt == pytest.approx(0.0, abs=1e-12)
+    _, d_xi, d_tau, d_tt = flow_with_derivatives(f, 0.3, -0.4, 0.8)
+    assert d_xi == pytest.approx(1.0, abs=1e-12)
+    assert d_tau == pytest.approx(0.0, abs=1e-12)
+    assert d_tt == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_field_flow_closed_form():
@@ -67,13 +66,13 @@ def check_linear_flow(f):
                 want = xi * np.exp(s * t)
                 assert flow(f, tau, xi, t) == pytest.approx(want, abs=1e-9)
     tau, xi, t = 0.4, 1.5, 0.9
-    fp = flow_derivatives(f, tau, xi, t)
+    _, d_xi, d_tau, _ = flow_with_derivatives(f, tau, xi, t)
     s = 0.2 + 0.1 * tau
-    assert fp.d_xi == pytest.approx(np.exp(s * t), abs=1e-9)
+    assert d_xi == pytest.approx(np.exp(s * t), abs=1e-9)
     # differentiate the closed form in tau: xi t sigma'(tau) e^{sigma(tau) t}
-    assert fp.d_tau == pytest.approx(xi * t * 0.1 * np.exp(s * t), abs=1e-9)
+    assert d_tau == pytest.approx(xi * t * 0.1 * np.exp(s * t), abs=1e-9)
     fd = (flow(f, tau + 1e-6, xi, t) - flow(f, tau - 1e-6, xi, t)) / 2e-6
-    assert fp.d_tau == pytest.approx(fd, abs=1e-5)
+    assert d_tau == pytest.approx(fd, abs=1e-5)
 
 
 def test_sqrt_field_flow_closed_form():
@@ -86,15 +85,15 @@ def check_sqrt_flow(f):
         for t in (-1.0, 0.3, 1.0):
             want = np.sinh(t + np.arcsinh(xi))
             assert flow(f, 0.0, xi, t) == pytest.approx(want, abs=1e-9)
-    fp = flow_derivatives(f, 0.0, 0.5, 0.7)
+    _, _, _, d_tt = flow_with_derivatives(f, 0.0, 0.5, 0.7)
     z = np.sinh(0.7 + np.arcsinh(0.5))
-    assert fp.d_tt == pytest.approx(z, abs=1e-9)  # sigma_xi * sigma = phi here
+    assert d_tt == pytest.approx(z, abs=1e-9)  # sigma_xi * sigma = phi here
     h = 1e-3  # second difference: h small enough for truncation, large
     # enough that the integrator tolerance does not dominate h^2
     fd = (
         flow(f, 0.0, 0.5, 0.7 + h) - 2 * flow(f, 0.0, 0.5, 0.7) + flow(f, 0.0, 0.5, 0.7 - h)
     ) / h**2
-    assert fp.d_tt == pytest.approx(fd, abs=1e-5)
+    assert d_tt == pytest.approx(fd, abs=1e-5)
 
 
 def test_semigroup_property():
@@ -119,9 +118,9 @@ def test_reverse_time_identity():
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-1.5, 1.5))
             t = float(rng.uniform(-1, 1))
-            fp = flow_derivatives(field, tau, xi, -t)
-            lhs = float(np.asarray(field.sigma(tau, fp.value)))
-            rhs = fp.d_xi * float(np.asarray(field.sigma(tau, xi)))
+            phi, d_xi, _, _ = flow_with_derivatives(field, tau, xi, -t)
+            lhs = float(np.asarray(field.sigma(tau, phi)))
+            rhs = d_xi * float(np.asarray(field.sigma(tau, xi)))
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
@@ -135,18 +134,18 @@ def test_second_order_reverse_identity():
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-1.2, 1.2))
             t = float(rng.uniform(-0.9, 0.9))
-            fp = flow_derivatives(field, tau, xi, -t)
-            up = flow_derivatives(field, tau, xi + h, -t)
-            dn = flow_derivatives(field, tau, xi - h, -t)
+            phi, d_xi, _, d_tt = flow_with_derivatives(field, tau, xi, -t)
+            up, d_xi_up, _, _ = flow_with_derivatives(field, tau, xi + h, -t)
+            dn, d_xi_dn, _, _ = flow_with_derivatives(field, tau, xi - h, -t)
             sig = float(np.asarray(field.sigma(tau, xi)))
-            phi_xixi = (up.d_xi - dn.d_xi) / (2 * h)
+            phi_xixi = (d_xi_up - d_xi_dn) / (2 * h)
             phi_xit = (
-                float(np.asarray(field.sigma(tau, up.value)))
-                - float(np.asarray(field.sigma(tau, dn.value)))
+                float(np.asarray(field.sigma(tau, up)))
+                - float(np.asarray(field.sigma(tau, dn)))
             ) / (2 * h)
-            lhs = phi_xixi * sig**2 - 2 * phi_xit * sig + fp.d_tt
-            fwd = flow_derivatives(field, tau, fp.value, t)
-            assert lhs == pytest.approx(-fp.d_xi * fwd.d_tt, abs=1e-5)
+            lhs = phi_xixi * sig**2 - 2 * phi_xit * sig + d_tt
+            _, _, _, d_tt_fwd = flow_with_derivatives(field, tau, phi, t)
+            assert lhs == pytest.approx(-d_xi * d_tt_fwd, abs=1e-5)
 
 
 def test_d_xi_matches_finite_differences():
@@ -157,9 +156,9 @@ def test_d_xi_matches_finite_differences():
             tau = float(rng.uniform(0, 1))
             xi = float(rng.uniform(-1, 1))
             t = float(rng.uniform(-1, 1))
-            fp = flow_derivatives(field, tau, xi, t)
+            _, d_xi, _, _ = flow_with_derivatives(field, tau, xi, t)
             fd = (flow(field, tau, xi + h, t) - flow(field, tau, xi - h, t)) / (2 * h)
-            assert fp.d_xi == pytest.approx(fd, abs=1e-5)
+            assert d_xi == pytest.approx(fd, abs=1e-5)
 
 
 def test_d_xi_two_sided_exponential_bounds():
@@ -168,9 +167,9 @@ def test_d_xi_two_sided_exponential_bounds():
     for _ in range(10):
         xi = float(rng.uniform(-2, 2))
         t = float(rng.uniform(-1, 1))
-        fp = flow_derivatives(field, 0.0, xi, t)
-        assert np.exp(-abs(t)) * (1 - 1e-8) <= fp.d_xi <= np.exp(abs(t)) * (1 + 1e-8)
-        assert fp.d_xi > 0.0
+        _, d_xi, _, _ = flow_with_derivatives(field, 0.0, xi, t)
+        assert np.exp(-abs(t)) * (1 - 1e-8) <= d_xi <= np.exp(abs(t)) * (1 + 1e-8)
+        assert d_xi > 0.0
 
 
 def test_batch_matches_scalar():
@@ -289,10 +288,10 @@ def test_zero_horizons_in_a_batch_are_identities():
 
 def test_zero_horizon_is_identity():
     field = bs_field()
-    fp = flow_derivatives(field, 0.5, 1.3, 0.0)
-    assert fp.value == 1.3
-    assert fp.d_xi == 1.0
-    assert fp.d_tau == 0.0
+    phi, d_xi, d_tau, _ = flow_with_derivatives(field, 0.5, 1.3, 0.0)
+    assert phi == 1.3
+    assert d_xi == 1.0
+    assert d_tau == 0.0
 
 
 # -- identity suite ----------------------------------------------------------
@@ -327,18 +326,18 @@ def scalar_identity_defects(field, h=1e-4):
                     mid = flow(field, tau, xi, s)
                     record("semigroup", abs(flow(field, tau, mid, t) - flow(field, tau, xi, s + t)))
             for t in ts:
-                fp = flow_derivatives(field, tau, xi, -t)
-                up = flow_derivatives(field, tau, xi + h, -t)
-                dn = flow_derivatives(field, tau, xi - h, -t)
-                fwd = flow_derivatives(field, tau, fp.value, t)
+                phi, d_xi, _, d_tt = flow_with_derivatives(field, tau, xi, -t)
+                up, d_xi_up, _, _ = flow_with_derivatives(field, tau, xi + h, -t)
+                dn, d_xi_dn, _, _ = flow_with_derivatives(field, tau, xi - h, -t)
+                _, _, _, d_tt_fwd = flow_with_derivatives(field, tau, phi, t)
                 s0 = sig(tau, xi)
-                record("reverse-time identity", abs(sig(tau, fp.value) - fp.d_xi * s0))
-                phi_xixi = (up.d_xi - dn.d_xi) / (2 * h)
-                phi_xit = (sig(tau, up.value) - sig(tau, dn.value)) / (2 * h)
-                lhs = phi_xixi * s0**2 - 2.0 * phi_xit * s0 + fp.d_tt
-                record("second-order identity", abs(lhs + fp.d_xi * fwd.d_tt))
+                record("reverse-time identity", abs(sig(tau, phi) - d_xi * s0))
+                phi_xixi = (d_xi_up - d_xi_dn) / (2 * h)
+                phi_xit = (sig(tau, up) - sig(tau, dn)) / (2 * h)
+                lhs = phi_xixi * s0**2 - 2.0 * phi_xit * s0 + d_tt
+                record("second-order identity", abs(lhs + d_xi * d_tt_fwd))
                 record("d_xi vs finite differences",
-                       abs((up.value - dn.value) / (2 * h) - fp.d_xi))
+                       abs((up - dn) / (2 * h) - d_xi))
     return worst
 
 
@@ -490,3 +489,13 @@ def test_dp45_one_point_agrees_with_its_batch(which, pts, data):
     alone = _integrate(field, *pts[i])
     for a, b in zip(alone, batch):
         assert abs(a - b[i]) <= 1e-11
+
+
+@pytest.mark.parametrize("field", [constant_field(0.7), dp45(constant_field(0.7)),
+                                   field_from_expression("2")])
+def test_flow_with_derivatives_returns_four_arrays_of_phi_shape(field):
+    # the field callables return scalars here; d_tt is padded like phi
+    tau, xi, t = np.linspace(0.0, 1.0, 4), np.linspace(-1.0, 1.0, 3)[:, None], 0.5
+    out = flow_with_derivatives(field, tau, xi, t)
+    assert [np.shape(v) for v in out] == [(3, 4)] * 4
+    assert all(isinstance(v, np.ndarray) for v in out)

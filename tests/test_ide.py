@@ -12,8 +12,10 @@ from pathqv import (
     NumericalError,
     QVCurve,
     SampledPath,
+    VolatilityField,
     build_x,
     constant_field,
+    field_from_expression,
     flow,
     flow_with_derivatives,
     grid_points,
@@ -22,13 +24,12 @@ from pathqv import (
     preset,
     qv_curve,
     scalar_linear_field,
-    solve_B,
     solve_ide,
     sqrt1p_closed_form,
     sqrt1p_field,
     verify_local_qv,
 )
-from pathqv.flow import ATOL, RTOL
+from pathqv.flow import RTOL
 
 LEVEL = 12
 
@@ -134,7 +135,7 @@ def test_black_scholes_b_formula(x12):
     sig, dsig = bs_sig()
     field = scalar_linear_field(sig, dsig)
     prob = linear_qv_problem(field, lambda t, xi: 0.05 * xi, x12, 2.0, LEVEL)
-    B = solve_B(prob, level=LEVEL)
+    B = solve_ide(prob, LEVEL).B
     t = x12.times()
     mids = 0.5 * (t[:-1] + t[1:])
     xmid = 0.5 * (x12.values[:-1] + x12.values[1:])
@@ -167,8 +168,8 @@ def test_picard_and_tonelli_agree(x12):
         linear_qv_problem(sqrt1p_field(), lambda t, xi: 0.5 * xi, x, 0.4, level),
     ]
     for prob in cases:
-        picard = solve_B(prob, "picard", level)
-        tonelli = solve_B(prob, "tonelli", level, tonelli_n=2**level)
+        picard = solve_ide(prob, level).B
+        tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
         assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
 
 
@@ -177,14 +178,14 @@ def test_tonelli_delay_convergence(x12):
     level = 9
     x = x12.restrict(level)
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, x, 1.0, level)
-    picard = solve_B(prob, "picard", level)
+    picard = solve_ide(prob, level).B
     gaps = []
     for n in (32, 64, 128):
-        t = solve_B(prob, "tonelli", level, tonelli_n=n)
+        t = solve_ide(prob, level, scheme="tonelli", tonelli_n=n).B
         gaps.append(np.max(np.abs(t.values - picard.values)))
     assert gaps[0] > gaps[1] > gaps[2]
     with pytest.raises(DomainError):
-        solve_B(prob, "tonelli", level, tonelli_n=96)  # must divide 2^level
+        solve_ide(prob, level, scheme="tonelli", tonelli_n=96)  # must divide 2^level
 
 
 def test_verify_local_qv_constant_sigma_exact(x12):
@@ -237,12 +238,12 @@ def test_gronwall_bound_holds(x12):
         sqrt1p_field(), lambda t, xi: 0.5 * xi, x12, 0.4, LEVEL, drift_growth=0.5
     )
     bound = prob.gronwall_bound()
-    B = solve_B(prob, level=LEVEL)
+    B = solve_ide(prob, LEVEL).B
     assert np.max(np.abs(B.values)) <= bound
     prob2 = linear_qv_problem(
         constant_field(1.0), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL, drift_growth=0.5
     )
-    assert np.max(np.abs(solve_B(prob2, level=LEVEL).values)) <= prob2.gronwall_bound()
+    assert np.max(np.abs(solve_ide(prob2, LEVEL).B.values)) <= prob2.gronwall_bound()
     with pytest.raises(DomainError):
         linear_qv_problem(
             constant_field(1.0), lambda t, xi: xi, x12, 1.0, LEVEL
@@ -252,7 +253,7 @@ def test_gronwall_bound_holds(x12):
 def test_picard_nonconvergence_reports_trace(x12):
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 5.0 * xi, x12, 1.0, LEVEL)
     with pytest.raises(NumericalError) as err:
-        solve_B(prob, level=LEVEL, max_iter=2)
+        solve_ide(prob, LEVEL, max_iter=2)
     assert len(err.value.trace) == 3  # one defect per sweep: max_iter + 1 sweeps
 
 
@@ -296,9 +297,9 @@ def count_flow_solves(monkeypatch):
     ide = sys.modules["pathqv.ide"]
     rtols = []
 
-    def counting(field, tau, xi, t, rtol=RTOL, atol=ATOL):
+    def counting(field, tau, xi, t, rtol=RTOL):
         rtols.append(rtol)
-        return flow_with_derivatives(field, tau, xi, t, rtol, atol)
+        return flow_with_derivatives(field, tau, xi, t, rtol)
 
     monkeypatch.setattr(ide, "flow_with_derivatives", counting)
     return rtols
@@ -313,7 +314,7 @@ def test_picard_makes_one_flow_solve_per_sweep(x12, monkeypatch):
         sweeps = len(rtols)
         # one sweep fewer fails, so every flow solve was a sweep the solve needed
         with pytest.raises(NumericalError) as err:
-            solve_B(prob, level=10, max_iter=sweeps - 2)
+            solve_ide(prob, 10, max_iter=sweeps - 2)
         assert len(err.value.trace) == sweeps - 1
         assert err.value.trace[-1] > 1e-10
 
@@ -332,9 +333,9 @@ def test_picard_stops_at_the_first_landing_sweep_of_a_closed_form(x12, monkeypat
 
 def test_warm_start_matches_cold_solve(x12):
     x = x12.restrict(10)
-    cold = solve_B(geometric_problem(x), level=10)
-    nearby = solve_B(geometric_problem(x, mu=0.07), level=10)
-    warm = solve_B(geometric_problem(x), level=10, initial=nearby)
+    cold = solve_ide(geometric_problem(x), 10).B
+    nearby = solve_ide(geometric_problem(x, mu=0.07), 10).B
+    warm = solve_ide(geometric_problem(x), 10, initial=nearby).B
     assert np.max(np.abs(warm.values - cold.values)) <= 1e-10
     assert np.max(np.abs(nearby.values - cold.values)) > 1e-4
 
@@ -345,7 +346,7 @@ def test_solve_ide_warm_start_saves_sweeps(x12, monkeypatch):
     for field in both_paths(GEOMETRIC):
         cold = solve_ide(geometric_problem(x, field=field), 10)
         cold_sweeps = len(rtols)
-        nearby = solve_B(geometric_problem(x, mu=0.05 + 1e-7, field=field), level=10)
+        nearby = solve_ide(geometric_problem(x, mu=0.05 + 1e-7, field=field), 10).B
         rtols.clear()
         warm = solve_ide(geometric_problem(x, field=field), 10, initial=nearby)
         # both stop at defect <= 1e-10, so they agree to a small multiple of it
@@ -362,9 +363,9 @@ X8 = build_x(preset("one"), 8)
 def test_picard_defect_and_tonelli_agreement(z0, c, geometric):
     for field in both_paths(GEOMETRIC if geometric else constant_field(1.0)):
         prob = linear_qv_problem(field, lambda t, xi: c * xi, X8, z0, 8)
-        picard = solve_B(prob, "picard", 8)
+        picard = solve_ide(prob, 8).B
         assert full_tolerance_defect(prob, picard) <= 1e-10
-        tonelli = solve_B(prob, "tonelli", 8, tonelli_n=2**8)
+        tonelli = solve_ide(prob, 8, scheme="tonelli", tonelli_n=2**8).B
         assert np.max(np.abs(picard.values - tonelli.values)) <= 1e-6
 
 
@@ -379,4 +380,34 @@ def test_solution_reports(x12):
 def test_working_level_respects_components(x12):
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 0.0 * xi, x12, 0.0, 10)
     with pytest.raises(DomainError):
-        solve_B(prob, level=12)  # drivers only exist at level 10
+        solve_ide(prob, 12)  # drivers only exist at level 10
+
+
+# -- the callable contract: scalars broadcast, padding changes no bit ----------
+
+def padded(c):
+    """A (t, xi) callable returning c at the joint shape of its arguments."""
+    return lambda t, xi: np.full(np.broadcast_shapes(np.shape(t), np.shape(xi)), c)
+
+
+def assert_same_solutions(prob, other, level=8):
+    for scheme in ("picard", "tonelli"):
+        a = solve_ide(prob, level, scheme=scheme, tonelli_n=2**level)
+        b = solve_ide(other, level, scheme=scheme, tonelli_n=2**level)
+        assert a.B.values.tobytes() == b.B.values.tobytes(), scheme
+        assert a.z.values.tobytes() == b.z.values.tobytes(), scheme
+
+
+def test_scalar_drift_gives_the_bits_of_a_padded_drift():
+    for field in (*both_paths(GEOMETRIC), field_from_expression("1+0.3*sin(xi)")):
+        assert_same_solutions(linear_qv_problem(field, lambda t, xi: 0.5, X8, 0.3, 8),
+                              linear_qv_problem(field, padded(0.5), X8, 0.3, 8))
+
+
+@pytest.mark.parametrize("src, c", [("2", 2.0), ("1+t*0", 1.0)])
+def test_expression_field_gives_the_bits_of_padded_lambdas(src, c):
+    lambdas = VolatilityField(sigma=padded(c), sigma_t=padded(0.0), sigma_xi=padded(0.0),
+                              sup_sigma_t=0.0, sup_sigma_xi=0.0)
+    drift = lambda t, xi: -0.5 * xi
+    assert_same_solutions(linear_qv_problem(field_from_expression(src), drift, X8, 0.3, 8),
+                          linear_qv_problem(lambdas, drift, X8, 0.3, 8))
