@@ -42,7 +42,9 @@ class FunctionSequence:
     ``term(n, t)`` and ``limit(t)`` must accept numpy arrays of times.
     Uniform convergence cannot be verified for arbitrary closures; the
     constructor spot-checks the bound for n <= 32 on SPOT_GRID and warns
-    if sup|f_n - f_infinity| fails to shrink along n = 16, 32, 64.
+    if sup|f_n - f_infinity| fails to shrink along n = 16, 32, 64;
+    ``coefficients_x`` and ``coefficients_y`` check every row they sample
+    against the bound.
     """
 
     term: callable
@@ -55,21 +57,18 @@ class FunctionSequence:
         if not (bound >= 0.0 and math.isfinite(bound)):
             raise DomainError(f"uniform_bound must be finite and >= 0, got {bound}")
         object.__setattr__(self, "uniform_bound", bound)
-        slack = 1e-9 * (1.0 + bound)
-        for n in range(_SPOT_MAX_N + 1):
-            vals = np.asarray(self.term(n, SPOT_GRID), dtype=np.float64)
-            if vals.shape != SPOT_GRID.shape or not np.all(np.isfinite(vals)):
-                raise DomainError(f"term({n}, t) must return finite values per point")
-            if np.max(np.abs(vals)) > bound + slack:
-                raise DomainError(
-                    f"|f_{n}| exceeds the declared uniform bound {bound} "
-                    f"(max {np.max(np.abs(vals)):.6g})"
-                )
-        lim = np.asarray(self.limit(SPOT_GRID), dtype=np.float64)
-        gaps = [
-            float(np.max(np.abs(np.asarray(self.term(n, SPOT_GRID)) - lim)))
-            for n in (16, 32, 64)
-        ]
+        slack = _bound_slack(bound)
+        with np.errstate(all="ignore"):  # non-finite values raise below
+            for n in range(_SPOT_MAX_N + 1):
+                vals = np.asarray(self.term(n, SPOT_GRID), dtype=np.float64)
+                if vals.shape != SPOT_GRID.shape or not np.all(np.isfinite(vals)):
+                    raise DomainError(f"term({n}, t) must return finite values per point")
+                _check_bound(vals, n, bound)
+            lim = np.asarray(self.limit(SPOT_GRID), dtype=np.float64)
+            gaps = [
+                float(np.max(np.abs(np.asarray(self.term(n, SPOT_GRID)) - lim)))
+                for n in (16, 32, 64)
+            ]
         if gaps[0] < gaps[1] - slack or gaps[1] < gaps[2] - slack:
             warnings.warn(
                 f"sup|f_n - f_inf| not decreasing along n=16,32,64: {gaps}; "
@@ -86,6 +85,21 @@ class FunctionSequence:
             return np.broadcast_to(np.asarray(fn(t), dtype=np.float64), np.shape(t))
 
         return cls(lambda n, t: padded(t), padded, uniform_bound, name)
+
+
+def _bound_slack(bound):
+    return 1e-9 * (1.0 + bound)
+
+
+def _check_bound(values, n, bound):
+    """DomainError unless every |f_n| value is within ``bound`` (and finite)."""
+    limit = bound + _bound_slack(bound)
+    # min and max need no temporary the size of a row, and a NaN fails both
+    if not (-limit <= values.min() and values.max() <= limit):
+        raise DomainError(
+            f"|f_{n}| exceeds the declared uniform bound {bound} "
+            f"(max {np.max(np.abs(values)):.6g})"
+        )
 
 
 @dataclass(frozen=True)
@@ -112,38 +126,67 @@ class IrrationalShift:
         return ((p * int(k)) % q) / q
 
     def frac_array(self, count):
-        """[alpha * k mod 1 for k in range(count)] as a float array."""
+        """[alpha * k mod 1 for k in range(count)] as a float array, exact
+        like ``frac``.
+
+        The numerators r_k = p k mod q (alpha = p / q) fill by doubling:
+        r[n + j] = (r[j] + r[n]) mod q for j < n, in int64, where every
+        sum stays below 2 q.  q is a power of two, so r / q rounds once,
+        as Python's int division does.  A q above 2^62 would overflow and
+        takes the loop over Python integers instead.
+        """
         p, q = self.alpha.as_integer_ratio()
         p %= q
-        out = np.empty(count, dtype=np.float64)
-        r = 0
-        for k in range(count):
-            out[k] = r / q
-            r += p
-            if r >= q:
-                r -= q
-        return out
+        if q > 2**62:
+            return _frac_loop(p, q, count)
+        r = np.zeros(count, dtype=np.int64)
+        n = 1
+        while n < count:
+            block = r[n : 2 * n]
+            np.add(r[: block.size], (n * p) % q, out=block)
+            block -= (block >= q) * q
+            n *= 2
+        return r / q
+
+
+def _frac_loop(p, q, count):
+    """[p k mod q / q for k in range(count)], one Python integer at a time."""
+    out = np.empty(count, dtype=np.float64)
+    r = 0
+    for k in range(count):
+        out[k] = r / q
+        r += p
+        if r >= q:
+            r -= q
+    return out
+
+
+def _row(fseq, n, pts):
+    """f_n at ``pts``, checked against the sequence's uniform bound: the
+    spot checks of FunctionSequence cannot see a pole between their
+    grid points, which a row's sample points may come close to."""
+    with np.errstate(all="ignore"):  # non-finite values fail the check
+        row = np.asarray(fseq.term(n, pts), dtype=np.float64)
+    _check_bound(row, n, fseq.uniform_bound)
+    return row
 
 
 def coefficients_x(fseq, depth):
-    """Wedge rows theta[n][k] = f_n(k 2^-n) for n < depth (anchor, slope 0)."""
+    """Wedge rows theta[n][k] = f_n(k 2^-n) for n < depth (anchor, slope 0);
+    DomainError if a row exceeds ``fseq.uniform_bound``."""
     depth = _check_level(depth)
-    rows = []
-    for n in range(depth):
-        pts = np.arange(2**n, dtype=np.float64) * 2.0 ** (-n)
-        rows.append(np.asarray(fseq.term(n, pts), dtype=np.float64))
-    return FSCoefficients(0.0, 0.0, rows)
+    return FSCoefficients(0.0, 0.0, [
+        _row(fseq, n, np.arange(2**n, dtype=np.float64) * 2.0 ** (-n)) for n in range(depth)])
 
 
 def coefficients_y(fseq, shift, depth):
-    """Wedge rows theta[n][k] = f_n(alpha k mod 1) for n < depth."""
+    """Wedge rows theta[n][k] = f_n(alpha k mod 1) for n < depth;
+    DomainError if a row exceeds ``fseq.uniform_bound``."""
     depth = _check_level(depth)
     fracs = shift.frac_array(2 ** max(depth - 1, 0))  # row n samples the first 2^n
-    rows = []
-    for n in range(depth):
-        pts = fracs[: 2**n].copy()  # a copy, so that a term cannot write into fracs
-        rows.append(np.asarray(fseq.term(n, pts), dtype=np.float64))
-    return FSCoefficients(0.0, 0.0, rows)
+    # each row gets a copy, so that a term cannot write into fracs
+    return FSCoefficients(0.0, 0.0, [
+        _row(fseq, n, fracs[: 2**n].copy()) for n in range(depth)])
 
 
 def build_x(fseq, level):

@@ -310,6 +310,9 @@ def field_from_expression(src):
     parsed tree (so they satisfy the field's finite-difference check by
     construction), and the declared sup-bounds are sampled on the box
     [0, 1] x [-8, 8]; DomainError if a derivative is not finite there.
+    The field is declared time-free (``sup_sigma_t = 0``, so that the
+    flow skips d/dtau) only when the t-derivative folds to the constant
+    0; any other declares a positive bound, even if it samples as 0.
     """
     from .flow import VolatilityField
 
@@ -323,6 +326,7 @@ def field_from_expression(src):
     if not (math.isfinite(sup_t) and math.isfinite(sup_xi)):
         raise DomainError(f"field {src!r} has a derivative that is not finite on the box "
                           "t in [0, 1], xi in [-8, 8]")
+    sup_t = 0.0 if d_t.ast == _num(0.0) else max(sup_t, np.finfo(np.float64).tiny)
     return VolatilityField(
         sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,
         sup_sigma_t=sup_t, sup_sigma_xi=sup_xi, name=src,

@@ -6,8 +6,11 @@ Doss-Sussmann representation of pathwise Ito equations consumes the flow
 together with three partial derivatives:
 
 * d/dxi   solves the linear variational equation  v' = sigma_xi(tau, u) v,
-  v(0) = 1, hence stays strictly positive (it is an exponential);
-* d/dtau  solves  w' = sigma_t(tau, u) + sigma_xi(tau, u) w,  w(0) = 0;
+  v(0) = 1, hence stays strictly positive (it is an exponential).  tau
+  is frozen, so the equation is autonomous in t and v is algebraic:
+  d/dxi = sigma(tau, phi) / sigma(tau, xi), the reverse-time identity;
+* d/dtau  solves  w' = sigma_t(tau, u) + sigma_xi(tau, u) w,  w(0) = 0,
+  and vanishes for a time-free field (sigma_t = 0);
 * d2/dt2  is algebraic:  sigma_xi(tau, u) sigma(tau, u)  composed with the
   flow itself -- never a numerical second difference.
 
@@ -16,13 +19,18 @@ do) is evaluated in closed form.  Every other field goes through an
 embedded Dormand-Prince 5(4) pair with adaptive steps, run on the
 time-rescaled system du/ds = t * sigma(tau, u) over s in [0, 1] so that
 a whole batch of points with different horizons (including negative
-ones: that is the reversed equation) shares one vectorized solve.  One
-step controller runs every such solve, on three plain floats for a
-single point and on a (3, m) array for a batch.  Step control uses the
-max norm over the batch, so a DP45 value can shift in its last digits
-(~4e-13) with the other points of its batch; closed-form values are
-bit-identical alone and in any batch.  The tests cross-check the closed
-forms against DP45.
+ones: that is the reversed equation) shares one vectorized solve.  It
+integrates only the rows it needs: u alone for ``flow`` and for a
+time-free field (one declaring ``sup_sigma_t == 0``), whose d/dxi is
+the quotient above; (u, w) for any other field; and v as well when a
+point of the batch starts so near a rest point of sigma that the
+quotient would lose accuracy (see ``_integrate``).  One step controller
+runs every such solve, on a list of plain floats for a single point and
+on a (rows, m) array for a batch.  Step control uses the max norm over
+the batch, so a DP45 value can shift in its last digits (~4e-13) with
+the other points of its batch; closed-form values are bit-identical
+alone and in any batch.  The tests cross-check the closed forms against
+DP45.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -57,6 +65,8 @@ _ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
 #: accumulated global error still meets it on [0, 1]-sized horizons).
 RTOL = 1e-11
 ATOL = 1e-13
+_MAX_STEPS = 100000
+
 
 # field construction's (t, xi) sample box, read-only as every check shares it
 _SAMPLE_BOX = np.meshgrid([0.0, 0.25, 0.5, 0.75, 1.0], [-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
@@ -159,39 +169,91 @@ def _exact(exact_flow, tau, xi, t):
     return out
 
 
-def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=100000):
-    """(phi, d_xi, d_tau) with the broadcast shape of the inputs.
+def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS):
+    """(phi, d_xi, d_tau, d_tt) with the broadcast shape of the inputs.
 
-    A field's ``exact_flow`` is used when present.  Otherwise the
-    augmented (u, v, w) system goes through ``_dp45`` with one adaptive
-    step shared by the whole batch, so a value can shift in its last
-    digits with the other points of its batch.  Inputs that broadcast to
-    a single point (size 1, any shape) are stored as three plain floats,
-    avoiding numpy's per-call overhead in the strictly sequential solvers
-    (lag-1 Tonelli); larger batches as a (3, m) array.  The absolute
-    tolerance scales with ``rtol``: ATOL * (rtol / RTOL).
+    A field's ``exact_flow`` is used when present.  Otherwise ``_dp45``
+    integrates the row u, u' = sigma(tau, u), and the sensitivities cost
+    as little as they can:
+
+    * d_xi = sigma(tau, phi) / sigma(tau, xi).  tau is frozen, so the
+      equation is autonomous and this is its reverse-time identity.  The
+      quotient's relative error is about the absolute error of phi over
+      the distance to the nearest rest point, ~ |sigma / sigma_xi|, and
+      that absolute error is controlled on the scale |xi| + ATOL / RTOL.
+      So if at any point of the batch |sigma(tau, xi)| is not above
+      |sigma_xi(tau, xi)| (|xi| + ATOL / RTOL) (or either is not finite),
+      the whole batch integrates the variational row v instead:
+      v' = sigma_xi(tau, u) v, v(0) = 1.
+    * d_tau is the row w, w' = sigma_t(tau, u) + sigma_xi(tau, u) w,
+      w(0) = 0, except for a time-free field: one that declares
+      ``sup_sigma_t == 0`` has d_tau = 0.
+    * d_tt = sigma_xi(tau, phi) sigma(tau, phi), reusing the quotient's
+      sigma(tau, phi).
+
+    So a time-free field away from its rest points integrates u alone,
+    with one sigma call per stage.  One point and a batch follow the
+    same rule.  The rows share one adaptive step for the whole batch, so
+    a value can shift in its last digits with the other points of its
+    batch.
     """
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
-        return _exact(exact_flow, tau, xi, horizon)
-    tau_b, xi_b, hz_b = np.broadcast_arrays(
+        phi, d_xi, d_tau = _exact(exact_flow, tau, xi, horizon)
+        d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
+        return phi, d_xi, d_tau, d_tt
+    tau, xi, scale, shape = _points(tau, xi, horizon)
+    one = isinstance(tau, float)
+
+    def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
+        return float(fn(tau, u)) if one else eval_on(fn, tau, u)
+
+    sig0 = at(field.sigma, xi)
+    error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
+    keep_v = not np.all(abs(sig0) > error_scale)
+    keep_w = getattr(field, "sup_sigma_t", None) != 0
+    rows = "u" + "v" * keep_v + "w" * keep_w
+    y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
+    phi = y[0]
+    sig_phi = at(field.sigma, phi)
+    d_xi = y[1] if keep_v else sig_phi / sig0
+    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
+    d_tt = at(field.sigma_xi, phi) * sig_phi
+    return tuple(np.reshape(c, shape)[()] for c in (phi, d_xi, d_tau, d_tt))
+
+
+def _points(tau, xi, horizon):
+    """(tau, xi, horizon, shape): the inputs broadcast to ``shape``, as
+    plain floats when that holds one point (any shape of size 1), which
+    avoids numpy's per-call overhead in the strictly sequential solvers
+    (lag-1 Tonelli), and as flat arrays otherwise."""
+    tau, xi, horizon = np.broadcast_arrays(
         np.asarray(tau, dtype=np.float64),
         np.asarray(xi, dtype=np.float64),
         np.asarray(horizon, dtype=np.float64),
     )
-    if tau_b.size == 1:
-        y = (float(xi_b.flat[0]), 1.0, 0.0)
-        ops = (_float_rhs(field, float(tau_b.flat[0]), float(hz_b.flat[0])),
-               _combine_floats, _norm_floats)
+    if tau.size == 1:
+        return float(tau.flat[0]), float(xi.flat[0]), float(horizon.flat[0]), tau.shape
+    return tau.reshape(-1), xi.reshape(-1), horizon.reshape(-1), tau.shape
+
+
+def _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps):
+    """The ``rows`` ("u", then "v" and/or "w") at time ``scale``, from xi,
+    1 and 0: a list of floats for one point, a (len(rows), m) array for a
+    batch.  The absolute tolerance scales with ``rtol``: ATOL * (rtol /
+    RTOL)."""
+    start = {"u": xi, "v": 1.0, "w": 0.0}
+    if isinstance(tau, float):
+        y = [start[r] for r in rows]
+        ops = (_rhs(field, tau, scale, rows, float, tuple), _combine_floats, _norm_floats)
     else:
-        y = np.zeros((3, tau_b.size))
-        y[0] = xi_b.reshape(-1)
-        y[1] = 1.0
-        ops = (_array_rhs(field, tau_b.reshape(-1), hz_b.reshape(-1)),
-               _combine_arrays, _norm_arrays)
-    if np.any(hz_b):
+        y = np.empty((len(rows), tau.size))
+        for i, r in enumerate(rows):
+            y[i] = start[r]
+        ops = (_rhs(field, tau, scale, rows, _array, np.stack), _combine_arrays, _norm_arrays)
+    if np.any(scale):
         y = _dp45(*ops, y, rtol, ATOL * (rtol / RTOL), max_steps)
-    return tuple(np.reshape(c, tau_b.shape)[()] for c in y)
+    return y
 
 
 def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
@@ -205,7 +267,7 @@ def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
     """
     s = 0.0
     h = 0.01
-    k = [rhs(y)] + [None] * 6
+    k = [rhs(y)] * 7  # a stage is read only after it is computed
     steps = 0
     while s < 1.0:
         h = min(h, 1.0 - s)
@@ -233,30 +295,43 @@ def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
     return y
 
 
-# One point as a tuple of three plain floats.
-
-def _float_rhs(field, tau, scale):
+def _rhs(field, tau, scale, rows, value, pack):
+    """The derivative of the ``rows`` of the time-rescaled system:
+    u' = scale sigma, v' = scale sigma_xi v, w' = scale (sigma_t +
+    sigma_xi w).  ``value`` turns a field's output into a float or an
+    array and ``pack`` collects the rows."""
     sigma, sigma_t, sigma_xi = field.sigma, field.sigma_t, field.sigma_xi
+    v, w = "v" in rows, "w" in rows
 
     def rhs(y):
-        u, v, w = y
-        s_val = float(sigma(tau, u))
-        s_xi = float(sigma_xi(tau, u))
-        s_t = float(sigma_t(tau, u))
-        return (scale * s_val, scale * s_xi * v, scale * (s_t + s_xi * w))
+        u = y[0]
+        out = [scale * value(sigma(tau, u))]
+        if v or w:
+            s_xi = value(sigma_xi(tau, u))
+            if v:
+                out.append(scale * s_xi * y[1])
+            if w:
+                out.append(scale * (value(sigma_t(tau, u)) + s_xi * y[-1]))
+        return pack(out)
 
     return rhs
 
 
+def _array(x):
+    return np.asarray(x, dtype=np.float64)
+
+
+# One point as a list of plain floats, one per row.
+
 def _combine_floats(y, h, coeffs, k):
-    u, v, w = (0.0, 0.0, 0.0) if y is None else y
-    for a, kj in zip(coeffs, k):
-        if a:
-            ha = h * a
-            u += ha * kj[0]
-            v += ha * kj[1]
-            w += ha * kj[2]
-    return u, v, w
+    out = []
+    for i, k_row in enumerate(zip(*k)):  # the stages of row i
+        acc = 0.0 if y is None else y[i]
+        for a, kj in zip(coeffs, k_row):
+            if a:
+                acc += h * a * kj
+        out.append(acc)
+    return out
 
 
 def _norm_floats(y, y5, e, rtol, atol):
@@ -268,18 +343,7 @@ def _norm_floats(y, y5, e, rtol, atol):
     return err
 
 
-# A batch as a (3, m) array of u, v and w rows.
-
-def _array_rhs(field, tau, scale):
-    def rhs(y):
-        u, v, w = y
-        s_val = np.asarray(field.sigma(tau, u), dtype=np.float64)
-        s_xi = np.asarray(field.sigma_xi(tau, u), dtype=np.float64)
-        s_t = np.asarray(field.sigma_t(tau, u), dtype=np.float64)
-        return np.stack((scale * s_val, scale * s_xi * v, scale * (s_t + s_xi * w)))
-
-    return rhs
-
+# A batch as a (rows, m) array.
 
 def _combine_arrays(y, h, coeffs, k):
     out = k[0] * (h * coeffs[0])
@@ -304,19 +368,26 @@ def _norm_arrays(y, y5, e, rtol, atol):
 
 
 def flow(field, tau, xi, t, rtol=RTOL):
-    """phi(tau, xi, t): the flow value alone (broadcasts over arrays)."""
-    phi, _, _ = _integrate(field, tau, xi, t, rtol=rtol)
+    """phi(tau, xi, t): the flow value alone (broadcasts over arrays); a
+    field without ``exact_flow`` integrates u alone."""
+    exact_flow = getattr(field, "exact_flow", None)
+    if exact_flow is not None:
+        phi = _exact(exact_flow, tau, xi, t)[0]
+    else:
+        tau, xi, scale, shape = _points(tau, xi, t)
+        phi = np.reshape(_dp45_rows(field, tau, xi, scale, "u", rtol, _MAX_STEPS)[0], shape)
     return float(phi) if np.ndim(phi) == 0 else phi
 
 
 def flow_with_derivatives(field, tau, xi, t, rtol=RTOL):
     """(phi, d_xi, d_tau, d_tt), each with the broadcast shape of the inputs
     (numpy scalars when they are all scalars).  Raises FlowIntegrationError
-    unless d_xi > 0, which the exponential formula guarantees."""
-    phi, d_xi, d_tau = _integrate(field, tau, xi, t, rtol=rtol)
+    unless d_xi > 0, as it is exactly: the variational solution is an
+    exponential, and sigma(tau, phi) has the sign of sigma(tau, xi), since
+    no flow crosses a rest point."""
+    phi, d_xi, d_tau, d_tt = _integrate(field, tau, xi, t, rtol=rtol)
     if np.any(d_xi <= 0.0):
         raise FlowIntegrationError("computed d_xi <= 0; integration not trustworthy")
-    d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
     return phi, d_xi, d_tau, d_tt
 
 
@@ -349,7 +420,11 @@ def flow_identity_defects(field):
       central differences of step h = 1e-4 in xi;
     * d_xi against the central difference of phi.
 
-    The whole box goes through seven batched flow solves.
+    The whole box goes through seven batched flow solves.  For a DP45
+    field whose batch keeps away from rest points the reverse-time
+    identity holds by construction, since d_xi is computed from it; the
+    d_xi check, the second-order identity (both difference phi) and the
+    closed form vs DP45 tests stay independent of it.
     """
     h = 1e-4
     taus, xis, ss, ts = _BOX

@@ -11,7 +11,7 @@ import pytest
 
 import pathqv.cli as cli
 from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, grid_points,
-                    predicted_qv, preset, qv_curve, sqrt1p_field)
+                    predicted_qv, preset, qv_curve)
 from pathqv.cli import main
 
 
@@ -173,9 +173,10 @@ def test_flow_check_command(capsys):
 
 
 def test_flow_check_failure_exit_3(monkeypatch, capsys):
-    base = sqrt1p_field()
-    wrong = SimpleNamespace(sigma=base.sigma, sigma_t=base.sigma_t,
-                            sigma_xi=lambda t, xi: base.sigma_xi(t, xi) + 0.1)
+    # sigma_xi off by 0.1; the rest point at xi = 0.2, inside the sample
+    # box, makes the flow integrate the variational row that it breaks
+    wrong = SimpleNamespace(sigma=lambda t, xi: np.sin(xi - 0.2), sigma_t=lambda t, xi: 0.0,
+                            sigma_xi=lambda t, xi: np.cos(xi - 0.2) + 0.1)
     monkeypatch.setattr(cli, "_resolve_field", lambda spec: wrong)
     assert run(["flow-check", "--sigma", "sqrt1p"]) == 3
     captured = capsys.readouterr()
@@ -227,6 +228,7 @@ def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "Warning" not in err
+    return err
 
 
 def test_solve_non_integer_level_exit_2(tmp_path, capsys):
@@ -327,6 +329,21 @@ def test_synth_non_finite_input_exit_2(tmp_path, capsys, argv):
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run([*argv, "--level", "6", "--out", str(out)]) == 2
     assert_one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-y", "--f", "1/(t-0.3)", "--level", "12"],
+    ["synth-x", "--f", "1/(t-0.3)", "--level", "13"],
+    ["synth-x", "--f", "1/(t-0.31)", "--level", "12"],
+])
+def test_synth_rows_beyond_the_spot_grid_bound_exit_2(tmp_path, capsys, argv):
+    # --f declares its bound on the spot grid; rows nearer the pole exceed it
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(out)]) == 2
+    assert "exceeds the declared uniform bound" in assert_one_line_error(capsys)
     assert not out.exists()
 
 

@@ -1,3 +1,7 @@
+import functools
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -14,7 +18,9 @@ from pathqv import (
     predicted_qv,
     preset,
     qv_level,
+    scalar_function,
 )
+from pathqv.construct import PRESETS, _frac_loop
 
 
 def const_seq(c):
@@ -91,6 +97,37 @@ def test_coefficients_y_rows_are_rotation_prefixes(alpha):
     assert len(rows) == 12
     for n, row in enumerate(rows):
         assert np.array_equal(row, shift.frac_array(2**n))
+
+
+@functools.lru_cache(maxsize=None)
+def looped_fracs(alpha, count=2**19):
+    p, q = alpha.as_integer_ratio()
+    return _frac_loop(p % q, q, count)
+
+
+# 2^-62 is the largest denominator that the int64 doubling takes
+@pytest.mark.parametrize("alpha", [math.e, 10.0 * math.pi, 2.0**-60, 2.0**-62])
+def test_frac_array_is_bit_identical_to_the_integer_loop(alpha):
+    assert IrrationalShift(alpha).frac_array(2**19).tobytes() == looped_fracs(alpha).tobytes()
+    for count in (0, 1, 2, 3, 1000):
+        assert np.array_equal(IrrationalShift(alpha).frac_array(count), looped_fracs(alpha)[:count])
+
+
+def test_frac_array_beyond_int64_keeps_exact():
+    shift = IrrationalShift(2.0**-63 * (1.0 + 2.0**-52))  # q = 2^115
+    arr = shift.frac_array(1000)
+    assert all(arr[k] == shift.frac(k) for k in range(1000))
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_depth_20_rotation_rows_are_bit_identical_to_the_integer_loop(name, monkeypatch):
+    for alpha in (math.e, 10.0 * math.pi):
+        rows = coefficients_y(preset(name), IrrationalShift(alpha), 20).theta
+        monkeypatch.setattr(IrrationalShift, "frac_array",
+                            lambda self, count: looped_fracs(self.alpha)[:count].copy())
+        want = coefficients_y(preset(name), IrrationalShift(alpha), 20).theta
+        monkeypatch.undo()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(rows, want))
 
 
 def test_rotation_requires_positive_alpha():
@@ -203,6 +240,35 @@ def test_empirical_qv_error_trend():
 def test_uniform_bound_enforced():
     with pytest.raises(DomainError):
         FunctionSequence.constant_in_n(lambda t: 2.0 + 0.0 * np.asarray(t), 1.0)
+
+
+def test_spot_check_refuses_a_pole_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="finite"):
+            FunctionSequence.constant_in_n(scalar_function("1/(t-0.5)"), 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda f: coefficients_x(f, 13),
+    lambda f: coefficients_y(f, IrrationalShift(math.e), 12),
+], ids=["x", "y"])
+def test_rows_beyond_the_declared_bound_are_refused(build):
+    # the bound is right on the spot grid, but the rows sample nearer the pole
+    f = scalar_function("1/(t-0.3)")
+    fseq = FunctionSequence.constant_in_n(f, float(np.max(np.abs(f(grid_points(10))))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="exceeds the declared uniform bound"):
+            build(fseq)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_rows_stay_within_their_bound(name):
+    fseq = preset(name)
+    for rows in (coefficients_x(fseq, 16).theta,
+                 coefficients_y(fseq, IrrationalShift(math.e), 16).theta):
+        assert max(np.max(np.abs(r)) for r in rows) <= fseq.uniform_bound
 
 
 def test_nonconvergent_sequence_warns():

@@ -100,6 +100,32 @@ def test_field_from_expression_time_dependent():
     assert float(np.asarray(fe.sigma_xi(1.0, 5.0))) == pytest.approx(0.3, rel=1e-12)
 
 
+@pytest.mark.parametrize("src", ["1+0.3*sin(xi)", "sqrt(1+xi^2)", "xi + 0*t"])
+def test_time_free_field_declares_a_zero_t_bound(src):
+    assert field_from_expression(src).sup_sigma_t == 0.0
+
+
+@pytest.mark.parametrize("src", ["(0.2+0.1*t)*xi", "xi*(t-t)"])
+def test_only_a_folded_zero_t_derivative_is_time_free(src):
+    # xi*(t-t) samples a zero t-derivative, but its tree does not fold to 0
+    assert field_from_expression(src).sup_sigma_t > 0.0
+
+
+def test_time_dependent_expression_field_d_tau_matches_closed_form():
+    from pathqv import flow_with_derivatives
+
+    fe = field_from_expression("(0.2+0.1*t)*xi")
+    rng = np.random.default_rng(8)
+    tau, xi, t = rng.uniform(0, 1, 64), rng.uniform(-2, 2, 64), rng.uniform(-1, 1, 64)
+    # d/dtau of xi e^{(0.2 + 0.1 tau) t}
+    want = xi * t * 0.1 * np.exp((0.2 + 0.1 * tau) * t)
+    _, _, d_tau, _ = flow_with_derivatives(fe, tau, xi, t)
+    assert np.max(np.abs(d_tau - want)) <= 1e-9
+    for i in (0, 31, 63):
+        _, _, d_tau, _ = flow_with_derivatives(fe, tau[i], xi[i], t[i])
+        assert abs(d_tau - want[i]) <= 1e-9
+
+
 def test_expression_wrong_arity():
     e = Expression("xi", ("xi",))
     with pytest.raises(DomainError):

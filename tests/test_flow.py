@@ -261,6 +261,111 @@ def test_step_budget_guard():
         _integrate(field, np.zeros(4), np.ones(4), np.ones(4), max_steps=3)
 
 
+# -- rest points: d_xi from the variational row or from sigma(phi) / sigma(xi) --
+
+def sin_flow(xi, t):
+    """The flow of u' = sin(u) and its d_xi, stable at the rest point 0."""
+    phi = 2.0 * np.arctan(np.tan(xi / 2.0) * np.exp(t))
+    d_xi = np.exp(t) / (np.cos(xi / 2.0) ** 2 + np.sin(xi / 2.0) ** 2 * np.exp(2.0 * t))
+    return phi, d_xi
+
+
+REST_XI = (0.0, 1e-12, -1e-12, 1e-6, -1e-6, 1e-3, 1.0)
+REST_T = (-1.0, -0.5, 0.5, 1.0)
+
+
+def test_sin_field_near_its_rest_point_in_a_batch():
+    field = field_from_expression("sin(xi)")
+    xi, t = (a.ravel() for a in np.meshgrid(REST_XI, REST_T))
+    phi, d_xi, d_tau, _ = flow_with_derivatives(field, 0.3, xi, t)
+    want_phi, want_d_xi = sin_flow(xi, t)
+    assert np.max(np.abs(phi - want_phi)) <= 1e-9
+    assert np.max(np.abs(d_xi - want_d_xi)) <= 1e-9
+    assert np.all(d_xi > 0.0) and np.all(d_tau == 0.0)
+    # at the rest point itself the point stays put and d_xi = e^t
+    assert np.all(phi[xi == 0.0] == 0.0)
+    assert np.max(np.abs(d_xi[xi == 0.0] - np.exp(t[xi == 0.0]))) <= 1e-9
+
+
+@pytest.mark.parametrize("xi", REST_XI)
+def test_sin_field_near_its_rest_point_one_point_at_a_time(xi):
+    field = field_from_expression("sin(xi)")
+    for t in REST_T:
+        phi, d_xi, _, _ = flow_with_derivatives(field, 0.3, xi, t)
+        want_phi, want_d_xi = sin_flow(xi, t)
+        assert abs(phi - want_phi) <= 1e-9 and abs(d_xi - want_d_xi) <= 1e-9
+        assert d_xi > 0.0
+    # the same point in a batch of its own horizons
+    phi, d_xi, _, _ = flow_with_derivatives(field, 0.3, xi, np.array(REST_T))
+    want_phi, want_d_xi = sin_flow(xi, np.array(REST_T))
+    assert np.max(np.abs(phi - want_phi)) <= 1e-9
+    assert np.max(np.abs(d_xi - want_d_xi)) <= 1e-9 and np.all(d_xi > 0.0)
+
+
+def test_time_dependent_field_at_its_rest_point():
+    field = bs_field()
+    tau, t = np.array([0.0, 0.4, 1.0, 0.7]), np.array([-0.8, 0.5, 1.0, 0.0])
+    for xi in (np.zeros(4), np.array([0.0, 1.5, -0.3, 2.0])):
+        exact = _integrate(field, tau, xi, t)
+        numeric = _integrate(dp45(field), tau, xi, t)
+        for a, b in zip(exact, numeric):
+            assert np.max(np.abs(a - b)) <= 1e-9
+        for i in range(4):
+            alone = _integrate(dp45(field), tau[i], xi[i], t[i])
+            assert all(abs(a - b[i]) <= 1e-9 for a, b in zip(alone, exact))
+        assert np.all(numeric[1] > 0.0)
+
+
+# field, rest point xi0, and d_xi at xi0 + d after time t; the error scale
+# |xi| + ATOL / RTOL of these fields is far from the distance d
+REST_CASES = {
+    "sin(xi) at 0": ("sin(xi)", 0.0, lambda d, t: sin_flow(d, t)[1]),
+    "sin(xi) at pi": ("sin(xi)", np.pi, lambda d, t: sin_flow(d, -t)[1]),
+    "xi-1": ("xi-1", 1.0, lambda d, t: np.exp(t)),
+    "3*(xi-4)": ("3*(xi-4)", 4.0, lambda d, t: np.exp(3.0 * t)),
+    "2*sin(xi-1)": ("2*sin(xi-1)", 1.0, lambda d, t: sin_flow(d, 2.0 * t)[1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REST_CASES))
+def test_d_xi_keeps_its_relative_accuracy_near_rest_points(case):
+    # the variational row takes over where the quotient sigma(phi) / sigma(xi)
+    # would lose accuracy; an absolute cut on |sigma(xi)| fails here
+    src, xi0, want = REST_CASES[case]
+    field = field_from_expression(src)
+    t = np.array([-1.0, -0.5, 0.5, 1.0])
+    for d in np.concatenate([np.logspace(-8, 0.3, 12), -np.logspace(-8, 0.3, 12)]):
+        _, d_xi, _, _ = flow_with_derivatives(field, 0.3, xi0 + d, t)
+        assert np.max(np.abs(d_xi / want(d, t) - 1.0)) <= 5e-11, d
+        _, d_xi, _, _ = flow_with_derivatives(field, 0.3, xi0 + d, 1.0)
+        assert abs(d_xi / want(d, 1.0) - 1.0) <= 5e-11, d
+
+
+def test_guards_raise_near_rest_points():
+    # xi = 1 is a rest point of (xi-1) xi^2, and the flow from just above
+    # it blows up: the step size underflows
+    cubic = field_from_expression("(xi-1)*xi^2")
+    leaves = VolatilityField(  # rest point at -6, where sigma_xi is infinite
+        sigma=lambda t, xi: np.sqrt(xi + 6.0),
+        sigma_t=lambda t, xi: 0.0,
+        sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
+        sup_sigma_t=0.0,
+        sup_sigma_xi=0.5,
+    )
+    sin = field_from_expression("sin(xi)")
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for field, xi, t, match in ((cubic, 1.0 + 1e-6, 30.0, "underflow"),
+                                    (leaves, -6.0, -1.0, "non-finite")):
+            with pytest.raises(FlowIntegrationError, match=match):
+                flow_with_derivatives(field, 0.0, xi, t)
+            with pytest.raises(FlowIntegrationError, match=match):
+                flow_with_derivatives(field, np.zeros(2), np.array([xi, 0.5]), np.array([t, t]))
+    with pytest.raises(FlowIntegrationError, match="steps"):
+        _integrate(sin, 0.0, 1e-6, 1.0, max_steps=3)
+    with pytest.raises(FlowIntegrationError, match="steps"):
+        _integrate(sin, np.zeros(2), np.array([0.0, 1.0]), np.ones(2), max_steps=3)
+
+
 def dp45_fields():
     return [field_from_expression("1+0.3*sin(xi)"), dp45(sqrt1p_field())]
 
@@ -279,7 +384,7 @@ def test_zero_horizons_in_a_batch_are_identities():
     xi = np.array([-1.2, 0.4, 0.9, 2.5, -0.3])
     t = np.array([0.0, 0.6, 0.0, -0.7, 0.0])
     for field in dp45_fields():
-        phi, d_xi, d_tau = _integrate(field, np.full(5, 0.4), xi, t)
+        phi, d_xi, d_tau, _ = _integrate(field, np.full(5, 0.4), xi, t)
         still = t == 0.0
         assert np.array_equal(phi[still], xi[still])
         assert np.all(d_xi[still] == 1.0) and np.all(d_tau[still] == 0.0)
@@ -359,11 +464,22 @@ def test_identity_defects_match_scalar_recomputation(name):
 
 
 def test_identity_defects_flag_a_wrong_sensitivity():
-    # sigma_xi off by 0.1 (bypassing field validation) breaks the
-    # reverse-time identity and the d_xi finite-difference check
+    # sigma_xi off by 0.1 (bypassing field validation).  Away from rest
+    # points d_xi is sigma(phi) / sigma(xi), which does not read sigma_xi:
+    # the reverse-time identity and the d_xi check hold by construction,
+    # and the wrong d_tt = sigma_xi sigma breaks the second-order identity
     base = sqrt1p_field()
     wrong = SimpleNamespace(sigma=base.sigma, sigma_t=base.sigma_t,
                             sigma_xi=lambda t, xi: base.sigma_xi(t, xi) + 0.1)
+    defects = flow_identity_defects(wrong)
+    assert defects["semigroup"] <= 1e-8
+    assert defects["reverse-time identity"] <= 1e-7
+    assert defects["d_xi vs finite differences"] <= 1e-5
+    assert defects["second-order identity"] > 1e-3
+    # a rest point at xi = 0.2, inside the sample box, makes the batch
+    # integrate the variational row, which the wrong sigma_xi breaks
+    wrong = SimpleNamespace(sigma=lambda t, xi: np.sin(xi - 0.2), sigma_t=base.sigma_t,
+                            sigma_xi=lambda t, xi: np.cos(xi - 0.2) + 0.1)
     defects = flow_identity_defects(wrong)
     assert defects["semigroup"] <= 1e-8
     assert defects["reverse-time identity"] > 1e-3
