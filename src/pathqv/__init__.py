@@ -30,7 +30,6 @@ from .construct import (
     preset,
 )
 from .quadvar import (
-    CovCurve,
     coincidence_frequency,
     cov_curve,
     cov_level,
@@ -76,7 +75,7 @@ __all__ = [
     "FSCoefficients", "analyze", "basis_eval", "synthesize",
     "FunctionSequence", "IrrationalShift", "PRESETS", "build_x", "build_y",
     "coefficients_x", "coefficients_y", "predicted_qv", "preset",
-    "CovCurve", "coincidence_frequency", "cov_curve", "cov_level",
+    "coincidence_frequency", "cov_curve", "cov_level",
     "ell1", "ell2", "qv_curve", "qv_level",
     "follmer_integral", "ito_residual",
     "VolatilityField", "constant_field", "flow", "flow_identity_defects",

@@ -23,7 +23,7 @@ from . import __version__
 from .construct import (SPOT_GRID, FunctionSequence, IrrationalShift, PRESETS,
                         build_x, build_y, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
-                     _check_level, grid_points, read_json)
+                     _check_level, _write_csv, grid_points, read_json)
 from .errors import DomainError, NumericalError, PathQVError
 from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
 from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
@@ -37,21 +37,6 @@ from .support import (_linear_qv_problem, drift_from_path, match_path, nondiff_q
 
 def _fmt(v):
     return f"{v:.17g}"
-
-
-def _write_rows(path, header, columns):
-    rows = [header]
-    for tup in zip(*columns):
-        rows.append(",".join(_fmt(v) for v in tup))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(rows) + "\n")
-
-
-def _write_path(path_obj, out):
-    if str(out).endswith(".json"):
-        path_obj.to_json(out)
-    else:
-        path_obj.to_csv(out)
 
 
 def _parse_levels(spec, top):
@@ -115,7 +100,7 @@ def _resolve_x(spec, level):
 def _cmd_synth_x(args):
     fseq = _resolve_fseq(args)
     path = build_x(fseq, args.level)
-    _write_path(path, args.out)
+    path.to_file(args.out)
     print(f"wrote level-{args.level} path ({fseq.name or 'f'}) to {args.out}")
     return 0
 
@@ -124,7 +109,7 @@ def _cmd_synth_y(args):
     fseq = _resolve_fseq(args)
     shift = IrrationalShift(evaluate_constant(args.alpha))
     path = build_y(fseq, shift, args.level)
-    _write_path(path, args.out)
+    path.to_file(args.out)
     print(f"wrote level-{args.level} path ({fseq.name or 'f'}, alpha={shift.alpha:.12g}) "
           f"to {args.out}")
     return 0
@@ -149,7 +134,7 @@ def _cmd_qv(args):
         if pred is not None:
             columns.append(pred.values)
             header.append("predicted")
-        _write_rows(args.out, ",".join(header), columns)
+        _write_csv(args.out, ",".join(header), columns)
         print(f"wrote {args.out}")
     return 0
 
@@ -162,15 +147,12 @@ def _cmd_cov(args):
         print(f"cov level {n} at t=1: {_fmt(cov_level(x, y, n, 1.0))}")
     if args.out:
         base = min(levels)
-        tcol = grid_points(base)
-        columns = [tcol]
+        columns = [grid_points(base)]
         header = ["t"]
         for n in levels:
-            curve = cov_curve(x, y, n)
-            stride = 2 ** (n - base)
-            columns.append(curve.values[::stride])
+            columns.append(cov_curve(x, y, n).restrict(base).values)
             header.append(f"cov_n{n}")
-        _write_rows(args.out, ",".join(header), columns)
+        _write_csv(args.out, ",".join(header), columns)
         print(f"wrote {args.out}")
     return 0
 
@@ -258,10 +240,10 @@ def _cmd_solve(args):
           f"fixed-point defect {sol.residual_report:.3e}, "
           f"pathwise-integral defect {sol.follmer_defect:.3e}")
     if args.out_b:
-        _write_path(sol.B, args.out_b)
+        sol.B.to_file(args.out_b)
         print(f"wrote B to {args.out_b}")
     if args.out_z:
-        _write_path(sol.z, args.out_z)
+        sol.z.to_file(args.out_z)
         print(f"wrote z to {args.out_z}")
     return 0
 
@@ -276,10 +258,10 @@ def _cmd_shoot(args):
     print(f"b = {_fmt(b)}")
     print(f"|z(t0) - z1| = {final_err:.3e} after {len(trace)} evaluations")
     if args.trace:
-        _write_rows(args.trace, "iteration,b,z_at_t0",
-                    [list(range(len(trace))),
-                     [b_ for b_, _ in trace],
-                     [z_ for _, z_ in trace]])
+        _write_csv(args.trace, "iteration,b,z_at_t0",
+                   [list(range(len(trace))),
+                    [b_ for b_, _ in trace],
+                    [z_ for _, z_ in trace]])
         print(f"wrote {args.trace}")
     return 0
 
@@ -289,7 +271,7 @@ def _cmd_match(args):
     x, _ = _resolve_x(args.x, args.level)
     target = SampledPath.from_file(args.target)
     drift_path = match_path(target, field, x, args.level)
-    _write_path(drift_path, args.out)
+    drift_path.to_file(args.out)
     # round trip: solve with the recovered drift and compare against the target z
     level = drift_path.level
     problem = _linear_qv_problem(field, x, float(target.restrict(level).values[0]),
@@ -338,14 +320,14 @@ def _cmd_figures(args):
         x = build_x(fseq, level)
         qv7 = qv_curve(x, 7).value_at(t)
         pred = predicted_qv(fseq, "curved", level).values
-        _write_rows(f"{args.out_dir}/{name}.csv", "t,x,qv7,predicted",
-                    [t, x.values, qv7, pred])
+        _write_csv(f"{args.out_dir}/{name}.csv", "t,x,qv7,predicted",
+                   [t, x.values, qv7, pred])
     for name in ("fig2-left", "fig2-right"):
         fseq = preset(name)
         y_e = build_y(fseq, IrrationalShift(float(np.e)), level)
         y_10e = build_y(fseq, IrrationalShift(10.0 * float(np.e)), level)
-        _write_rows(f"{args.out_dir}/{name}.csv", "t,y_alpha_e,y_alpha_10e",
-                    [t, y_e.values, y_10e.values])
+        _write_csv(f"{args.out_dir}/{name}.csv", "t,y_alpha_e,y_alpha_10e",
+                   [t, y_e.values, y_10e.values])
     print(f"wrote figure data to {args.out_dir}")
     return 0
 

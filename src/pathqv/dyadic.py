@@ -120,8 +120,7 @@ class SampledPath:
 
     def to_csv(self, path):
         """Write "t,value" rows with 17 significant digits."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(csv_text(self))
+        _write_csv(path, "t,value", [self.times(), self.values])
 
     @classmethod
     def from_csv(cls, path):
@@ -156,6 +155,13 @@ class SampledPath:
             raise DomainError(f"{path}: expected {{'level': n, 'values': [numbers]}}") from exc
         return cls(_check_level(level), values)
 
+    def to_file(self, path):
+        """Write JSON for a .json name and CSV otherwise, as ``from_file`` reads."""
+        if str(path).endswith(".json"):
+            self.to_json(path)
+        else:
+            self.to_csv(path)
+
     @classmethod
     def from_file(cls, path):
         """Dispatch on extension: .json or CSV otherwise."""
@@ -179,12 +185,13 @@ def read_json(path):
             raise DomainError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def csv_text(path):
-    """CSV serialization of a path ("t,value", 17 significant digits)."""
-    t = path.times()
-    rows = ["t,value"]
-    rows.extend(f"{ti:.17g},{vi:.17g}" for ti, vi in zip(t, path.values))
-    return "\n".join(rows) + "\n"
+def _write_csv(path, header, columns):
+    """Write the rows of ``columns`` under ``header``, each number with 17
+    significant digits, which round-trip exactly."""
+    cells = [map("{:.17g}".format, np.asarray(c).tolist()) for c in columns]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _level_from_count(count):
@@ -247,19 +254,6 @@ class QVCurve:
         if np.any(np.diff(arr) < -1e-12 * max(1.0, abs(float(arr[-1])))):
             raise DomainError("quadratic-variation curve must be non-decreasing")
         object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_path(cls, path, n):
-        """Estimator curve of ``path`` along the level-n grid."""
-        n = _check_level(n)
-        if n > path.level:
-            raise DomainError(f"level {n} exceeds path level {path.level}")
-        coarse = path.restrict(n).values
-        sq = np.diff(coarse) ** 2
-        partial = np.cumsum(sq)
-        # s = 1 contributes a zero increment (its successor is itself).
-        values = np.concatenate([partial, partial[-1:]])
-        return cls(n, values)
 
     @classmethod
     def from_function(cls, fn, level):

@@ -208,17 +208,25 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS):
     def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
         return float(fn(tau, u)) if one else eval_on(fn, tau, u)
 
-    sig0 = at(field.sigma, xi)
-    error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
-    keep_v = not np.all(abs(sig0) > error_scale)
-    keep_w = getattr(field, "sup_sigma_t", None) != 0
-    rows = "u" + "v" * keep_v + "w" * keep_w
-    y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
-    phi = y[0]
-    sig_phi = at(field.sigma, phi)
-    d_xi = y[1] if keep_v else sig_phi / sig0
-    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
-    d_tt = at(field.sigma_xi, phi) * sig_phi
+    # an overflow raises: inf or NaN trips _dp45's guards, and a power of
+    # Python floats (one point) raises OverflowError itself
+    with np.errstate(all="ignore"):
+        try:
+            sig0 = at(field.sigma, xi)
+            error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
+            keep_v = not np.all(abs(sig0) > error_scale)
+            keep_w = getattr(field, "sup_sigma_t", None) != 0
+            rows = "u" + "v" * keep_v + "w" * keep_w
+            y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
+            phi = y[0]
+            sig_phi = at(field.sigma, phi)
+            d_xi = y[1] if keep_v else sig_phi / sig0
+            d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
+            d_tt = at(field.sigma_xi, phi) * sig_phi
+        except OverflowError as exc:
+            raise FlowIntegrationError("overflow during flow integration") from exc
+    if not np.all(np.isfinite(d_tt)):  # even a zero horizon can overflow it
+        raise FlowIntegrationError("d_tt = sigma_xi sigma overflows at the flow value")
     return tuple(np.reshape(c, shape)[()] for c in (phi, d_xi, d_tau, d_tt))
 
 

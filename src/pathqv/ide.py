@@ -126,9 +126,13 @@ class IDESolution:
 def _cell_contributions(problem, tpts, xpts, y, dA, ds, dQ, rtol=RTOL):
     """Flow values at (t, B, x(t)) points and the left-point contributions
     of the len(dA) cells starting there, from one vectorized flow solve at
-    relative tolerance rtol."""
+    relative tolerance rtol.  Raises NumericalError when the drift is not
+    finite at the flow values."""
     phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts, rtol)
-    bvals = np.asarray(problem.drift(tpts, phi), dtype=np.float64)
+    with np.errstate(all="ignore"):
+        bvals = np.asarray(problem.drift(tpts, phi), dtype=np.float64)
+    if not np.all(np.isfinite(bvals)):
+        raise NumericalError("drift b is not finite at the flow values")
     n = dA.shape[0]
     return phi, (bvals / dxi)[:n] * dA + (-dtau / dxi)[:n] * ds + (-0.5 * dtt / dxi)[:n] * dQ
 

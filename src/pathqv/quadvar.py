@@ -14,74 +14,53 @@ taken literally; that asymmetry is what makes the identity exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import QVCurve, _check_level, _freeze, grid_index
+from .dyadic import QVCurve, SampledPath, _check_level, grid_index
 from .errors import DomainError
 
 
-def _coarse_values(path, n):
-    if n > path.level:
-        raise DomainError(f"level {n} exceeds path level {path.level}")
-    return path.restrict(n).values
+def _increment_products(x, y, n):
+    """(x(s') - x(s)) (y(s') - y(s)) for the 2^n level-n grid points s < 1."""
+    n = _check_level(n)
+    for path in (x, y):
+        if n > path.level:
+            raise DomainError(f"level {n} exceeds path level {path.level}")
+    dx = np.diff(x.restrict(n).values)
+    return dx * (dx if y is x else np.diff(y.restrict(n).values))
 
 
-def qv_level(x, n, t):
-    """<x>_t^n = sum over grid points s <= t of (x(s') - x(s))^2.
+def _partial_sums(x, y, n):
+    """The sums over s <= t at every level-n grid point t; s = 1 adds
+    nothing, since its successor is 1 itself."""
+    partial = np.cumsum(_increment_products(x, y, n))
+    return np.concatenate([partial, partial[-1:]])
+
+
+def cov_level(x, y, n, t):
+    """<x,y>_t^n = sum over grid points s <= t of (x(s') - x(s)) (y(s') - y(s)).
 
     The increment starting at s = t is included, per the sum-over-s<=t
     convention; at s = 1 the successor is 1 itself, contributing zero.
     """
-    n = _check_level(n)
-    v = _coarse_values(x, n)
-    j = grid_index(t, n)
-    sq = np.diff(v) ** 2
-    return float(np.sum(sq[: min(j + 1, 2**n)]))
+    prod = _increment_products(x, y, n)
+    return float(np.sum(prod[: grid_index(t, n) + 1]))
 
 
-def cov_level(x, y, n, t):
-    """sum over s <= t of (x(s') - x(s)) (y(s') - y(s))."""
-    n = _check_level(n)
-    vx = _coarse_values(x, n)
-    vy = _coarse_values(y, n)
-    j = grid_index(t, n)
-    prod = np.diff(vx) * np.diff(vy)
-    return float(np.sum(prod[: min(j + 1, 2**n)]))
+def qv_level(x, n, t):
+    """<x>_t^n = <x,x>_t^n, the sum of squared increments over s <= t."""
+    return cov_level(x, x, n, t)
 
 
 def qv_curve(x, n):
     """The whole estimator curve t -> <x>_t^n as a QVCurve."""
-    return QVCurve.from_path(x, n)
-
-
-@dataclass(frozen=True, eq=False)
-class CovCurve:
-    """Partial covariation sums <x,y>_t^n at the level-n grid points."""
-
-    level: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_level(self.level)
-        arr = _freeze(self.values)
-        if arr.ndim != 1 or arr.shape[0] != 2**self.level + 1:
-            raise DomainError(
-                f"level-{self.level} curve needs {2**self.level + 1} values"
-            )
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_paths(cls, x, y, n):
-        n = _check_level(n)
-        prod = np.diff(_coarse_values(x, n)) * np.diff(_coarse_values(y, n))
-        partial = np.cumsum(prod)
-        return cls(n, np.concatenate([partial, partial[-1:]]))
+    return QVCurve(_check_level(n), _partial_sums(x, x, n))
 
 
 def cov_curve(x, y, n):
-    return CovCurve.from_paths(x, y, n)
+    """The covariation curve t -> <x,y>_t^n at the level-n grid points."""
+    return SampledPath(_check_level(n), _partial_sums(x, y, n))
 
 
 def _floor_count(n, t):

@@ -14,7 +14,6 @@ at dyadic points; analysis inverts it row by row.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,26 +67,6 @@ class FSCoefficients:
         if not (0 <= m < self.depth):
             raise DomainError(f"row {m} out of range (depth {self.depth})")
         return self.theta[m]
-
-    def to_json(self, path):
-        doc = {
-            "anchor": self.anchor,
-            "slope": self.slope,
-            "theta": [row.tolist() for row in self.theta],
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        try:
-            return cls(doc["anchor"], doc["slope"], doc["theta"])
-        except (KeyError, TypeError) as exc:
-            raise DomainError(
-                f"{path}: expected {{'anchor': a, 'slope': s, 'theta': [[...], ...]}}"
-            ) from exc
 
 
 def analyze(path, depth=None):

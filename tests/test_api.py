@@ -1,6 +1,6 @@
 import pathqv
 
-REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral")
+REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral", "CovCurve")
 
 
 def test_every_exported_name_resolves():

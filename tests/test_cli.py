@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 import pathqv.cli as cli
-from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, grid_points,
-                    predicted_qv, preset, qv_curve)
+from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, cov_curve,
+                    grid_points, predicted_qv, preset, qv_curve)
 from pathqv.cli import main
 
 
@@ -138,6 +138,23 @@ def test_cov_command(tmp_path, capsys):
     assert abs(val) <= 0.05
 
 
+def test_cov_out_columns_are_the_covariation_curves(tmp_path, capsys):
+    x = build_x(preset("fig1-left"), 10)
+    y = build_y(preset("fig2-right"), IrrationalShift(np.e), 10)
+    x.to_csv(tmp_path / "x.csv")
+    y.to_json(tmp_path / "y.json")
+    out = tmp_path / "cov.csv"
+    assert run(["cov", "--in", str(tmp_path / "x.csv"), "--in2", str(tmp_path / "y.json"),
+                "--levels", "10,6,8", "--out", str(out)]) == 0
+    capsys.readouterr()
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,cov_n10,cov_n6,cov_n8"
+    table = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+    assert np.array_equal(table[:, 0], grid_points(6))
+    for col, n in zip(table.T[1:], (10, 6, 8)):
+        assert np.array_equal(col, cov_curve(x, y, n).values[:: 2 ** (n - 6)])
+
+
 def test_integrate_command(tmp_path, capsys):
     x = tmp_path / "x.csv"
     run(["synth-x", "--preset", "one", "--level", "8", "--out", str(x)])
@@ -224,9 +241,9 @@ def test_solve_missing_key(tmp_path, capsys):
     capsys.readouterr()
 
 
-def assert_one_line_error(capsys):
+def assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
     assert "Traceback" not in err and "Warning" not in err
     return err
 
@@ -283,6 +300,29 @@ def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run(["solve", "--problem", str(pfile)]) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("scheme", [["--scheme", "picard"],
+                                    ["--scheme", "tonelli", "--tonelli-n", "64"]],
+                         ids=["picard", "tonelli"])
+@pytest.mark.parametrize("problem, culprit", [
+    ({"sigma": "sqrt1p", "b": "exp(xi^2)", "z0": 3}, "drift b"),
+    ({"sigma": "1+0.3*sin(xi)", "b": "exp(xi^2)", "z0": 3}, "drift b"),
+    # a drift pole off the sample box, which input checks cannot see
+    ({"sigma": "1+0.3*sin(xi)", "b": "1/(xi-7)", "z0": 7}, "drift b"),
+    ({"sigma": "1+0.1*exp(xi)", "b": "0", "z0": 700}, "flow"),
+    ({"sigma": "1+0.1*exp(xi)", "b": "0", "z0": 720}, "flow"),
+    # lag-1 Tonelli flows one point at a time, in Python floats
+    ({"sigma": "xi^10", "b": "0", "z0": 3}, "flow"),
+], ids=["drift-closed-form", "drift-dp45", "drift-pole", "field-overflow", "field-inf-at-start",
+        "float-power"])
+def test_solve_overflow_exit_3_in_one_line(tmp_path, capsys, problem, culprit, scheme):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["solve", "--problem", str(pfile), *scheme]) == 3
+    assert culprit in assert_one_line_error(capsys, "numerical failure: ")
 
 
 def test_solve_analytic_qv_is_the_default_for_a_preset_x(tmp_path, monkeypatch, capsys):

@@ -10,9 +10,9 @@ from pathqv import (
     follmer_integral,
     grid_points,
     preset,
+    qv_curve,
     successor,
 )
-from pathqv.dyadic import csv_text
 
 
 def test_grid_points_exact():
@@ -142,7 +142,7 @@ def test_bv_driver_total_variation():
 
 def test_qv_curve_monotone_and_first_value():
     x = build_x(preset("fig2-left"), 10)
-    curve = QVCurve.from_path(x, 8)
+    curve = qv_curve(x, 8)
     assert np.all(np.diff(curve.values) >= 0)
     first_inc = x.restrict(8).values[1] - x.restrict(8).values[0]
     assert curve.values[0] == pytest.approx(first_inc**2, rel=1e-12)
@@ -153,7 +153,7 @@ def test_qv_curve_monotone_and_first_value():
 
 
 def test_qv_curve_value_at_reads_arrays_like_points():
-    curve = QVCurve.from_path(build_x(preset("fig2-left"), 10), 8)
+    curve = qv_curve(build_x(preset("fig2-left"), 10), 8)
     t = np.concatenate([grid_points(10), np.random.default_rng(5).uniform(size=199)])
     per_point = [curve.value_at(ti) for ti in t]
     assert all(type(v) is float for v in per_point)
@@ -179,7 +179,9 @@ def test_csv_round_trip_bit_exact(tmp_path):
     assert back.level == x.level
     assert np.array_equal(back.values, x.values)
     # serialization itself is deterministic
-    assert csv_text(x) == csv_text(SampledPath(8, x.values))
+    g = tmp_path / "again.csv"
+    SampledPath(8, x.values).to_csv(g)
+    assert f.read_bytes() == g.read_bytes()
 
 
 def test_json_round_trip(tmp_path):
@@ -189,6 +191,18 @@ def test_json_round_trip(tmp_path):
     back = SampledPath.from_file(str(f))
     assert back.level == 6
     assert np.array_equal(back.values, x.values)
+
+
+@pytest.mark.parametrize("name", ["x.csv", "x.json"])
+def test_to_file_round_trips_through_from_file(tmp_path, name):
+    x = build_x(preset("fig2-left"), 7)
+    f = tmp_path / name
+    x.to_file(f)
+    back = SampledPath.from_file(f)
+    assert back.level == 7
+    assert np.array_equal(back.values, x.values)
+    # the extension chooses the format
+    assert f.read_text().startswith("{" if name.endswith(".json") else "t,value\n")
 
 
 def test_csv_malformed_rejected(tmp_path):

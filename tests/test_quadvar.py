@@ -81,6 +81,15 @@ def test_cov_of_path_with_itself_is_qv():
         assert cov_level(x, x, n, t) == qv_level(x, n, t)
 
 
+def test_qv_curve_is_the_covariation_curve_of_the_path_with_itself():
+    x = build_x(preset("fig1-right"), 10)
+    y = build_y(preset("fig2-right"), IrrationalShift(10 * np.e), 10)
+    for n in (0, 1, 6, 10):
+        assert np.array_equal(qv_curve(x, n).values, cov_curve(x, x, n).values)
+    with pytest.raises(DomainError, match="exceeds path level 8"):
+        cov_curve(x, y.restrict(8), 9)
+
+
 def test_cov_orthogonal_presets():
     x = build_x(preset("fig1-left"), 14)
     y = build_x(preset("fig2-left"), 14)

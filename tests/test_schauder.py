@@ -132,15 +132,3 @@ def test_analysis_depth_capped_by_level():
         analyze(p, depth=5)
     with pytest.raises(DomainError):
         analyze(SampledPath.from_function(lambda t: t, 0))
-
-
-def test_coefficient_json_round_trip(tmp_path):
-    rng = np.random.default_rng(3)
-    rows = [rng.normal(size=2**m) for m in range(3)]
-    c = FSCoefficients(1.5, -0.5, rows)
-    f = tmp_path / "coeffs.json"
-    c.to_json(f)
-    back = FSCoefficients.from_json(f)
-    assert back.anchor == c.anchor and back.slope == c.slope
-    for m in range(3):
-        assert np.array_equal(back.theta[m], c.theta[m])
