@@ -213,7 +213,7 @@ def _load_problem(spec_path):
     if doc["A"] == "t":
         driver = BVDriver.identity(level)
     else:
-        driver = BVDriver(SampledPath.from_file(doc["A"]))
+        driver = BVDriver.from_file(doc["A"])
     qv_spec = doc.get("qv", "analytic" if fseq is not None else "empirical")
     if qv_spec == "analytic":
         if fseq is None:

@@ -1,10 +1,17 @@
-"""Dyadic grids on [0, 1], sampled paths, bounded-variation drivers and
-quadratic-variation curves.
+"""Dyadic grids on [0, 1] and the functions sampled on them.
 
 Everything downstream (quadratic variation estimators, pathwise integrals,
 the integral-equation solver) works on the dyadic grids T_n = {k 2^-n}.
 Grid points are exact binary floats up to ``MAX_LEVEL``, so grid-membership
 tests and refinement are exact rather than tolerance-based.
+
+One type holds a function known on a grid: ``SampledPath`` checks the
+level, the length and finiteness, freezes the values, restricts to a
+coarser level and reads and writes files.  The two drivers of the
+Stieltjes sums are ``SampledPath``s too: a ``BVDriver`` (the
+bounded-variation integrator A) reads like any path, and a ``QVCurve``
+(the quadratic variation <x>) must be non-decreasing and reads the step
+value off the grid.
 
 All container types are immutable after construction and every operation
 here is a pure function; sums are evaluated in a fixed order (numpy
@@ -105,7 +112,8 @@ class SampledPath:
         return float(out) if out.ndim == 0 else out
 
     def restrict(self, m):
-        """Restriction to the coarser level m; exact at shared points."""
+        """Restriction to the coarser level m, of the same type; exact at
+        shared points."""
         m = _check_level(m)
         if m > self.level:
             raise DomainError(
@@ -114,7 +122,11 @@ class SampledPath:
         if m == self.level:
             return self
         stride = 2 ** (self.level - m)
-        return SampledPath(m, self.values[::stride])
+        return type(self)(m, self.values[::stride])
+
+    def increments(self):
+        """Plain function increments, for use as a Stieltjes driver."""
+        return np.diff(self.values)
 
     # -- serialization ---------------------------------------------------
 
@@ -171,7 +183,8 @@ class SampledPath:
 
     @classmethod
     def from_function(cls, fn, level):
-        """Sample a callable at the level's grid points."""
+        """Sample a callable at the level's grid points (for a QVCurve: an
+        analytic curve from a known limit t -> <x>_t)."""
         t = grid_points(level)
         return cls(level, np.asarray(fn(t), dtype=np.float64))
 
@@ -203,78 +216,45 @@ def _level_from_count(count):
 
 
 @dataclass(frozen=True, eq=False)
-class BVDriver:
-    """A continuous bounded-variation integrator, held as a sampled path.
-
-    ``total_variation`` is the sum of absolute increments at the path's
-    own level, cached at construction.
+class BVDriver(SampledPath):
+    """A continuous bounded-variation integrator: a sampled path that
+    drives Stieltjes sums, read like any path (linear between grid points).
     """
-
-    path: SampledPath
-    total_variation: float = None
-
-    def __post_init__(self):
-        tv = float(np.sum(np.abs(np.diff(self.path.values))))
-        object.__setattr__(self, "total_variation", tv)
-
-    @property
-    def level(self):
-        return self.path.level
 
     @classmethod
     def identity(cls, level):
         """The driver A(t) = t."""
-        return cls(SampledPath(level, grid_points(level)))
+        return cls(level, grid_points(level))
 
-    def restrict(self, m):
-        return BVDriver(self.path.restrict(m))
+    @property
+    def total_variation(self):
+        """The sum of absolute increments at the path's own level."""
+        return float(np.sum(np.abs(self.increments())))
 
 
 @dataclass(frozen=True, eq=False)
-class QVCurve:
+class QVCurve(SampledPath):
     """Partial sums of squared increments t -> <x>_t^n at one grid level.
 
     The estimator convention attributes the squared increment over
     [s, s'] to the point s (sum over s <= t), so the value at t = 0 is the
     first increment's square and the values are non-decreasing.  Curves
     built from an analytic limit function carry the function's own values
-    instead; both kinds serve as drivers for Stieltjes sums.
+    instead; both kinds serve as drivers for Stieltjes sums.  Off the grid
+    a curve reads the step value, not the linear interpolant.
     """
 
-    level: int
-    values: np.ndarray
-
     def __post_init__(self):
-        _check_level(self.level)
-        arr = _freeze(self.values)
-        if arr.ndim != 1 or arr.shape[0] != 2**self.level + 1:
-            raise DomainError(
-                f"level-{self.level} curve needs {2**self.level + 1} values"
-            )
+        super().__post_init__()
+        arr = self.values
         if np.any(np.diff(arr) < -1e-12 * max(1.0, abs(float(arr[-1])))):
             raise DomainError("quadratic-variation curve must be non-decreasing")
-        object.__setattr__(self, "values", arr)
-
-    @classmethod
-    def from_function(cls, fn, level):
-        """Analytic curve: sample a known limit t -> <x>_t."""
-        t = grid_points(level)
-        return cls(level, np.asarray(fn(t), dtype=np.float64))
 
     def value_at(self, t):
         """Grid read: the partial sum at the largest grid point <= t, for
         t in [0, 1] or an array of such t."""
         out = self.values[np.floor(_unit_times(t) * 2**self.level).astype(np.intp)]
         return float(out) if out.ndim == 0 else out
-
-    def restrict(self, m):
-        m = _check_level(m)
-        if m > self.level:
-            raise DomainError(f"cannot restrict to finer level {m}")
-        if m == self.level:
-            return self
-        stride = 2 ** (self.level - m)
-        return QVCurve(m, self.values[::stride])
 
     def masses(self):
         """Per-point quadratic-variation mass: m_0 = Q_0, m_k = Q_k - Q_{k-1}.
@@ -283,7 +263,3 @@ class QVCurve:
         attributed to grid point k under the sum-over-s<=t convention.
         """
         return np.concatenate([self.values[:1], np.diff(self.values)])
-
-    def increments(self):
-        """Plain function increments, for use as a Stieltjes driver."""
-        return np.diff(self.values)

@@ -30,7 +30,9 @@ on a (rows, m) array for a batch.  Step control uses the max norm over
 the batch, so a DP45 value can shift in its last digits (~4e-13) with
 the other points of its batch; closed-form values are bit-identical
 alone and in any batch.  The tests cross-check the closed forms against
-DP45.
+DP45.  Both entry points pass through one guard (``_integrate``): a
+non-finite tau, xi or t, or an overflow anywhere in the solve, raises
+FlowIntegrationError with numpy's warnings off.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -129,7 +131,8 @@ class VolatilityField:
             raise DomainError("declared sup|sigma_xi| violated at sampled points")
         if self.exact_flow is not None:
             try:
-                self._check_exact_flow(tt, xx, h, tol)
+                with np.errstate(all="ignore"):
+                    self._check_exact_flow(tt, xx, h, tol)
             except FlowIntegrationError:
                 raise DomainError("exact_flow is not finite at sampled points") from None
 
@@ -159,18 +162,40 @@ class VolatilityField:
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau) as fresh float arrays of the joint
     input shape (numpy scalars for scalar inputs); raises
-    FlowIntegrationError on any non-finite value."""
+    FlowIntegrationError on any non-finite value.  Callers turn numpy's
+    warnings off."""
     shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
-    with np.errstate(all="ignore"):
-        out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()]
-                    for v in exact_flow(tau, xi, t))
+    out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()]
+                for v in exact_flow(tau, xi, t))
     if not all(np.all(np.isfinite(v)) for v in out):
         raise FlowIntegrationError("non-finite value from the closed-form flow")
     return out
 
 
-def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS):
-    """(phi, d_xi, d_tau, d_tt) with the broadcast shape of the inputs.
+def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):
+    """(phi, d_xi, d_tau, d_tt) with the broadcast shape of the inputs, or
+    (phi,) alone unless ``derivatives``: the one path of ``flow`` and
+    ``flow_with_derivatives``, closed form and DP45 alike.
+
+    Raises FlowIntegrationError when tau, xi or t is not finite, and when
+    the solve overflows: numpy warnings are off and an inf or NaN trips
+    ``_exact``'s and ``_dp45``'s guards, a power of Python floats (one
+    point) raises OverflowError itself, and d_tt is checked last.
+    """
+    if not all(np.isfinite(v).all() for v in (tau, xi, horizon)):
+        raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
+    with np.errstate(all="ignore"):
+        try:
+            out = _solve(field, tau, xi, horizon, rtol, max_steps, derivatives)
+        except OverflowError as exc:
+            raise FlowIntegrationError("overflow during flow integration") from exc
+    if derivatives and not np.all(np.isfinite(out[3])):  # even a zero horizon can overflow it
+        raise FlowIntegrationError("d_tt = sigma_xi sigma overflows at the flow value")
+    return out
+
+
+def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
+    """``_integrate``'s values, unguarded.
 
     A field's ``exact_flow`` is used when present.  Otherwise ``_dp45``
     integrates the row u, u' = sigma(tau, u), and the sensitivities cost
@@ -192,41 +217,37 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS):
       sigma(tau, phi).
 
     So a time-free field away from its rest points integrates u alone,
-    with one sigma call per stage.  One point and a batch follow the
-    same rule.  The rows share one adaptive step for the whole batch, so
-    a value can shift in its last digits with the other points of its
-    batch.
+    with one sigma call per stage, and so does the flow value alone.  One
+    point and a batch follow the same rule.  The rows share one adaptive
+    step for the whole batch, so a value can shift in its last digits
+    with the other points of its batch.
     """
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
         phi, d_xi, d_tau = _exact(exact_flow, tau, xi, horizon)
+        if not derivatives:
+            return (phi,)
         d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
         return phi, d_xi, d_tau, d_tt
     tau, xi, scale, shape = _points(tau, xi, horizon)
+    if not derivatives:
+        return (np.reshape(_dp45_rows(field, tau, xi, scale, "u", rtol, max_steps)[0], shape)[()],)
     one = isinstance(tau, float)
 
     def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
         return float(fn(tau, u)) if one else eval_on(fn, tau, u)
 
-    # an overflow raises: inf or NaN trips _dp45's guards, and a power of
-    # Python floats (one point) raises OverflowError itself
-    with np.errstate(all="ignore"):
-        try:
-            sig0 = at(field.sigma, xi)
-            error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
-            keep_v = not np.all(abs(sig0) > error_scale)
-            keep_w = getattr(field, "sup_sigma_t", None) != 0
-            rows = "u" + "v" * keep_v + "w" * keep_w
-            y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
-            phi = y[0]
-            sig_phi = at(field.sigma, phi)
-            d_xi = y[1] if keep_v else sig_phi / sig0
-            d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
-            d_tt = at(field.sigma_xi, phi) * sig_phi
-        except OverflowError as exc:
-            raise FlowIntegrationError("overflow during flow integration") from exc
-    if not np.all(np.isfinite(d_tt)):  # even a zero horizon can overflow it
-        raise FlowIntegrationError("d_tt = sigma_xi sigma overflows at the flow value")
+    sig0 = at(field.sigma, xi)
+    error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
+    keep_v = not np.all(abs(sig0) > error_scale)
+    keep_w = getattr(field, "sup_sigma_t", None) != 0
+    rows = "u" + "v" * keep_v + "w" * keep_w
+    y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
+    phi = y[0]
+    sig_phi = at(field.sigma, phi)
+    d_xi = y[1] if keep_v else sig_phi / sig0
+    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
+    d_tt = at(field.sigma_xi, phi) * sig_phi
     return tuple(np.reshape(c, shape)[()] for c in (phi, d_xi, d_tau, d_tt))
 
 
@@ -378,12 +399,7 @@ def _norm_arrays(y, y5, e, rtol, atol):
 def flow(field, tau, xi, t, rtol=RTOL):
     """phi(tau, xi, t): the flow value alone (broadcasts over arrays); a
     field without ``exact_flow`` integrates u alone."""
-    exact_flow = getattr(field, "exact_flow", None)
-    if exact_flow is not None:
-        phi = _exact(exact_flow, tau, xi, t)[0]
-    else:
-        tau, xi, scale, shape = _points(tau, xi, t)
-        phi = np.reshape(_dp45_rows(field, tau, xi, scale, "u", rtol, _MAX_STEPS)[0], shape)
+    phi = _integrate(field, tau, xi, t, rtol, derivatives=False)[0]
     return float(phi) if np.ndim(phi) == 0 else phi
 
 

@@ -142,7 +142,7 @@ def _restricted(problem, level):
     A = problem.driver_A.restrict(level)
     Q = problem.qv_x.restrict(level)
     tgrid = grid_points(level)
-    return tgrid, x.values, np.diff(A.path.values), np.diff(tgrid), Q.increments()
+    return tgrid, x.values, A.increments(), np.diff(tgrid), Q.increments()
 
 
 def _solve_picard(problem, level, max_iter, initial=None):

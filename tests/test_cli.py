@@ -532,3 +532,43 @@ def test_flow_check_non_finite_derivative_exit_2(capsys, sigma):
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run(["flow-check", "--sigma", sigma]) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("sigma", ["sinh(40*xi)", "exp(30*xi)", "1+exp(20*xi)"])
+def test_flow_check_overflow_exit_3_in_one_line(capsys, sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["flow-check", "--sigma", sigma]) == 3
+    assert_one_line_error(capsys, "numerical failure: ")
+
+
+def solve_bz(tmp_path, problem):
+    pfile, bout, zout = (tmp_path / n for n in ("problem.json", "B.csv", "z.csv"))
+    pfile.write_text(json.dumps(problem))
+    assert run(["solve", "--problem", str(pfile), "--out-b", str(bout),
+                "--out-z", str(zout)]) == 0
+    return bout.read_bytes(), zout.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["A.csv", "A.json"])
+def test_solve_reads_a_driver_file(tmp_path, capsys, name):
+    level = GOOD_PROBLEM["level"]
+    afile = tmp_path / name
+    SampledPath.from_function(lambda t: t, level).to_file(afile)
+    want = solve_bz(tmp_path, GOOD_PROBLEM)
+    assert solve_bz(tmp_path, {**GOOD_PROBLEM, "A": str(afile)}) == want
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("A.csv", "time,value\n0,0\n1,1\n"),
+    ("A.csv", "t,value\n0,0\n0.5,nan\n1,1\n"),
+    ("A.json", '{"level": 1, "values": [0.0, Infinity, 1.0]}'),
+], ids=["csv-header", "csv-nan", "json-inf"])
+def test_solve_bad_driver_file_exit_2(tmp_path, capsys, name, text):
+    afile = tmp_path / name
+    afile.write_text(text)
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "A": str(afile)}))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -108,7 +110,7 @@ def test_stieltjes_left_sum_value():
 
 def test_stieltjes_bounded_by_variation():
     x = build_x(preset("fig2-left"), 9)
-    driver = BVDriver(x)
+    driver = BVDriver(x.level, x.values)
     c = 3.7
     g = SampledPath(9, np.full(2**9 + 1, c))
     val = follmer_integral(g, x, 9, 1.0)
@@ -136,8 +138,39 @@ def test_stieltjes_level_mismatch():
 
 def test_bv_driver_total_variation():
     p = SampledPath(2, [0.0, 1.0, -1.0, 0.5, 0.5])
-    assert BVDriver(p).total_variation == pytest.approx(1 + 2 + 1.5 + 0)
+    assert BVDriver(p.level, p.values).total_variation == pytest.approx(1 + 2 + 1.5 + 0)
     assert BVDriver.identity(5).total_variation == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("cls", [QVCurve, BVDriver, SampledPath])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_grid_functions_refuse_non_finite_values(cls, bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="finite"):
+            cls(2, [0.0, 0.25, bad, 0.75, 1.0])
+
+
+@pytest.mark.parametrize("cls", [QVCurve, BVDriver, SampledPath])
+def test_restrict_keeps_the_type(cls):
+    p = cls.from_function(lambda t: t * t, 4)
+    r = p.restrict(2)
+    assert type(r) is cls and r.level == 2
+    assert np.array_equal(r.values, p.values[::4])
+
+
+def test_bv_driver_total_variation_is_the_sum_of_increments():
+    x = build_x(preset("fig2-left"), 9)
+    driver = BVDriver(x.level, x.values)
+    assert driver.total_variation == float(np.sum(np.abs(np.diff(x.values))))
+    assert np.array_equal(driver.increments(), np.diff(x.values))
+
+
+def test_qv_curve_reads_steps_and_a_path_interpolates():
+    values = [0.0, 0.25, 1.0]
+    assert QVCurve(1, values).value_at(0.75) == 0.25
+    assert SampledPath(1, values).value_at(0.75) == 0.625
+    assert BVDriver(1, values).value_at(0.75) == 0.625
 
 
 def test_qv_curve_monotone_and_first_value():

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -615,3 +616,38 @@ def test_flow_with_derivatives_returns_four_arrays_of_phi_shape(field):
     out = flow_with_derivatives(field, tau, xi, t)
     assert [np.shape(v) for v in out] == [(3, 4)] * 4
     assert all(isinstance(v, np.ndarray) for v in out)
+
+
+def raises_quietly(fn, *args):
+    """fn(*args) raises FlowIntegrationError and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(FlowIntegrationError):
+            fn(*args)
+
+
+@pytest.mark.parametrize("field", [sqrt1p_field(), constant_field(1.0),
+                                   field_from_expression("1+0.1*exp(xi)")],
+                         ids=["sqrt1p", "constant", "dp45"])
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["tau", "xi", "t"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_are_refused(field, which, bad):
+    # a start at -inf used to pass through: sigma(-inf) = 1 is finite
+    point = [0.0, 0.5, 1.0]
+    point[which] = bad
+    batch = [np.array([0.0, 0.0]), np.array([0.5, 0.5]), np.array([1.0, 1.0])]
+    batch[which][1] = bad
+    for fn in (flow, flow_with_derivatives):
+        raises_quietly(fn, field, *point)
+        raises_quietly(fn, field, *batch)
+
+
+def test_flow_overflow_is_a_flow_error():
+    # both entry points share one guard: no bare OverflowError from a
+    # power of Python floats, no numpy warning
+    field = field_from_expression("xi^2+1")
+    for fn in (flow, flow_with_derivatives):
+        raises_quietly(fn, field, 0.0, 1e200, 1.0)
+        raises_quietly(fn, field, np.zeros(2), np.array([0.5, 1e200]), np.ones(2))
+    # a closed-form flow whose d_tt overflows at a finite flow value
+    raises_quietly(flow_with_derivatives, sqrt1p_field(), 0.0, 1e200, 1.0)

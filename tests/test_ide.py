@@ -195,7 +195,7 @@ def test_verify_local_qv_constant_sigma_exact(x12):
     for c, z0 in ((1.0, 0.3), (2.0, -0.5)):
         prob = IDEProblem(
             field=constant_field(c), drift=lambda t, xi: 0.0 * xi,
-            driver_A=BVDriver(SampledPath(level, np.zeros(2**level + 1))),
+            driver_A=BVDriver(level, np.zeros(2**level + 1)),
             x=x, qv_x=emp, z0=z0,
         )
         sol = solve_ide(prob, level)
@@ -264,7 +264,7 @@ def full_tolerance_defect(prob, B):
     phi, dxi, dtau, dtt = flow_with_derivatives(prob.field, t, B.values,
                                                 prob.x.restrict(level).values)
     b = np.asarray(prob.drift(t, phi), dtype=np.float64)
-    dA = np.diff(prob.driver_A.restrict(level).path.values)
+    dA = np.diff(prob.driver_A.restrict(level).values)
     dQ = np.diff(prob.qv_x.restrict(level).values)
     cells = ((b / dxi)[:-1] * dA + (-dtau / dxi)[:-1] * np.diff(t)
              + (-0.5 * dtt / dxi)[:-1] * dQ)
