@@ -29,10 +29,13 @@ runs every such solve, on a list of plain floats for a single point and
 on a (rows, m) array for a batch.  Step control uses the max norm over
 the batch, so a DP45 value can shift in its last digits (~4e-13) with
 the other points of its batch; closed-form values are bit-identical
-alone and in any batch.  The tests cross-check the closed forms against
-DP45.  Both entry points pass through one guard (``_integrate``): a
-non-finite tau, xi or t, or an overflow anywhere in the solve, raises
-FlowIntegrationError with numpy's warnings off.
+alone and in any batch.  A single point (inputs of size 1, any shape)
+runs on plain floats, closed form or DP45, which saves numpy's
+per-call overhead in strictly sequential solvers such as lag-1 Tonelli.
+The tests cross-check the closed forms against DP45.  Both entry points
+pass through one guard (``_integrate``): a non-finite tau, xi or t, or
+an overflow anywhere in the solve, raises FlowIntegrationError with
+numpy's warnings off.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -160,14 +163,19 @@ class VolatilityField:
 
 
 def _exact(exact_flow, tau, xi, t):
-    """exact_flow's (phi, d_xi, d_tau) as fresh float arrays of the joint
-    input shape (numpy scalars for scalar inputs); raises
-    FlowIntegrationError on any non-finite value.  Callers turn numpy's
-    warnings off."""
-    shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
-    out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()]
-                for v in exact_flow(tau, xi, t))
-    if not all(np.all(np.isfinite(v)) for v in out):
+    """exact_flow's (phi, d_xi, d_tau): plain floats for one point given as
+    floats (see ``_one_point``), else fresh float arrays of the joint input
+    shape; raises FlowIntegrationError on any non-finite value.  Callers
+    turn numpy's warnings off."""
+    values = exact_flow(tau, xi, t)
+    if isinstance(tau, float) and isinstance(xi, float) and isinstance(t, float):
+        out = tuple(float(v) for v in values)
+        finite = all(map(math.isfinite, out))
+    else:
+        shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
+        out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()] for v in values)
+        finite = all(np.all(np.isfinite(v)) for v in out)
+    if not finite:
         raise FlowIntegrationError("non-finite value from the closed-form flow")
     return out
 
@@ -223,46 +231,58 @@ def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
     with the other points of its batch.
     """
     exact_flow = getattr(field, "exact_flow", None)
-    if exact_flow is not None:
+    one = _one_point(tau, xi, horizon)
+    if exact_flow is not None and one is None:  # a closed-form batch keeps its shapes
         phi, d_xi, d_tau = _exact(exact_flow, tau, xi, horizon)
         if not derivatives:
             return (phi,)
         d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
         return phi, d_xi, d_tau, d_tt
-    tau, xi, scale, shape = _points(tau, xi, horizon)
-    if not derivatives:
-        return (np.reshape(_dp45_rows(field, tau, xi, scale, "u", rtol, max_steps)[0], shape)[()],)
-    one = isinstance(tau, float)
+    tau, xi, scale, shape = one or _points(tau, xi, horizon)
 
     def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
         return float(fn(tau, u)) if one else eval_on(fn, tau, u)
 
-    sig0 = at(field.sigma, xi)
-    error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
-    keep_v = not np.all(abs(sig0) > error_scale)
-    keep_w = getattr(field, "sup_sigma_t", None) != 0
-    rows = "u" + "v" * keep_v + "w" * keep_w
-    y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
-    phi = y[0]
-    sig_phi = at(field.sigma, phi)
-    d_xi = y[1] if keep_v else sig_phi / sig0
-    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
-    d_tt = at(field.sigma_xi, phi) * sig_phi
-    return tuple(np.reshape(c, shape)[()] for c in (phi, d_xi, d_tau, d_tt))
+    if exact_flow is not None:  # one point, on plain floats
+        out = _exact(exact_flow, tau, xi, scale)
+        if derivatives:
+            out += (at(field.sigma_xi, out[0]) * at(field.sigma, out[0]),)
+    elif not derivatives:
+        out = (_dp45_rows(field, tau, xi, scale, "u", rtol, max_steps)[0],)
+    else:
+        sig0 = at(field.sigma, xi)
+        error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
+        keep_v = not np.all(abs(sig0) > error_scale)
+        keep_w = getattr(field, "sup_sigma_t", None) != 0
+        rows = "u" + "v" * keep_v + "w" * keep_w
+        y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
+        phi = y[0]
+        sig_phi = at(field.sigma, phi)
+        d_xi = y[1] if keep_v else sig_phi / sig0
+        d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
+        out = (phi, d_xi, d_tau, at(field.sigma_xi, phi) * sig_phi)
+    return tuple(np.asarray(c).reshape(shape)[()] for c in (out if derivatives else out[:1]))
+
+
+def _one_point(tau, xi, horizon):
+    """(tau, xi, horizon, shape) as plain floats and their broadcast shape
+    when the inputs hold one point (any shapes of size 1), else None: one
+    point skips numpy's per-call overhead in the strictly sequential
+    solvers (lag-1 Tonelli)."""
+    points = [np.asarray(v) for v in (tau, xi, horizon)]
+    if any(p.size != 1 for p in points):
+        return None
+    return (*(float(p.flat[0]) for p in points), (1,) * max(p.ndim for p in points))
 
 
 def _points(tau, xi, horizon):
-    """(tau, xi, horizon, shape): the inputs broadcast to ``shape``, as
-    plain floats when that holds one point (any shape of size 1), which
-    avoids numpy's per-call overhead in the strictly sequential solvers
-    (lag-1 Tonelli), and as flat arrays otherwise."""
+    """(tau, xi, horizon, shape): a batch of points broadcast to ``shape``
+    and flattened."""
     tau, xi, horizon = np.broadcast_arrays(
         np.asarray(tau, dtype=np.float64),
         np.asarray(xi, dtype=np.float64),
         np.asarray(horizon, dtype=np.float64),
     )
-    if tau.size == 1:
-        return float(tau.flat[0]), float(xi.flat[0]), float(horizon.flat[0]), tau.shape
     return tau.reshape(-1), xi.reshape(-1), horizon.reshape(-1), tau.shape
 
 

@@ -16,11 +16,21 @@ grid against the three drivers A(s), s and <x>_s, matching the
 non-anticipative convention of the pathwise integral.  Two schemes solve
 the resulting discrete fixed-point system:
 
-* ``picard``  iterates B -> z0 + S(B) from the constant z0 with one
-  vectorized flow solve per sweep, loose while the defect is large and
-  at full tolerance before it may stop (a closed-form flow is always at
-  full accuracy); the flow values of that last sweep are
-  phi(t, B(t), x(t)) and assemble z without a further solve;
+* ``picard``  sweeps from the constant z0 with one vectorized flow solve
+  per sweep, loose while the defect is large and at full tolerance
+  before it may stop (a closed-form flow is always at full accuracy); the
+  flow values of that last sweep are phi(t, B(t), x(t)) and assemble z
+  without a further solve.  The first sweep takes the Picard step
+  B -> z0 + S(B); every later one a causal Newton step.  Cell j of S
+  reads B only at its left point, so the Jacobian of S is strictly lower
+  triangular and the Newton step solves a first-order recurrence in
+  O(n), with one cumulative product and one cumulative sum; each cell's
+  slope is the secant of the last two sweeps, so no flow solve is added.
+  Safeguards keep the step bounded: the secant counts only where B moved
+  by more than 1e-3 of its largest move (a loose sweep's noise over a
+  tiny move is no slope), each slope is clipped to min(1/2, 8 x the
+  cell's driver mass), and a step that is not finite falls back to the
+  Picard step;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
@@ -31,6 +41,7 @@ the resulting discrete fixed-point system:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +54,8 @@ from .quadvar import qv_curve
 PICARD_TOL = 1e-10
 MAX_PICARD_ITER = 200
 _FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
+_SLOPE_CAP = 8.0  # largest trusted slope of a cell per unit of its driver mass
+_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +159,7 @@ def _restricted(problem, level):
 
 
 def _solve_picard(problem, level, max_iter, initial=None):
-    """Picard sweeps from z0 or ``initial``; returns (B, phi, defect).
+    """Sweeps from z0 or ``initial``; returns (B, phi, defect).
 
     Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
     with F = _FORCING (inexact Newton; the flow scales its absolute
@@ -155,17 +168,32 @@ def _solve_picard(problem, level, max_iter, initial=None):
     that sweep's flow values phi(t, B(t), x(t)) and its defect are
     returned for reuse.  A field with a closed-form flow ignores the
     tolerance, so there every sweep is at full accuracy and any sweep may
-    stop.
+    stop.  The first sweep moves B to the Picard iterate z0 + S(B), every
+    later one to the Newton iterate of ``_newton_step``, built from this
+    sweep's cells and the previous one's.  The solve stalls when a sweep
+    from the eighth on leaves the defect no lower than both of the two
+    before it: a Newton step may raise the defect once, and the first
+    full-tolerance sweep after loose ones may read a larger defect.
     """
+    try:
+        sweeps = operator.index(max_iter) + 1
+    except TypeError:
+        raise DomainError(f"max_iter must be an integer, got {max_iter!r}") from None
+    if sweeps < 1:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
     B = np.full(tgrid.shape[0], problem.z0)
     if initial is not None:
-        B = np.asarray(getattr(initial, "values", initial), dtype=np.float64)
+        # a copy, since the sweeps write to it
+        B = np.array(getattr(initial, "values", initial), dtype=np.float64)
         if B.shape != tgrid.shape:
             raise DomainError("initial iterate must live on the working grid")
+        if not np.all(np.isfinite(B)):
+            raise DomainError("initial iterate must be finite")
     exact = getattr(problem.field, "exact_flow", None) is not None
     trace, defect = [], np.inf
-    for _ in range(max_iter + 1):
+    B_prev = cells_prev = None
+    for _ in range(sweeps):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
         phi, cells = _cell_contributions(problem, tgrid, xvals, B, dA, ds, dQ, rtol)
         S = np.concatenate([[0.0], np.cumsum(cells)])
@@ -173,18 +201,88 @@ def _solve_picard(problem, level, max_iter, initial=None):
         trace.append(defect)
         if defect <= PICARD_TOL and (exact or rtol == RTOL):
             return SampledPath(level, B), phi, defect
-        if len(trace) >= 8 and defect >= 0.9999 * trace[-2]:
+        if len(trace) >= 8 and defect >= 0.9999 * max(trace[-3], trace[-2]):
             raise NumericalError(
                 f"Picard iteration stalled at defect {defect:.3e} "
                 f"(tol {PICARD_TOL:.1e})",
                 trace=trace,
             )
-        B = problem.z0 + S
+        phi = None  # not needed unless the sweep stops: free it before the next solve
+        S += problem.z0  # the Picard iterate z0 + S(B), in place
+        if B_prev is not None:
+            _newton_step(S, B, B_prev, cells, cells_prev, dA, ds, dQ)
+        B, B_prev, cells_prev = S, B, cells
     raise NumericalError(
-        f"Picard did not reach defect {PICARD_TOL:.1e} in {max_iter} sweeps "
-        f"(last defect {trace[-1]:.3e})",
+        f"Picard did not reach defect {PICARD_TOL:.1e} in {len(trace)} "
+        f"sweep{'s' * (len(trace) > 1)} (last defect {trace[-1]:.3e})",
         trace=trace,
     )
+
+
+def _newton_step(zS, B, B_prev, cells, cells_prev, dA, ds, dQ):
+    """Turn the Picard iterate zS = z0 + S(B) into the causal Newton
+    iterate, in place; B_prev and cells_prev are overwritten.
+
+    Cell j reads B only at its left point, so the Jacobian of B -> S(B)
+    is strictly lower triangular, its column j constant at c'_j, the slope
+    of cell j's contribution in B_j.  With r = zS - B the Newton step is
+    r + P, where P_0 = 0 and P_(k+1) = (1 + c'_k) P_k + c'_k r_k, so the
+    Newton iterate is zS + P.  With g_k = prod_(j<k) (1 + c'_j),
+    P_k = g_k sum_(j<k) c'_j r_j / g_(j+1): one cumprod and one cumsum,
+    each in a fixed order.  c'_j is the secant of the last two sweeps,
+    (c_j(B) - c_j(B_prev)) / (B_j - B_prev_j), so the step costs no flow
+    solve.  Safeguards:
+
+    * the secant is used only where |B_j - B_prev_j| > 1e-3 max |B - B_prev|,
+      and c'_j = 0 (the Picard step) elsewhere: a loose sweep's noise over
+      a tiny change of B is no slope;
+    * |c'_j| <= min(1/2, _SLOPE_CAP m_j), with the cell's driver mass
+      m_j = |dA_j| + ds_j + |dQ_j|.  The true slope is at most m_j times
+      the largest sensitivity to B of the cell's kernels b/phi_xi,
+      phi_tau/phi_xi and phi_tt/phi_xi, which involves the drift's
+      derivative and so has no declared bound.  Sensitivities up to 8
+      pass, and a larger one is clipped, which makes the step inexact but
+      not unsafe: a secant of noise costs at most that much.  The 1/2
+      keeps 1 + c'_j in [1/2, 3/2];
+    * the cumulative product runs over blocks of _BLOCK cells, so it stays
+      within normal floats, and P is carried from block to block: over a
+      whole fine grid the product of the factors can leave float range
+      while P itself does not;
+    * where the Newton iterate is not finite, zS stays the Picard iterate.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
+        n = cells.shape[0]
+        dB = np.subtract(B[:n], B_prev[:n], out=B_prev[:n])
+        trusted = np.abs(dB)
+        trusted = trusted > 1e-3 * trusted.max()
+        slope = np.subtract(cells, cells_prev, out=cells_prev)
+        np.divide(slope, dB, out=slope, where=trusted)
+        slope[~trusted] = 0.0
+        cap = np.abs(dA)
+        cap += ds
+        cap += np.abs(dQ)
+        cap *= _SLOPE_CAP
+        np.minimum(cap, 0.5, out=cap)
+        np.minimum(slope, cap, out=slope)
+        np.negative(cap, out=cap)
+        np.maximum(slope, cap, out=slope)
+        r = np.subtract(zS[:n], B[:n])
+        blocks = (-1, min(n, _BLOCK))
+        g = np.add(slope, 1.0, out=cap).reshape(blocks)
+        np.cumprod(g, axis=1, out=g)
+        P = np.multiply(slope, r, out=slope).reshape(blocks)  # P_1 .. P_n once done
+        P /= g
+        np.cumsum(P, axis=1, out=P)
+        carry, carries = 0.0, []
+        for g_end, P_end in zip(g[:, -1].tolist(), P[:, -1].tolist()):
+            carries.append(carry)  # P at the block's first point
+            carry = g_end * (carry + P_end)
+        P += np.array(carries)[:, None]
+        P *= g
+        newton = P.reshape(-1)
+        newton += zS[1:]
+        if np.all(np.isfinite(newton)):
+            zS[1:] = newton
 
 
 def _solve_tonelli(problem, level, tonelli_n):
@@ -223,12 +321,16 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     """Solve the pathwise Ito equation for B and assemble z = phi(t, B, x).
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
-    must divide 2^level).  Picard stops at a fixed-point defect (sup over
-    grid points) <= PICARD_TOL and raises NumericalError with the defect
-    trace if it stalls or exhausts ``max_iter``; ``initial`` warm-starts it
-    (e.g. with the B for nearby parameters), which, the fixed point being
-    unique, only affects the sweep count.  The Tonelli scheme is
-    defect-free by construction for its own delayed equation.
+    must divide 2^level).  The "picard" scheme makes one flow solve per
+    sweep: a Picard step first, then causal Newton steps whose slopes are
+    secants of the last two sweeps (see the module docstring).  It stops
+    at a fixed-point defect (sup over grid points) <= PICARD_TOL and
+    raises NumericalError with the defect trace if it stalls or has made
+    ``max_iter`` + 1 sweeps; ``max_iter`` must be an integer >= 0.
+    ``initial``, finite and on the working grid, warm-starts it (e.g. with
+    the B for nearby parameters), which, the fixed point being unique,
+    only affects the sweep count.  The Tonelli scheme is defect-free by
+    construction for its own delayed equation.
 
     ``residual_report`` carries the fixed-point defect of the B-solve;
     ``follmer_defect`` is the sup over the grid of

@@ -535,6 +535,25 @@ def test_exact_flow_is_batch_invariant(kind, p, q, pts, data):
     assert all(np.ndim(v) == 0 for v in alone)
 
 
+def test_one_closed_form_point_gives_the_bits_of_its_batch():
+    # a point alone runs on plain floats, a batch on arrays
+    tau, xi, t = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(-3.0, 3.0, 7),
+                             np.linspace(-1.0, 1.0, 5), indexing="ij")
+    for field in (constant_field(0.7), bs_field(), sqrt1p_field()):
+        batch = flow_with_derivatives(field, tau, xi, t)
+        values = flow(field, tau, xi, t)
+        for i in np.ndindex(tau.shape):
+            point = (float(tau[i]), float(xi[i]), float(t[i]))
+            for shape in ((), (1,), (1, 1)):
+                alone = flow_with_derivatives(field, *(np.full(shape, v) for v in point))
+                assert all(np.shape(v) == shape for v in alone)
+                assert [bits(v) for v in alone] == [bits(v[i]) for v in batch]
+            alone = flow_with_derivatives(field, *point)
+            assert all(isinstance(v, np.float64) for v in alone)
+            assert [bits(v) for v in alone] == [bits(v[i]) for v in batch]
+            assert bits(flow(field, *point)) == bits(values[i])
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(kind=kinds, p=params, q=params, pts=points,
        bad=st.sampled_from([np.nan, np.inf, -np.inf]), data=st.data())

@@ -30,6 +30,7 @@ from pathqv import (
     verify_local_qv,
 )
 from pathqv.flow import RTOL
+from pathqv.ide import _newton_step
 
 LEVEL = 12
 
@@ -340,19 +341,158 @@ def test_warm_start_matches_cold_solve(x12):
     assert np.max(np.abs(nearby.values - cold.values)) > 1e-4
 
 
+EXPRESSION = field_from_expression("1+0.3*sin(xi)")
+
+
+def cosine_problem(x, c=3.0, z0=1.0, qv_x=None):
+    """b = c cos(xi) on the DP45 field 1 + 0.3 sin(xi): a drift whose
+    slope changes sign along the solution."""
+    level = x.level
+    return IDEProblem(field=EXPRESSION, drift=lambda t, xi: c * np.cos(xi),
+                      driver_A=BVDriver.identity(level), x=x,
+                      qv_x=qv_x or QVCurve.from_function(lambda t: t, level), z0=z0)
+
+
 def test_solve_ide_warm_start_saves_sweeps(x12, monkeypatch):
+    # a linear drift makes the secant exact from the second sweep, so a
+    # cold geometric solve already takes 3 sweeps; a nonlinear drift leaves
+    # a warm start something to save
     rtols = count_flow_solves(monkeypatch)
     x = x12.restrict(10)
-    for field in both_paths(GEOMETRIC):
-        cold = solve_ide(geometric_problem(x, field=field), 10)
-        cold_sweeps = len(rtols)
-        nearby = solve_ide(geometric_problem(x, mu=0.05 + 1e-7, field=field), 10).B
+    cold = solve_ide(cosine_problem(x), 10)
+    cold_sweeps = len(rtols)
+    nearby = solve_ide(cosine_problem(x, c=3.0 + 1e-7), 10).B
+    rtols.clear()
+    warm = solve_ide(cosine_problem(x), 10, initial=nearby)
+    # both stop at defect <= 1e-10, so they agree to a small multiple of it
+    assert np.max(np.abs(warm.z.values - cold.z.values)) <= 1e-9
+    assert len(rtols) < cold_sweeps
+
+
+def test_newton_sweeps_solve_a_strongly_nonlinear_drift():
+    # the fig1-left problem with b = 3 cos(xi), which plain Picard sweeps
+    # take 20 sweeps for: the Newton sweeps land on the same discrete solution
+    level = 10
+    x = build_x(preset("fig1-left"), level)
+    prob = cosine_problem(x, z0=0.3, qv_x=qv_curve(x, level))
+    B = solve_ide(prob, level).B
+    assert np.all(np.isfinite(B.values))
+    assert full_tolerance_defect(prob, B) <= 1e-10
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
+    assert np.max(np.abs(B.values - tonelli.values)) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [3.0, 5.0])
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_newton_sweeps_on_coarse_grids(x12, level, c):
+    # a cell of mass 1/2 lets the secant of b = c cos(xi) reach 1 + c' <= 0
+    prob = cosine_problem(x12.restrict(level), c=c, z0=0.3)
+    B = solve_ide(prob, level).B
+    assert full_tolerance_defect(prob, B) <= 1e-10
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
+    assert np.max(np.abs(B.values - tonelli.values)) <= 1e-6
+
+
+def test_newton_sweeps_with_a_driver_of_large_variation(x12):
+    # A = 2000 t: every cell slope is near -0.5 dA_j = -0.49, and the
+    # product of the 2048 factors 1 + c'_j underflows, so the step's
+    # cumulative product must not run over the whole grid
+    level = 11
+    x = build_x(preset("one"), level)
+    A = BVDriver(level, 2000.0 * grid_points(level))
+    assert np.sum(np.log1p(-0.5 * A.increments())) < np.log(np.finfo(float).smallest_subnormal)
+    prob = IDEProblem(field=sqrt1p_field(), drift=lambda t, xi: -0.5 * xi, driver_A=A,
+                      x=x, qv_x=QVCurve.from_function(lambda t: t, level), z0=0.3)
+    sol = solve_ide(prob, level)
+    assert sol.residual_report <= 1e-10
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
+    assert np.max(np.abs(sol.B.values - tonelli.values)) <= 1e-6
+
+
+def test_stall_detector_ends_a_diverging_solve(x12):
+    # with A = 50 sin(40 pi t) the discrete solution reaches 7.6e6 and a
+    # change of B grows by up to e^18.8 from cell to cell: no iterate gets
+    # near a defect of 1e-10, and the solve stops long before max_iter
+    level = 10
+    A = BVDriver(level, 50.0 * np.sin(40.0 * np.pi * grid_points(level)))
+    prob = IDEProblem(field=constant_field(1.0), drift=lambda t, xi: 0.3 * xi, driver_A=A,
+                      x=x12.restrict(level), qv_x=QVCurve.from_function(lambda t: t, level),
+                      z0=0.3)
+    with pytest.raises(NumericalError, match="stalled") as err:
+        solve_ide(prob, level)
+    assert len(err.value.trace) <= 12
+
+
+def test_stall_detector_tolerates_one_sweep_without_progress(x12):
+    # the defect holds at 1e-6 from the eighth sweep to the ninth, then
+    # falls to 2e-10 and below: a rule that fires on any sweep from the
+    # eighth on that does not lower the defect would stop this solve
+    prob = IDEProblem(field=field_from_expression("sqrt(1+xi^2)"),
+                      drift=lambda t, xi: 5.0 * np.cos(xi), driver_A=BVDriver.identity(4),
+                      x=x12.restrict(4), qv_x=QVCurve.from_function(lambda t: t, 4), z0=-0.5)
+    B = solve_ide(prob, 4).B
+    assert full_tolerance_defect(prob, B) <= 1e-10
+
+
+def test_newton_step_falls_back_to_picard_when_not_finite():
+    # with r = 1e308 per cell the Newton iterate overflows, so the
+    # iterate stays z0 + S(B)
+    n = 4
+    picard = np.full(n + 1, 1e308)
+    zS, B, B_prev = picard.copy(), np.zeros(n + 1), np.full(n + 1, -1.0)
+    cells, cells_prev = np.full(n, 0.25), np.zeros(n)  # secant 0.25 per cell
+    ones = np.ones(n)
+    _newton_step(zS, B, B_prev, cells, cells_prev, ones, ones, ones)
+    assert np.array_equal(zS, picard)
+    zS = np.full(n + 1, 1.0)  # r = 1: the step moves every later point
+    _newton_step(zS, B, np.full(n + 1, -1.0), cells, np.zeros(n), ones, ones, ones)
+    assert zS[0] == 1.0 and np.all(zS[1:] > 1.0)
+
+
+def test_sweep_counts_at_level_12(x12, monkeypatch):
+    # the Newton step's gain, pinned: a fallback to plain Picard takes
+    # 11, 7 and 10 sweeps here
+    rtols = count_flow_solves(monkeypatch)
+    cases = [
+        (linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL), 4),
+        (geometric_problem(x12), 3),
+        (linear_qv_problem(EXPRESSION, lambda t, xi: 0.2 - 0.5 * xi, x12, 0.3, LEVEL), 7),
+    ]
+    for prob, most in cases:
         rtols.clear()
-        warm = solve_ide(geometric_problem(x, field=field), 10, initial=nearby)
-        # both stop at defect <= 1e-10, so they agree to a small multiple of it
-        assert np.max(np.abs(warm.z.values - cold.z.values)) <= 1e-9
-        assert len(rtols) < cold_sweeps
-        rtols.clear()
+        assert solve_ide(prob, LEVEL).residual_report <= 1e-10
+        assert len(rtols) <= most
+
+
+def test_picard_is_bit_reproducible(x12):
+    x = x12.restrict(10)
+    for prob in (cosine_problem(x), geometric_problem(x)):
+        a, b = solve_ide(prob, 10), solve_ide(prob, 10)
+        assert a.B.values.tobytes() == b.B.values.tobytes()
+        assert a.z.values.tobytes() == b.z.values.tobytes()
+
+
+@pytest.mark.parametrize("max_iter", [-1, 2.5, "3", None])
+def test_picard_rejects_a_bad_max_iter(x12, max_iter):
+    prob = geometric_problem(x12.restrict(8))
+    with pytest.raises(DomainError, match="max_iter"):
+        solve_ide(prob, 8, max_iter=max_iter)
+
+
+def test_picard_reports_the_sweeps_it_made(x12):
+    prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 5.0 * xi, x12, 1.0, LEVEL)
+    with pytest.raises(NumericalError, match="in 1 sweep ") as err:
+        solve_ide(prob, LEVEL, max_iter=0)
+    assert len(err.value.trace) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_picard_rejects_a_non_finite_initial_iterate(x12, bad):
+    prob = geometric_problem(x12.restrict(8))
+    initial = np.ones(2**8 + 1)
+    initial[5] = bad
+    with pytest.raises(DomainError, match="initial iterate"):
+        solve_ide(prob, 8, initial=initial)
 
 
 X8 = build_x(preset("one"), 8)
