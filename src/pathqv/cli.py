@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .construct import (SPOT_GRID, FunctionSequence, IrrationalShift, PRESETS,
-                        build_x, build_y, predicted_qv, preset)
+                        build_x, build_y, coefficients_x, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
                      _check_level, _write_csv, grid_points, read_json)
 from .errors import DomainError, NumericalError, PathQVError
@@ -30,7 +30,7 @@ from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
                    sample_box_values, sqrt1p_field)
 from .follmer import follmer_integral, ito_residual
 from .ide import IDEProblem, solve_ide
-from .quadvar import cov_curve, cov_level, qv_curve, qv_level
+from .quadvar import cov_curve, cov_level, qv_curve
 from .support import (_linear_qv_problem, drift_from_path, match_path, nondiff_quotients,
                       shoot_constant_b)
 
@@ -115,46 +115,40 @@ def _cmd_synth_y(args):
     return 0
 
 
+def _report_cov(kind, x, y, levels, out, extra=None):
+    """Print <x,y>^n at t = 1 for each level and, given ``out``, write
+    the curves on the lowest level's grid as columns ``{kind}_n{n}``,
+    then ``extra`` (header, values) if given; qv is cov with y = x."""
+    for n in levels:
+        print(f"{kind} level {n} at t=1: {_fmt(cov_level(x, y, n, 1.0))}")
+    if out:
+        base = min(levels)
+        header = ["t"] + [f"{kind}_n{n}" for n in levels]
+        columns = [grid_points(base)] + [cov_curve(x, y, n).restrict(base).values
+                                         for n in levels]
+        if extra is not None:
+            header.append(extra[0])
+            columns.append(extra[1])
+        _write_csv(out, ",".join(header), columns)
+        print(f"wrote {out}")
+    return 0
+
+
 def _cmd_qv(args):
     path = SampledPath.from_file(args.infile)
     levels = _parse_levels(args.levels, path.level)
-    base = min(levels)
     pred = None
     if args.predicted:
         name, _, kind = args.predicted.partition(":")
-        pred = predicted_qv(preset(name), kind or "curved", base)
-    for n in levels:
-        print(f"qv level {n} at t=1: {_fmt(qv_level(path, n, 1.0))}")
-    if args.out:
-        columns = [grid_points(base)]
-        header = ["t"]
-        for n in levels:
-            columns.append(qv_curve(path, n).restrict(base).values)
-            header.append(f"qv_n{n}")
-        if pred is not None:
-            columns.append(pred.values)
-            header.append("predicted")
-        _write_csv(args.out, ",".join(header), columns)
-        print(f"wrote {args.out}")
-    return 0
+        pred = ("predicted", predicted_qv(preset(name), kind or "curved", min(levels)).values)
+    return _report_cov("qv", path, path, levels, args.out, pred)
 
 
 def _cmd_cov(args):
     x = SampledPath.from_file(args.infile)
     y = SampledPath.from_file(args.infile2)
     levels = _parse_levels(args.levels, min(x.level, y.level))
-    for n in levels:
-        print(f"cov level {n} at t=1: {_fmt(cov_level(x, y, n, 1.0))}")
-    if args.out:
-        base = min(levels)
-        columns = [grid_points(base)]
-        header = ["t"]
-        for n in levels:
-            columns.append(cov_curve(x, y, n).restrict(base).values)
-            header.append(f"cov_n{n}")
-        _write_csv(args.out, ",".join(header), columns)
-        print(f"wrote {args.out}")
-    return 0
+    return _report_cov("cov", x, y, levels, args.out)
 
 
 def _cmd_integrate(args):
@@ -287,8 +281,6 @@ def _cmd_match(args):
 
 def _cmd_diagnose(args):
     fseq = preset(args.preset)
-    from .construct import coefficients_x
-
     coeffs = coefficients_x(fseq, args.n_max)
     report = nondiff_quotients(coeffs, fseq, args.t, args.n_max)
     header = "n,d_n,increment,predicted,sign,hypothesis_met,diverging"

@@ -10,7 +10,9 @@ Grammar (usual precedence, ^ binds tightest and is right-associative):
 
 Names resolve to the functions sin, cos, sinh, exp, sqrt, the constants
 pi and e, or a declared variable (typically t and xi).  Expressions
-evaluate with numpy semantics and can be differentiated symbolically,
+evaluate with numpy semantics, on plain floats too (``^`` is np.power, so
+a float gets the bits of the same value in an array, and a negative base
+to a fractional power is NaN), and can be differentiated symbolically,
 which is how user-supplied volatility fields get exact partial
 derivatives; powers with non-constant exponents have no derivative rule
 here and are rejected when differentiated.
@@ -162,7 +164,7 @@ def _eval(node, env):
     if tag == "div":
         return _eval(node[1], env) / _eval(node[2], env)
     if tag == "pow":
-        return _eval(node[1], env) ** _eval(node[2], env)
+        return np.power(_eval(node[1], env), _eval(node[2], env))
     if tag == "call":
         return _FUNCTIONS[node[1]](_eval(node[2], env))
     raise AssertionError(f"bad node {node!r}")

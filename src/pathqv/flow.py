@@ -24,15 +24,16 @@ integrates only the rows it needs: u alone for ``flow`` and for a
 time-free field (one declaring ``sup_sigma_t == 0``), whose d/dxi is
 the quotient above; (u, w) for any other field; and v as well when a
 point of the batch starts so near a rest point of sigma that the
-quotient would lose accuracy (see ``_integrate``).  One step controller
-runs every such solve, on a list of plain floats for a single point and
-on a (rows, m) array for a batch.  Step control uses the max norm over
-the batch, so a DP45 value can shift in its last digits (~4e-13) with
-the other points of its batch; closed-form values are bit-identical
-alone and in any batch.  A single point (inputs of size 1, any shape)
-runs on plain floats, closed form or DP45, which saves numpy's
-per-call overhead in strictly sequential solvers such as lag-1 Tonelli.
-The tests cross-check the closed forms against DP45.  Both entry points
+quotient would lose accuracy (see ``_solve``).  One step controller
+runs every such solve on a list of rows, each a plain float for a single
+point (inputs of size 1, any shape, which saves numpy's per-call
+overhead in strictly sequential solvers such as lag-1 Tonelli) and a
+1-D array for a batch, with the same operations in the same order, so
+a point alone has the bits of its copies in a batch of copies.  Step
+control uses the max norm over the batch, so a DP45 value can shift in
+its last digits (up to ~3e-12) with the other points of its batch;
+closed-form values are bit-identical alone and in any batch.  The
+tests cross-check the closed forms against DP45.  Both entry points
 pass through one guard (``_integrate``): a non-finite tau, xi or t, or
 an overflow anywhere in the solve, raises FlowIntegrationError with
 numpy's warnings off.
@@ -64,7 +65,9 @@ _A = (
 )
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-_ERR = tuple(b5 - b4 for b5, b4 in zip(_B5, _B4))
+# The nonzero entries as (coefficient, stage) pairs, as ``_combine`` reads them.
+_STAGE_TERMS = tuple(tuple((a, j) for j, a in enumerate(row) if a) for row in _A)
+_ERR_TERMS = tuple((b5 - b4, j) for j, (b5, b4) in enumerate(zip(_B5, _B4)) if b5 != b4)
 
 #: Default integration tolerances (a notch below the advertised 1e-10 so
 #: accumulated global error still meets it on [0, 1]-sized horizons).
@@ -164,7 +167,7 @@ class VolatilityField:
 
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau): plain floats for one point given as
-    floats (see ``_one_point``), else fresh float arrays of the joint input
+    floats (see ``_points``), else fresh float arrays of the joint input
     shape; raises FlowIntegrationError on any non-finite value.  Callers
     turn numpy's warnings off."""
     values = exact_flow(tau, xi, t)
@@ -187,8 +190,9 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivat
 
     Raises FlowIntegrationError when tau, xi or t is not finite, and when
     the solve overflows: numpy warnings are off and an inf or NaN trips
-    ``_exact``'s and ``_dp45``'s guards, a power of Python floats (one
-    point) raises OverflowError itself, and d_tt is checked last.
+    ``_exact``'s and ``_dp45``'s guards, a field callable on Python floats
+    may raise OverflowError itself (as math.exp does), and d_tt is checked
+    last.
     """
     if not all(np.isfinite(v).all() for v in (tau, xi, horizon)):
         raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
@@ -198,16 +202,17 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivat
         except OverflowError as exc:
             raise FlowIntegrationError("overflow during flow integration") from exc
     if derivatives and not np.all(np.isfinite(out[3])):  # even a zero horizon can overflow it
-        raise FlowIntegrationError("d_tt = sigma_xi sigma overflows at the flow value")
+        raise FlowIntegrationError("d_tt = sigma_xi sigma is not finite at the flow value")
     return out
 
 
 def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
     """``_integrate``'s values, unguarded.
 
-    A field's ``exact_flow`` is used when present.  Otherwise ``_dp45``
-    integrates the row u, u' = sigma(tau, u), and the sensitivities cost
-    as little as they can:
+    The points are flattened by ``_points``, solved, and reshaped to the
+    inputs' broadcast shape.  A field's ``exact_flow`` is used when
+    present.  Otherwise ``_dp45`` integrates the row u, u' = sigma(tau, u),
+    and the sensitivities cost as little as they can:
 
     * d_xi = sigma(tau, phi) / sigma(tau, xi).  tau is frozen, so the
       equation is autonomous and this is its reverse-time identity.  The
@@ -226,36 +231,28 @@ def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
 
     So a time-free field away from its rest points integrates u alone,
     with one sigma call per stage, and so does the flow value alone.  One
-    point and a batch follow the same rule.  The rows share one adaptive
-    step for the whole batch, so a value can shift in its last digits
-    with the other points of its batch.
+    point and a batch follow the same rule.
     """
-    exact_flow = getattr(field, "exact_flow", None)
-    one = _one_point(tau, xi, horizon)
-    if exact_flow is not None and one is None:  # a closed-form batch keeps its shapes
-        phi, d_xi, d_tau = _exact(exact_flow, tau, xi, horizon)
-        if not derivatives:
-            return (phi,)
-        d_tt = eval_on(field.sigma_xi, tau, phi) * eval_on(field.sigma, tau, phi)
-        return phi, d_xi, d_tau, d_tt
-    tau, xi, scale, shape = one or _points(tau, xi, horizon)
+    tau, xi, scale, shape, one = _points(tau, xi, horizon)
 
     def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
         return float(fn(tau, u)) if one else eval_on(fn, tau, u)
 
-    if exact_flow is not None:  # one point, on plain floats
+    ops = _FLOATS if one else _ARRAYS
+    exact_flow = getattr(field, "exact_flow", None)
+    if exact_flow is not None:
         out = _exact(exact_flow, tau, xi, scale)
         if derivatives:
             out += (at(field.sigma_xi, out[0]) * at(field.sigma, out[0]),)
     elif not derivatives:
-        out = (_dp45_rows(field, tau, xi, scale, "u", rtol, max_steps)[0],)
+        out = (_dp45_rows(field, tau, xi, scale, "u", ops, rtol, max_steps)[0],)
     else:
         sig0 = at(field.sigma, xi)
         error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
         keep_v = not np.all(abs(sig0) > error_scale)
         keep_w = getattr(field, "sup_sigma_t", None) != 0
         rows = "u" + "v" * keep_v + "w" * keep_w
-        y = _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps)
+        y = _dp45_rows(field, tau, xi, scale, rows, ops, rtol, max_steps)
         phi = y[0]
         sig_phi = at(field.sigma, phi)
         d_xi = y[1] if keep_v else sig_phi / sig0
@@ -264,55 +261,38 @@ def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
     return tuple(np.asarray(c).reshape(shape)[()] for c in (out if derivatives else out[:1]))
 
 
-def _one_point(tau, xi, horizon):
-    """(tau, xi, horizon, shape) as plain floats and their broadcast shape
-    when the inputs hold one point (any shapes of size 1), else None: one
-    point skips numpy's per-call overhead in the strictly sequential
-    solvers (lag-1 Tonelli)."""
-    points = [np.asarray(v) for v in (tau, xi, horizon)]
-    if any(p.size != 1 for p in points):
-        return None
-    return (*(float(p.flat[0]) for p in points), (1,) * max(p.ndim for p in points))
-
-
 def _points(tau, xi, horizon):
-    """(tau, xi, horizon, shape): a batch of points broadcast to ``shape``
-    and flattened."""
-    tau, xi, horizon = np.broadcast_arrays(
-        np.asarray(tau, dtype=np.float64),
-        np.asarray(xi, dtype=np.float64),
-        np.asarray(horizon, dtype=np.float64),
-    )
-    return tau.reshape(-1), xi.reshape(-1), horizon.reshape(-1), tau.shape
+    """(tau, xi, horizon, shape, one): the points broadcast to ``shape``
+    and flattened, or, when the inputs hold one point (any shapes of size
+    1, ``one``), plain floats, which skip numpy's per-call overhead in the
+    strictly sequential solvers (lag-1 Tonelli)."""
+    points = [np.asarray(v, dtype=np.float64) for v in (tau, xi, horizon)]
+    if all(p.size == 1 for p in points):
+        return (*(float(p.flat[0]) for p in points), (1,) * max(p.ndim for p in points), True)
+    tau, xi, horizon = np.broadcast_arrays(*points)
+    return tau.reshape(-1), xi.reshape(-1), horizon.reshape(-1), tau.shape, False
 
 
-def _dp45_rows(field, tau, xi, scale, rows, rtol, max_steps):
+def _dp45_rows(field, tau, xi, scale, rows, ops, rtol, max_steps):
     """The ``rows`` ("u", then "v" and/or "w") at time ``scale``, from xi,
-    1 and 0: a list of floats for one point, a (len(rows), m) array for a
-    batch.  The absolute tolerance scales with ``rtol``: ATOL * (rtol /
-    RTOL)."""
-    start = {"u": xi, "v": 1.0, "w": 0.0}
-    if isinstance(tau, float):
-        y = [start[r] for r in rows]
-        ops = (_rhs(field, tau, scale, rows, float, tuple), _combine_floats, _norm_floats)
-    else:
-        y = np.empty((len(rows), tau.size))
-        for i, r in enumerate(rows):
-            y[i] = start[r]
-        ops = (_rhs(field, tau, scale, rows, _array, np.stack), _combine_arrays, _norm_arrays)
+    1 and 0: a list with one entry per row, a float for one point and a
+    1-D array for a batch, as tau, xi and scale are.  ``ops`` is
+    ``_FLOATS`` or ``_ARRAYS``.  The absolute tolerance scales with
+    ``rtol``: ATOL * (rtol / RTOL)."""
+    zero = 0.0 * scale + 0.0  # 0.0, or fresh zeros for a batch
+    start = {"u": xi - zero, "v": zero + 1.0, "w": zero}  # xi - 0.0 keeps xi's bits
+    y = [start[r] for r in rows]
     if np.any(scale):
-        y = _dp45(*ops, y, rtol, ATOL * (rtol / RTOL), max_steps)
+        rhs = _rhs(field, tau, scale, rows, ops[0])
+        y = _dp45(rhs, y, ops, rtol, ATOL * (rtol / RTOL), max_steps)
     return y
 
 
-def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
-    """Dormand-Prince 5(4) on the rescaled time s in [0, 1] from state y.
-
-    ``rhs(y)`` is the derivative, ``combine(y, h, coeffs, k)`` is
-    y + h sum_j coeffs[j] k[j] (y None for zero) and ``norm(y, y5, e,
-    rtol, atol)`` is the largest |e| / (atol + rtol max(|y|, |y5|)),
-    kept NaN when any term is.  Raises FlowIntegrationError on a
-    non-finite error, a step below 1e-14 or more than ``max_steps`` steps.
+def _dp45(rhs, y, ops, rtol, atol, max_steps):
+    """Dormand-Prince 5(4) on the rescaled time s in [0, 1] from state y,
+    a list of rows; ``rhs(y)`` is its derivative.  Raises
+    FlowIntegrationError on a non-finite error, a step below 1e-14 or more
+    than ``max_steps`` steps.
     """
     s = 0.0
     h = 0.01
@@ -321,11 +301,11 @@ def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
     while s < 1.0:
         h = min(h, 1.0 - s)
         for i in range(1, 7):
-            y5 = combine(y, h, _A[i], k)
+            y5 = _combine(y, h, _STAGE_TERMS[i], k)
             k[i] = rhs(y5)
         # the last stage sits at the fifth-order solution y5, so its
         # derivative starts the next step (FSAL)
-        err = norm(y, y5, combine(None, h, _ERR, k), rtol, atol)
+        err = _norm(y, y5, _combine(None, h, _ERR_TERMS, k), ops, rtol, atol)
         if not math.isfinite(err):
             raise FlowIntegrationError("non-finite state during flow integration")
         if err <= 1.0:
@@ -344,11 +324,11 @@ def _dp45(rhs, combine, norm, y, rtol, atol, max_steps):
     return y
 
 
-def _rhs(field, tau, scale, rows, value, pack):
+def _rhs(field, tau, scale, rows, value):
     """The derivative of the ``rows`` of the time-rescaled system:
     u' = scale sigma, v' = scale sigma_xi v, w' = scale (sigma_t +
     sigma_xi w).  ``value`` turns a field's output into a float or an
-    array and ``pack`` collects the rows."""
+    array."""
     sigma, sigma_t, sigma_xi = field.sigma, field.sigma_t, field.sigma_xi
     v, w = "v" in rows, "w" in rows
 
@@ -361,59 +341,52 @@ def _rhs(field, tau, scale, rows, value, pack):
                 out.append(scale * s_xi * y[1])
             if w:
                 out.append(scale * (value(sigma_t(tau, u)) + s_xi * y[-1]))
-        return pack(out)
+        return out
 
     return rhs
 
 
-def _array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-# One point as a list of plain floats, one per row.
-
-def _combine_floats(y, h, coeffs, k):
+def _combine(y, h, terms, k):
+    """y + h sum a k[j] over the (a, j) ``terms``, row by row (y None for
+    zero): the stages in order, then y, with each h a formed once."""
+    (c0, k0), *terms = [(h * a, k[j]) for a, j in terms]
     out = []
-    for i, k_row in enumerate(zip(*k)):  # the stages of row i
-        acc = 0.0 if y is None else y[i]
-        for a, kj in zip(coeffs, k_row):
-            if a:
-                acc += h * a * kj
+    for r, acc in enumerate(k0):
+        acc = acc * c0  # a fresh row, so += below is in place for a batch
+        for c, kj in terms:
+            acc += c * kj[r]
+        if y is not None:
+            acc += y[r]
         out.append(acc)
     return out
 
 
-def _norm_floats(y, y5, e, rtol, atol):
+def _norm(y, y5, e, ops, rtol, atol):
+    """The largest |e| / (atol + rtol max(|y|, |y5|)) over rows and
+    points, NaN when any term is; overwrites e.  ``ops`` supplies the
+    NaN-keeping elementwise max (into its first argument for a batch) and
+    the largest |r| of a row as a float."""
+    _, maximum, largest = ops
     err = 0.0
-    for yc, y5c, ec in zip(y, y5, e):
-        r = abs(ec) / (atol + rtol * max(abs(yc), abs(y5c)))
+    for y_r, y5_r, e_r in zip(y, y5, e):
+        tol = maximum(abs(y_r), abs(y5_r))
+        tol *= rtol
+        tol += atol
+        e_r /= tol  # in place for a batch; |e / tol| = |e| / tol, as tol > 0
+        r = largest(e_r)
         if not r <= err:  # unlike max(), keeps a NaN
             err = r
     return err
 
 
-# A batch as a (rows, m) array.
-
-def _combine_arrays(y, h, coeffs, k):
-    out = k[0] * (h * coeffs[0])
-    for a, kj in zip(coeffs[1:], k[1:]):
-        if a:
-            out += (h * a) * kj
-    if y is not None:
-        out += y
-    return out
-
-
-def _norm_arrays(y, y5, e, rtol, atol):
-    # in place where it can: each temporary of the batch's size that is
-    # freed at once can cost fresh pages on the next allocation
-    tol = np.abs(y)
-    np.maximum(tol, np.abs(y5), out=tol)
-    tol *= rtol
-    tol += atol
-    np.abs(e, out=e)
-    e /= tol
-    return float(e.max())
+# What a point and a batch do differently, as their types force: turn a
+# field's value into a float or an array, and take maxima (NaN-keeping;
+# in place for a batch, as each batch-sized temporary freed at once can
+# cost fresh pages on the next allocation).
+_FLOATS = (float, lambda a, b: a if a >= b or a != a else b, abs)
+_ARRAYS = (lambda x: np.asarray(x, dtype=np.float64),
+           lambda a, b: np.maximum(a, b, out=a),
+           lambda r: float(np.abs(r, out=r).max()))
 
 
 def flow(field, tau, xi, t, rtol=RTOL):

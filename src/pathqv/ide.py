@@ -158,8 +158,9 @@ def _restricted(problem, level):
     return tgrid, x.values, A.increments(), np.diff(tgrid), Q.increments()
 
 
-def _solve_picard(problem, level, max_iter, initial=None):
-    """Sweeps from z0 or ``initial``; returns (B, phi, defect).
+def _solve_picard(problem, level, grid, max_iter, initial=None):
+    """Sweeps from z0 or ``initial`` on ``grid``, ``_restricted``'s arrays
+    at ``level``; returns (B, phi, defect).
 
     Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
     with F = _FORCING (inexact Newton; the flow scales its absolute
@@ -181,7 +182,7 @@ def _solve_picard(problem, level, max_iter, initial=None):
         raise DomainError(f"max_iter must be an integer, got {max_iter!r}") from None
     if sweeps < 1:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
+    tgrid, xvals, dA, ds, dQ = grid
     B = np.full(tgrid.shape[0], problem.z0)
     if initial is not None:
         # a copy, since the sweeps write to it
@@ -285,17 +286,17 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, dA, ds, dQ):
             zS[1:] = newton
 
 
-def _solve_tonelli(problem, level, tonelli_n):
-    """The delayed iterate with lag 1/tonelli_n, built block by block;
-    returns (B, phi, 0.0) like ``_solve_picard``, with phi from one
-    full-grid flow solve at B (the delayed equation has no defect)."""
+def _solve_tonelli(problem, level, grid, tonelli_n):
+    """The delayed iterate with lag 1/tonelli_n, built block by block on
+    ``grid``; returns (B, phi, 0.0) like ``_solve_picard``, with phi from
+    one full-grid flow solve at B (the delayed equation has no defect)."""
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
             f"tonelli delay 1/{tonelli_n} must divide the grid: "
             f"need tonelli_n | 2^{level}"
         )
     lag = 2**level // tonelli_n  # delay in grid steps
-    tgrid, xvals, dA, ds, dQ = _restricted(problem, level)
+    tgrid, xvals, dA, ds, dQ = grid
     npts = tgrid.shape[0]
     B = np.full(npts, problem.z0)
     prefix = np.zeros(npts - 1)  # prefix[c] = sum of cell contributions 0..c
@@ -341,13 +342,14 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     only in the limit, so this is reported, not asserted small).
     """
     level = problem.working_level(level)
+    grid = _restricted(problem, level)
     if scheme == "picard":
-        B, phi, resid = _solve_picard(problem, level, max_iter, initial)
+        B, phi, resid = _solve_picard(problem, level, grid, max_iter, initial)
     elif scheme == "tonelli":
-        B, phi, resid = _solve_tonelli(problem, level, tonelli_n)
+        B, phi, resid = _solve_tonelli(problem, level, grid, tonelli_n)
     else:
         raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
-    tgrid, xvals, dA, _, _ = _restricted(problem, level)
+    tgrid, xvals, dA, _, _ = grid
     z = SampledPath(level, phi)
     sig = eval_on(problem.field.sigma, tgrid, z.values)
     bv = eval_on(problem.drift, tgrid, z.values)

@@ -155,6 +155,22 @@ def test_cov_out_columns_are_the_covariation_curves(tmp_path, capsys):
         assert np.array_equal(col, cov_curve(x, y, n).values[:: 2 ** (n - 6)])
 
 
+def test_cov_of_a_path_with_itself_is_its_qv(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    build_x(preset("fig1-left"), 10).to_csv(x)
+    qv, cov = tmp_path / "qv.csv", tmp_path / "cov.csv"
+    assert run(["qv", "--in", str(x), "--levels", "10,6,8", "--out", str(qv)]) == 0
+    qv_out = capsys.readouterr().out
+    assert run(["cov", "--in", str(x), "--in2", str(x), "--levels", "10,6,8",
+                "--out", str(cov)]) == 0
+    cov_out = capsys.readouterr().out
+    assert cov_out == qv_out.replace("qv ", "cov ").replace(str(qv), str(cov))
+    qv_lines, cov_lines = qv.read_text().splitlines(), cov.read_text().splitlines()
+    assert qv_lines[0] == "t,qv_n10,qv_n6,qv_n8"
+    assert cov_lines[0] == "t,cov_n10,cov_n6,cov_n8"
+    assert cov_lines[1:] == qv_lines[1:]
+
+
 def test_integrate_command(tmp_path, capsys):
     x = tmp_path / "x.csv"
     run(["synth-x", "--preset", "one", "--level", "8", "--out", str(x)])
@@ -314,8 +330,10 @@ def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     ({"sigma": "1+0.1*exp(xi)", "b": "0", "z0": 720}, "flow"),
     # lag-1 Tonelli flows one point at a time, in Python floats
     ({"sigma": "xi^10", "b": "0", "z0": 3}, "flow"),
+    # a negative base to a fractional power is NaN for a point as for a batch
+    ({"sigma": "(xi+10)^0.5", "b": "0", "z0": -11}, "flow"),
 ], ids=["drift-closed-form", "drift-dp45", "drift-pole", "field-overflow", "field-inf-at-start",
-        "float-power"])
+        "float-power", "negative-base-power"])
 def test_solve_overflow_exit_3_in_one_line(tmp_path, capsys, problem, culprit, scheme):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))

@@ -140,6 +140,16 @@ def test_expression_returns_what_numpy_gives_unpadded():
     assert np.shape(Expression("1+t*0")(t, 0.0)) == (3,)
 
 
+def test_power_of_a_float_has_the_bits_of_an_array():
+    # ^ is numpy's power on plain floats too; Python's ** differs from it in
+    # the last bit for some inputs, and gives a complex for a negative base
+    e = Expression("xi^-2.5 + xi^3", ("xi",))
+    xi = np.random.default_rng(0).uniform(0.1, 5.0, 2000)
+    assert [float(e(float(v))) for v in xi] == e(xi).tolist()
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(Expression("(xi+10)^0.5", ("xi",))(-11.0))
+
+
 @pytest.mark.parametrize("src", ["1/(xi-7)", "xi^0.5"], ids=["pole", "root"])
 def test_field_from_expression_non_finite_derivative_on_its_box(src):
     with warnings.catch_warnings():

@@ -614,17 +614,36 @@ def test_non_finite_exact_flow_is_refused():
         replace(field, exact_flow=lambda tau, xi, t: (xi / (xi - xi), 1.0, 0.0))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(which=st.sampled_from([0, 1]), pts=points, data=st.data())
-def test_dp45_one_point_agrees_with_its_batch(which, pts, data):
-    # one point runs on floats, a batch on arrays; the shared step of a
-    # batch moves a value only in its last digits
-    field = dp45_fields()[which]
+ONE_POINT_FIELDS = {  # DP45 fields and the rows they integrate
+    "expression": lambda: field_from_expression("1+0.3*sin(xi)"),  # u
+    "sqrt1p-dp45": lambda: dp45(sqrt1p_field()),  # u
+    "power": lambda: field_from_expression("1+0.5*xi^3/(1+xi^2)^1.3"),  # u
+    "time-dependent": lambda: field_from_expression("(1+0.2*t)*(1+0.3*sin(xi))"),  # u, w
+    "geometric-dp45": lambda: dp45(bs_field()),  # u, v, w
+    "rest-point": lambda: field_from_expression("sin(xi)"),  # u, v: xi is scaled near 0
+}
+
+
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(pts=points, copies=st.integers(2, 4), data=st.data())
+def test_dp45_one_point_agrees_with_its_batch(pts, copies, data):
+    # one point runs on floats and a batch on arrays, through the same
+    # operations in the same order, so a point alone has the bits of its
+    # copies in a batch; the shared step of a mixed batch moves a value
+    # only in its last digits
     i = data.draw(st.integers(0, len(pts) - 1))
-    batch = _integrate(field, *columns(pts))
-    alone = _integrate(field, *pts[i])
-    for a, b in zip(alone, batch):
-        assert abs(a - b[i]) <= 1e-11
+    for name, make in ONE_POINT_FIELDS.items():
+        field = make()
+        near = [(tau, 1e-3 * xi, t) for tau, xi, t in pts] if name == "rest-point" else pts
+        batch = _integrate(field, *columns(near))
+        alone = _integrate(field, *near[i])
+        for a, b in zip(alone, batch):
+            assert abs(a - b[i]) <= 1e-11
+        same = [np.full(copies, v) for v in near[i]]
+        alone += (flow(field, *near[i]),)
+        copied = flow_with_derivatives(field, *same) + (flow(field, *same),)
+        for a, b in zip(alone, copied):
+            assert bits(b) == bits(np.full(copies, a)), name
 
 
 @pytest.mark.parametrize("field", [constant_field(0.7), dp45(constant_field(0.7)),
