@@ -24,7 +24,7 @@ from .construct import (SPOT_GRID, FunctionSequence, IrrationalShift, PRESETS,
                         build_x, build_y, coefficients_x, predicted_qv, preset)
 from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
                      _check_level, _write_csv, grid_points, read_json)
-from .errors import DomainError, NumericalError, PathQVError
+from .errors import DomainError, NumericalError, _finite
 from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
 from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
                    sample_box_values, sqrt1p_field)
@@ -59,10 +59,7 @@ def _resolve_fseq(args):
         return preset(args.preset)
     if getattr(args, "f", None):
         fn = scalar_function(args.f, "t")
-        with np.errstate(all="ignore"):
-            values = np.asarray(fn(SPOT_GRID), dtype=np.float64)
-        if not np.all(np.isfinite(values)):
-            raise DomainError(f"--f {args.f!r} is not finite on [0, 1]")
+        values = _finite(DomainError, f"--f {args.f!r} is not finite on [0, 1]", fn, SPOT_GRID)
         return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
     raise DomainError("need --preset or --f")
 
@@ -431,9 +428,6 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         for i, d in enumerate(getattr(exc, "trace", [])):
             print(f"  defect[{i}] = {d:.6e}", file=sys.stderr)
-        return 3
-    except PathQVError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

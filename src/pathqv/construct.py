@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dyadic import QVCurve, _check_level, grid_points
-from .errors import DomainError
+from .errors import DomainError, _finite
 from .schauder import FSCoefficients, synthesize
 
 #: Where sequences are spot-checked: the level-10 dyadic grid, which holds
@@ -41,7 +41,8 @@ class FunctionSequence:
 
     ``term(n, t)`` and ``limit(t)`` must accept numpy arrays of times.
     Uniform convergence cannot be verified for arbitrary closures; the
-    constructor spot-checks the bound for n <= 32 on SPOT_GRID and warns
+    constructor spot-checks the bound for n <= 32 on SPOT_GRID, refuses a
+    value that is not finite there (of f_64 and the limit too), and warns
     if sup|f_n - f_infinity| fails to shrink along n = 16, 32, 64;
     ``coefficients_x`` and ``coefficients_y`` check every row they sample
     against the bound.
@@ -58,17 +59,18 @@ class FunctionSequence:
             raise DomainError(f"uniform_bound must be finite and >= 0, got {bound}")
         object.__setattr__(self, "uniform_bound", bound)
         slack = _bound_slack(bound)
-        with np.errstate(all="ignore"):  # non-finite values raise below
-            for n in range(_SPOT_MAX_N + 1):
-                vals = np.asarray(self.term(n, SPOT_GRID), dtype=np.float64)
-                if vals.shape != SPOT_GRID.shape or not np.all(np.isfinite(vals)):
-                    raise DomainError(f"term({n}, t) must return finite values per point")
-                _check_bound(vals, n, bound)
-            lim = np.asarray(self.limit(SPOT_GRID), dtype=np.float64)
-            gaps = [
-                float(np.max(np.abs(np.asarray(self.term(n, SPOT_GRID)) - lim)))
-                for n in (16, 32, 64)
-            ]
+
+        def finite(what, fn, *args):
+            return _finite(DomainError, f"{what} must return finite values per point", fn, *args)
+
+        for n in range(_SPOT_MAX_N + 1):
+            vals = finite(f"term({n}, t)", self.term, n, SPOT_GRID)
+            if vals.shape != SPOT_GRID.shape:
+                raise DomainError(f"term({n}, t) must return finite values per point")
+            _check_bound(vals, n, bound)
+        lim = finite("limit(t)", self.limit, SPOT_GRID)
+        gaps = [float(np.max(np.abs(finite(f"term({n}, t)", self.term, n, SPOT_GRID) - lim)))
+                for n in (16, 32, 64)]
         if gaps[0] < gaps[1] - slack or gaps[1] < gaps[2] - slack:
             warnings.warn(
                 f"sup|f_n - f_inf| not decreasing along n=16,32,64: {gaps}; "
@@ -237,7 +239,7 @@ def _fig2_right_term(n, t):
 
 
 def _make_presets():
-    presets = {
+    return {
         "one": FunctionSequence.constant_in_n(lambda t: 1.0, 1.0, name="one"),
         "fig1-left": FunctionSequence.constant_in_n(
             lambda t: np.cos(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
@@ -261,7 +263,6 @@ def _make_presets():
             name="fig2-right",
         ),
     }
-    return presets
 
 
 PRESETS = _make_presets()

@@ -21,6 +21,7 @@ pairwise reduction / cumsum), so repeated runs are bit-reproducible.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,14 @@ def _check_level(n):
     if n < 0 or n > MAX_LEVEL:
         raise DomainError(f"level must be in [0, {MAX_LEVEL}], got {n}")
     return int(n)
+
+
+def _check_count(n, what):
+    """n as an int, from any integer type; DomainError naming ``what`` if not."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
 
 
 def grid_points(n):

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and ``_finite``, the rule for user code."""
+
+import numpy as np
 
 
 class PathQVError(Exception):
@@ -25,3 +27,14 @@ class NumericalError(PathQVError, RuntimeError):
 class FlowIntegrationError(NumericalError):
     """The adaptive ODE integrator underflowed its step size or exceeded
     its step budget."""
+
+
+def _finite(error, message, fn, *args):
+    """fn(*args) as a float64 array (not copied if it is one), computed with
+    numpy's warnings off; raises ``error(message)`` if a value is not finite:
+    DomainError for an input, NumericalError for a value met in a solve."""
+    with np.errstate(all="ignore"):
+        values = np.asarray(fn(*args), dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise error(message)
+    return values

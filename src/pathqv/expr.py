@@ -25,7 +25,7 @@ import re
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
@@ -293,11 +293,8 @@ class Expression:
 def evaluate_constant(src):
     """Evaluate a closed expression (no variables), e.g. "10*e" for alpha;
     DomainError if the value is not finite."""
-    with np.errstate(all="ignore"):
-        value = float(Expression(src, variables=()).__call__())
-    if not math.isfinite(value):
-        raise DomainError(f"constant {src!r} is not finite")
-    return value
+    return float(_finite(DomainError, f"constant {src!r} is not finite",
+                         Expression(src, variables=())))
 
 
 def scalar_function(src, var="t"):
@@ -322,12 +319,10 @@ def field_from_expression(src):
     d_t = sigma.diff("t")
     d_xi = sigma.diff("xi")
     tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(-8.0, 8.0, 65))
-    with np.errstate(all="ignore"):
-        sup_t = float(np.max(np.abs(d_t(tt, xx))))
-        sup_xi = float(np.max(np.abs(d_xi(tt, xx))))
-    if not (math.isfinite(sup_t) and math.isfinite(sup_xi)):
-        raise DomainError(f"field {src!r} has a derivative that is not finite on the box "
-                          "t in [0, 1], xi in [-8, 8]")
+    message = (f"field {src!r} has a derivative that is not finite on the box "
+               "t in [0, 1], xi in [-8, 8]")
+    sup_t, sup_xi = (float(np.max(np.abs(_finite(DomainError, message, d, tt, xx))))
+                     for d in (d_t, d_xi))
     sup_t = 0.0 if d_t.ast == _num(0.0) else max(sup_t, np.finfo(np.float64).tiny)
     return VolatilityField(
         sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FlowIntegrationError
+from .errors import DomainError, FlowIntegrationError, _finite
 
 # Dormand-Prince 5(4) tableau (classic ode45 pair, FSAL).
 _A = (
@@ -90,11 +90,12 @@ class VolatilityField:
     arrays, and may return anything that broadcasts against the joint
     shape of their arguments, e.g. a scalar when the formula ignores an
     argument: numpy broadcasting absorbs it in all arithmetic, and code
-    that needs a full-shape array pads with ``eval_on``.  Construction cross-checks each derivative against a central
-    difference (h = 1e-5, tolerance 1e-4 relative to 1 + |derivative|)
-    and the declared bounds on a fixed sample box; fields whose true
-    derivatives grow beyond the box (e.g. sigma(t, xi) = s(t) xi) should
-    declare bounds valid on that box.
+    that needs a full-shape array pads with ``eval_on``.  Construction
+    cross-checks each derivative against a central difference (h = 1e-5,
+    tolerance 1e-4 relative to 1 + |derivative|) and the declared bounds
+    on a fixed sample box, where all three must be finite, and sigma also
+    at the difference points.  Fields whose true derivatives grow beyond
+    the box (e.g. sigma(t, xi) = s(t) xi) should declare bounds valid on it.
 
     ``exact_flow(tau, xi, t)``, optional, returns the flow in closed form
     as (phi, d_xi, d_tau): phi(tau, xi, t), its derivative in xi and its
@@ -124,45 +125,42 @@ class VolatilityField:
         d_t = sample_box_values(self.sigma_t, "sigma_t")
         if not (math.isfinite(self.sup_sigma_t) and math.isfinite(self.sup_sigma_xi)):
             raise DomainError("declared sup-bounds must be finite")
-        fd_xi = (self.sigma(tt, xx + h) - self.sigma(tt, xx - h)) / (2 * h)
-        if np.any(np.abs(fd_xi - d_xi) > tol * (1.0 + np.abs(d_xi))):
-            raise DomainError("sigma_xi disagrees with finite differences of sigma")
-        fd_t = (self.sigma(tt + h, xx) - self.sigma(tt - h, xx)) / (2 * h)
-        if np.any(np.abs(fd_t - d_t) > tol * (1.0 + np.abs(d_t))):
-            raise DomainError("sigma_t disagrees with finite differences of sigma")
+        for name, d, up, dn in (("sigma_xi", d_xi, (tt, xx + h), (tt, xx - h)),
+                                ("sigma_t", d_t, (tt + h, xx), (tt - h, xx))):
+            message = f"{name} disagrees with finite differences of sigma"  # or is not finite
+            fd = (_finite(DomainError, message, self.sigma, *up)
+                  - _finite(DomainError, message, self.sigma, *dn)) / (2 * h)
+            _require_close(fd, d, tol, message)
         slack = 1e-9
         if np.max(np.abs(d_t)) > self.sup_sigma_t + slack:
             raise DomainError("declared sup|sigma_t| violated at sampled points")
         if np.max(np.abs(d_xi)) > self.sup_sigma_xi + slack:
             raise DomainError("declared sup|sigma_xi| violated at sampled points")
         if self.exact_flow is not None:
-            try:
-                with np.errstate(all="ignore"):
-                    self._check_exact_flow(tt, xx, h, tol)
-            except FlowIntegrationError:
-                raise DomainError("exact_flow is not finite at sampled points") from None
+            self._check_exact_flow(tt, xx, h, tol)
 
     def _check_exact_flow(self, tt, xx, h, tol):
-        def close(got, want):  # written so that NaN fails
-            return np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want)))
+        def exact(tau, xi, t):  # (phi, d_xi, d_tau) on the box, stacked
+            return _finite(DomainError, "exact_flow is not finite at sampled points",
+                           lambda: np.broadcast_arrays(tt, *self.exact_flow(tau, xi, t))[1:])
 
-        def phi(tau, xi, t):
-            return _exact(self.exact_flow, tau, xi, t)[0]
-
-        at0 = _exact(self.exact_flow, tt, xx, 0.0)
-        if not all(close(got, want) for got, want in zip(at0, (xx, 1.0, 0.0))):
-            raise DomainError("exact_flow is not (xi, 1, 0) at t = 0")
+        for got, want in zip(exact(tt, xx, 0.0), (xx, 1.0, 0.0)):
+            _require_close(got, want, tol, "exact_flow is not (xi, 1, 0) at t = 0")
         for t in (-0.5, 0.5):
-            value, d_xi, d_tau = _exact(self.exact_flow, tt, xx, t)
-            fd_t = (phi(tt, xx, t + h) - phi(tt, xx, t - h)) / (2 * h)
-            if not close(fd_t, eval_on(self.sigma, tt, value)):
-                raise DomainError("exact_flow does not solve u' = sigma(tau, u)")
-            fd_xi = (phi(tt, xx + h, t) - phi(tt, xx - h, t)) / (2 * h)
-            if not close(d_xi, fd_xi):
-                raise DomainError("exact_flow d_xi disagrees with finite differences")
-            fd_tau = (phi(tt + h, xx, t) - phi(tt - h, xx, t)) / (2 * h)
-            if not close(d_tau, fd_tau):
-                raise DomainError("exact_flow d_tau disagrees with finite differences")
+            value, d_xi, d_tau = exact(tt, xx, t)
+            fd_t = (exact(tt, xx, t + h)[0] - exact(tt, xx, t - h)[0]) / (2 * h)
+            message = "exact_flow does not solve u' = sigma(tau, u)"
+            _require_close(fd_t, _finite(DomainError, message, self.sigma, tt, value), tol, message)
+            fd_xi = (exact(tt, xx + h, t)[0] - exact(tt, xx - h, t)[0]) / (2 * h)
+            _require_close(d_xi, fd_xi, tol, "exact_flow d_xi disagrees with finite differences")
+            fd_tau = (exact(tt + h, xx, t)[0] - exact(tt - h, xx, t)[0]) / (2 * h)
+            _require_close(d_tau, fd_tau, tol, "exact_flow d_tau disagrees with finite differences")
+
+
+def _require_close(got, want, tol, message):
+    """DomainError(message) unless |got - want| <= tol (1 + |want|); NaN fails."""
+    if not np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))):
+        raise DomainError(message)
 
 
 def _exact(exact_flow, tau, xi, t):
@@ -474,13 +472,10 @@ def eval_on(fn, t, xi):
 
 
 def sample_box_values(fn, what):
-    """fn(t, xi) on the 5 x 7 sample box of field construction, warnings
-    off; raises DomainError naming ``what`` when a value is not finite."""
-    with np.errstate(all="ignore"):
-        values = np.asarray(fn(*_SAMPLE_BOX), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{what} is not finite on the sample box t in [0, 1], xi in [-5, 5]")
-    return values
+    """fn(t, xi) on the 5 x 7 sample box of field construction; DomainError
+    naming ``what`` if a value is not finite."""
+    return _finite(DomainError, f"{what} is not finite on the sample box t in [0, 1], "
+                   "xi in [-5, 5]", fn, *_SAMPLE_BOX)
 
 
 def constant_field(c):

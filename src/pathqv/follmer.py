@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyadic import _check_level, grid_index
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 
 def follmer_integral(eta, x, n, t):
@@ -31,8 +31,6 @@ def follmer_integral(eta, x, n, t):
     g = eta.restrict(n).values
     v = x.restrict(n).values
     j = grid_index(t, n)
-    if j == 0:
-        return 0.0
     return float(np.sum(g[:j] * np.diff(v[: j + 1])))
 
 
@@ -51,12 +49,8 @@ def ito_residual(F, dF, d2F, x, n, t):
     j = grid_index(t, n)
     base = v[:j]
     dx = np.diff(v[: j + 1])
-    with np.errstate(all="ignore"):
-        ends = np.asarray([F(v[0]), F(v[j])], dtype=np.float64)
-        d1 = np.asarray(dF(base), dtype=np.float64)
-        d2 = np.asarray(d2F(base), dtype=np.float64)
-    if not all(np.all(np.isfinite(a)) for a in (ends, d1, d2)):
-        raise DomainError("F, F' or F'' is not finite at a value of the path")
-    first = float(np.sum(d1 * dx))
-    second = float(np.sum(d2 * dx**2))
-    return float(ends[1] - ends[0]) - first - 0.5 * second
+    message = "F, F' or F'' is not finite at a value of the path"
+    start, end = (_finite(DomainError, message, F, v[i]) for i in (0, j))
+    first = float(np.sum(_finite(DomainError, message, dF, base) * dx))
+    second = float(np.sum(_finite(DomainError, message, d2F, base) * dx**2))
+    return float(end - start) - first - 0.5 * second

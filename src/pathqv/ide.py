@@ -41,14 +41,13 @@ the resulting discrete fixed-point system:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_level
-from .errors import DomainError, NumericalError
-from .flow import RTOL, eval_on, flow_with_derivatives
+from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_count, _check_level
+from .errors import DomainError, NumericalError, _finite
+from .flow import RTOL, flow_with_derivatives
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
@@ -66,8 +65,7 @@ class IDEProblem:
 
     ``drift`` takes (t, xi) and, like the field's callables, may return
     anything that broadcasts against the joint shape of its arguments, e.g.
-    a scalar for a constant drift; the solvers pad with ``eval_on`` where
-    they need a full-shape array.
+    a scalar for a constant drift, which numpy broadcasting absorbs.
 
     ``drift_growth`` declares a constant c with |b(t, xi)| <= c (1 + |xi|);
     it feeds the a-priori Gronwall bound and is not otherwise enforced.
@@ -103,7 +101,8 @@ class IDEProblem:
         """A-priori sup bound (m + cV) e^(cV) on any solution iterate.
 
         Kernel growth constants are assembled from the declared field
-        bounds and drift growth; deliberately conservative.
+        bounds and drift growth; deliberately conservative.  DomainError
+        if sigma(t, 0) is not finite for some t in [0, 1].
         """
         if self.drift_growth is None:
             raise DomainError("gronwall_bound needs a declared drift_growth")
@@ -111,7 +110,8 @@ class IDEProblem:
         T0 = float(self.field.sup_sigma_t)
         X = float(np.max(np.abs(self.x.values)))
         taus = np.linspace(0.0, 1.0, 201)
-        S0 = float(np.max(np.abs(np.asarray(self.field.sigma(taus, np.zeros_like(taus))))))
+        S0 = float(np.max(np.abs(_finite(DomainError, "sigma(t, 0) is not finite for t in [0, 1]",
+                                         self.field.sigma, taus, np.zeros_like(taus)))))
         E = float(np.exp(L * X))
         eps = 1.0 / E
         G = (E - 1.0) / L if L > 0 else X
@@ -142,10 +142,8 @@ def _cell_contributions(problem, tpts, xpts, y, dA, ds, dQ, rtol=RTOL):
     relative tolerance rtol.  Raises NumericalError when the drift is not
     finite at the flow values."""
     phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts, rtol)
-    with np.errstate(all="ignore"):
-        bvals = np.asarray(problem.drift(tpts, phi), dtype=np.float64)
-    if not np.all(np.isfinite(bvals)):
-        raise NumericalError("drift b is not finite at the flow values")
+    bvals = _finite(NumericalError, "drift b is not finite at the flow values",
+                    problem.drift, tpts, phi)
     n = dA.shape[0]
     return phi, (bvals / dxi)[:n] * dA + (-dtau / dxi)[:n] * ds + (-0.5 * dtt / dxi)[:n] * dQ
 
@@ -176,10 +174,7 @@ def _solve_picard(problem, level, grid, max_iter, initial=None):
     before it: a Newton step may raise the defect once, and the first
     full-tolerance sweep after loose ones may read a larger defect.
     """
-    try:
-        sweeps = operator.index(max_iter) + 1
-    except TypeError:
-        raise DomainError(f"max_iter must be an integer, got {max_iter!r}") from None
+    sweeps = _check_count(max_iter, "max_iter") + 1
     if sweeps < 1:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     tgrid, xvals, dA, ds, dQ = grid
@@ -290,6 +285,7 @@ def _solve_tonelli(problem, level, grid, tonelli_n):
     """The delayed iterate with lag 1/tonelli_n, built block by block on
     ``grid``; returns (B, phi, 0.0) like ``_solve_picard``, with phi from
     one full-grid flow solve at B (the delayed equation has no defect)."""
+    tonelli_n = _check_count(tonelli_n, "tonelli_n")
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
             f"tonelli delay 1/{tonelli_n} must divide the grid: "
@@ -301,18 +297,15 @@ def _solve_tonelli(problem, level, grid, tonelli_n):
     B = np.full(npts, problem.z0)
     prefix = np.zeros(npts - 1)  # prefix[c] = sum of cell contributions 0..c
     running = 0.0
-    j0 = lag
-    while j0 <= npts - 1:
-        # cells [j0-lag, j1-lag] use only B values settled in earlier blocks
-        j1 = min(j0 + lag - 1, npts - 1)
-        lo, hi = j0 - lag, j1 - lag
-        sl = slice(lo, hi + 1)
+    for j0 in range(lag, npts, lag):
+        # B[j0:j1] reads cells [j0-lag, j1-lag), which use only B values of earlier blocks
+        j1 = min(j0 + lag, npts)
+        sl = slice(j0 - lag, j1 - lag)
         _, cells = _cell_contributions(problem, tgrid[sl], xvals[sl], B[sl],
                                        dA[sl], ds[sl], dQ[sl])
         prefix[sl] = running + np.cumsum(cells)
-        running = prefix[hi]
-        B[j0 : j1 + 1] = problem.z0 + prefix[lo : hi + 1]
-        j0 = j1 + 1
+        running = prefix[j1 - lag - 1]
+        B[j0:j1] = problem.z0 + prefix[sl]
     phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B, xvals)
     return SampledPath(level, B), phi, 0.0
 
@@ -339,7 +332,8 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
         |z(t) - z0 - sum sigma(s, z) dx - sum b(s, z) dA|,
 
     a finite-level diagnostic (the left sums converge to the integrals
-    only in the limit, so this is reported, not asserted small).
+    only in the limit, so this is reported, not asserted small); it reads
+    sigma and b at the left points only, NumericalError if not finite.
     """
     level = problem.working_level(level)
     grid = _restricted(problem, level)
@@ -351,9 +345,10 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
         raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
     tgrid, xvals, dA, _, _ = grid
     z = SampledPath(level, phi)
-    sig = eval_on(problem.field.sigma, tgrid, z.values)
-    bv = eval_on(problem.drift, tgrid, z.values)
-    sums = np.concatenate([[0.0], np.cumsum(sig[:-1] * np.diff(xvals) + bv[:-1] * dA)])
+    left = (tgrid[:-1], z.values[:-1])  # the sums read no value at t = 1
+    sig = _finite(NumericalError, "sigma is not finite at the solution", problem.field.sigma, *left)
+    bv = _finite(NumericalError, "drift b is not finite at the solution", problem.drift, *left)
+    sums = np.concatenate([[0.0], np.cumsum(sig * np.diff(xvals) + bv * dA)])
     follmer_defect = float(np.max(np.abs(z.values - problem.z0 - sums)))
     return IDESolution(B=B, z=z, residual_report=resid, follmer_defect=follmer_defect)
 
@@ -366,13 +361,15 @@ def verify_local_qv(z, field, qv_x, n):
     Masses follow the same sum-over-s<=t convention as the estimator, so
     for sigma constant and an empirical qv_x of the driving path the
     defect vanishes identically; for preset problems it shrinks with n.
+    Raises DomainError when sigma is not finite at a value of z.
     """
     n = _check_level(n)
     if qv_x.level < n or z.level < n:
         raise DomainError(f"need curve and path at level >= {n}")
     zn = z.restrict(n)
     tgrid = grid_points(n)
-    sig2 = np.asarray(field.sigma(tgrid, zn.values), dtype=np.float64) ** 2
+    sig2 = _finite(DomainError, "sigma is not finite at a value of z",
+                   field.sigma, tgrid, zn.values) ** 2
     ref = np.cumsum(sig2 * qv_x.restrict(n).masses())
     est = qv_curve(zn, n).values
     return float(np.max(np.abs(est - ref)))

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .dyadic import QVCurve, SampledPath, _check_level, grid_index
+from .dyadic import QVCurve, SampledPath, _check_count, _check_level, grid_index
 from .errors import DomainError
 
 
@@ -81,7 +81,7 @@ def ell2(coeffs, n, t):
 
 def ell1(coeffs, n, t):
     """Accumulated partial sum  2^-n sum_{m<n} sum_{k <= floor((2^m-1)t)} theta[m][k]^2."""
-    n = int(n)
+    n = _check_count(n, "row count")
     if not (0 <= n <= coeffs.depth):
         raise DomainError(f"row count {n} out of range (depth {coeffs.depth})")
     total = 0.0

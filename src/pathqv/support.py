@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BVDriver, QVCurve, SampledPath, grid_index, grid_points
-from .errors import DomainError, NumericalError
+from .dyadic import BVDriver, QVCurve, SampledPath, _check_count, _check_level, grid_index
+from .errors import DomainError, NumericalError, _finite
 from .flow import flow_with_derivatives
 from .ide import IDEProblem, solve_ide
 from .schauder import synthesize
@@ -73,7 +73,7 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     """
     if not np.isfinite(z1):
         raise DomainError(f"z1 must be finite, got {z1}")
-    level = int(level)
+    level = _check_level(level)
     j = grid_index(t0, level)
     if j == 0:
         raise DomainError("t0 must be positive")
@@ -163,8 +163,7 @@ def match_path(target_B, field, x, level=None, *, derivative=None):
         dB = np.asarray(derivative, dtype=np.float64)
         if dB.shape != B.values.shape:
             raise DomainError("derivative must match the working grid")
-    tgrid = grid_points(level)
-    _, dxi, dtau, dtt = flow_with_derivatives(field, tgrid, B.values, xs.values)
+    _, dxi, dtau, dtt = flow_with_derivatives(field, B.times(), B.values, xs.values)
     bvals = dxi * dB + dtau + 0.5 * dtt
     return SampledPath(level, bvals)
 
@@ -214,11 +213,12 @@ def nondiff_quotients(coeffs, fseq, t, n_max, *, eps=None):
     t = float(t)
     if not 0.0 <= t < 1.0:
         raise DomainError("t must lie in [0, 1); t = 1 reduces to t = 0 by symmetry")
-    n_max = int(n_max)
+    n_max = _check_count(n_max, "n_max")
     if not 1 <= n_max <= coeffs.depth:
         raise DomainError(f"n_max must lie in [1, depth={coeffs.depth}]")
     if eps is None:
-        eps = max(1e-12, 0.5 * abs(float(np.asarray(fseq.limit(t)))))
+        eps = max(1e-12, 0.5 * abs(float(_finite(DomainError, f"f_inf({t}) is not finite",
+                                                 fseq.limit, t))))
     eps = float(eps)
 
     path = synthesize(coeffs, coeffs.depth)
@@ -246,7 +246,8 @@ def nondiff_quotients(coeffs, fseq, t, n_max, *, eps=None):
         )
 
     s_fine = k_fine * 2.0 ** (-ns.astype(np.float64))
-    f_at = np.array([float(np.asarray(fseq.term(int(n), np.array([s]))).ravel()[0])
+    f_at = np.array([float(_finite(DomainError, f"f_{n}({s}) is not finite",
+                                   fseq.term, int(n), np.array([s])).ravel()[0])
                      for n, s in zip(ns, s_fine)])
     unoriented_increment = f_at * 2.0 ** ((ns - 1) / 2.0)
     hypothesis = np.abs(f_at) >= eps

@@ -1,4 +1,12 @@
+import ast
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
 import pathqv
+from pathqv.errors import DomainError, NumericalError, _finite
 
 REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral", "CovCurve")
 
@@ -16,3 +24,48 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in pathqv.__all__
         assert not hasattr(pathqv, name), name
+
+
+# -- one rule for user code: where numpy's warnings may be turned off ----------
+
+SRC = Path(pathqv.__file__).resolve().parent
+
+# Every call into user code goes through errors._finite; the others guard
+# arithmetic on a hot path (a whole flow solve, a Newton step) and a
+# coefficient row that _check_bound refuses when it is not finite.
+ERRSTATE_OWNERS = sorted(["errors._finite", "flow._integrate", "ide._newton_step",
+                          "construct._row"])
+
+
+def errstate_sites():
+    """The enclosing function of every errstate or seterr in the package."""
+    sites = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, scope + [child.name])
+                continue
+            name = getattr(child, "attr", getattr(child, "id", None))
+            if name in ("errstate", "seterr"):
+                sites.append(".".join([module, *scope]))
+            visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, [])
+    return sorted(sites)
+
+
+def test_errstate_lives_only_in_the_allowed_functions():
+    assert errstate_sites() == ERRSTATE_OWNERS
+
+
+def test_finite_returns_a_float64_array_uncopied_and_refuses_non_finite_values():
+    values = np.linspace(0.0, 1.0, 5)
+    assert _finite(DomainError, "unused", lambda: values) is values
+    assert _finite(DomainError, "unused", lambda t: 2 * t, 3).dtype == np.float64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        for error in (DomainError, NumericalError):
+            with pytest.raises(error, match="^f is not finite$"):
+                _finite(error, "f is not finite", lambda t: 1.0 / t, values)

@@ -552,12 +552,40 @@ def test_flow_check_non_finite_derivative_exit_2(capsys, sigma):
     assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("sigma, name", [("1/(xi-5.00001)", "sigma_xi"),
+                                         ("1/(xi-0.00001)", "sigma_xi"),
+                                         ("1/(t-1.00001)", "sigma_t")])
+def test_flow_check_pole_at_a_difference_point_exit_2(capsys, sigma, name):
+    # finite on the sample box, but not at xi or t + 1e-5 of a box point
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["flow-check", "--sigma", sigma]) == 2
+    err = assert_one_line_error(capsys)
+    assert err == f"error: {name} disagrees with finite differences of sigma\n"
+
+
 @pytest.mark.parametrize("sigma", ["sinh(40*xi)", "exp(30*xi)", "1+exp(20*xi)"])
 def test_flow_check_overflow_exit_3_in_one_line(capsys, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run(["flow-check", "--sigma", sigma]) == 3
     assert_one_line_error(capsys, "numerical failure: ")
+
+
+def test_tonelli_defect_reads_no_drift_value_at_t_1(tmp_path, capsys):
+    # the Föllmer sums read b at the left points only; exp(z(1)) overflows
+    problem = {"sigma": "0", "b": "exp(xi)", "A": "t", "x": "preset:one",
+               "z0": 0.9938853766099759, "level": 2, "qv": "t"}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(problem))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["solve", "--problem", str(pfile), "--scheme", "tonelli",
+                    "--tonelli-n", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == ("solved at level 2 (tonelli): fixed-point defect 0.000e+00, "
+                   "pathwise-integral defect 0.000e+00\n")
 
 
 def solve_bz(tmp_path, problem):

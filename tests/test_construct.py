@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -247,6 +248,19 @@ def test_spot_check_refuses_a_pole_without_a_warning():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         with pytest.raises(DomainError, match="finite"):
             FunctionSequence.constant_in_n(scalar_function("1/(t-0.5)"), 1.0)
+
+
+@pytest.mark.parametrize("what, term, limit", [
+    ("limit(t)", lambda n, t: np.ones_like(t), lambda t: np.where(t == 0.5, np.nan, 1.0)),
+    ("term(64, t)", lambda n, t: np.where((t == 0.5) & (n == 64), np.inf, 1.0 + 0.0 * t),
+     lambda t: np.ones_like(t)),
+])
+def test_spot_check_refuses_a_limit_or_f_64_that_is_not_finite(what, term, limit):
+    # neither is bound-checked, but a NaN gap would hide the convergence warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=rf"^{re.escape(what)} must return finite values"):
+            FunctionSequence(term, limit, 1.0)
 
 
 @pytest.mark.parametrize("build", [

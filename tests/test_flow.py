@@ -232,6 +232,17 @@ def test_field_validation_rejects_non_finite():
     assert sin_field(sup_sigma_t=0.0, sup_sigma_xi=1.0).sup_sigma_xi == 1.0
 
 
+def test_field_validation_refuses_a_nan_central_difference():
+    # finite on the sample box, but sigma(t, -5 - 1e-5) is NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="sigma_xi disagrees with finite differences"):
+            VolatilityField(sigma=lambda t, xi: np.power(xi + 5.0, 1.5),
+                            sigma_t=lambda t, xi: 0.0,
+                            sigma_xi=lambda t, xi: 1.5 * np.power(xi + 5.0, 0.5),
+                            sup_sigma_t=0.0, sup_sigma_xi=5.0)
+
+
 def test_integrator_raises_on_nan():
     # sqrt(xi) is NaN from the first stage at xi = -1
     bare = SimpleNamespace(sigma=lambda t, xi: np.sqrt(xi),

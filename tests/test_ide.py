@@ -551,3 +551,54 @@ def test_expression_field_gives_the_bits_of_padded_lambdas(src, c):
     drift = lambda t, xi: -0.5 * xi
     assert_same_solutions(linear_qv_problem(field_from_expression(src), drift, X8, 0.3, 8),
                           linear_qv_problem(lambdas, drift, X8, 0.3, 8))
+
+
+# -- user callables that are not finite where only a diagnostic reads them -----
+
+def window_nan_field():
+    """sigma = 1, except NaN for t in about (0.6007, 0.6993): off the sample
+    box of field construction, where exp overflows and 0 * inf is NaN."""
+    def sigma(t, xi):
+        return 1.0 + 0.0 * np.exp(1e6 * (t - 0.6) * (0.7 - t)) + 0.0 * xi
+
+    zero = lambda t, xi: 0.0
+    return VolatilityField(sigma=sigma, sigma_t=zero, sigma_xi=zero,
+                           sup_sigma_t=0.0, sup_sigma_xi=0.0)
+
+
+def test_gronwall_bound_refuses_a_sigma_that_is_not_finite_at_xi_0(x12):
+    prob = linear_qv_problem(window_nan_field(), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL,
+                             drift_growth=0.5)
+    with pytest.raises(DomainError, match=r"sigma\(t, 0\) is not finite"):
+        prob.gronwall_bound()
+
+
+def test_verify_local_qv_refuses_a_sigma_that_is_not_finite_on_z(x12):
+    qv = QVCurve.from_function(lambda t: t, 8)
+    with pytest.raises(DomainError, match="sigma is not finite at a value of z"):
+        verify_local_qv(x12, window_nan_field(), qv, 8)
+
+
+def test_tonelli_defect_refuses_a_drift_that_is_not_finite_at_an_unread_cell(x12):
+    # with lag 2 cells at level 2 the delayed sums never read cell 3 (t = 3/4),
+    # the defect's left sums do
+    drift = lambda t, xi: np.where(t == 0.75, np.nan, 0.1) + 0.0 * xi
+    prob = linear_qv_problem(constant_field(1.0), drift, x12, 0.3, 2)
+    with pytest.raises(NumericalError, match="drift b is not finite at the solution"):
+        solve_ide(prob, 2, scheme="tonelli", tonelli_n=2)
+    with pytest.raises(NumericalError, match="drift b is not finite at the flow values"):
+        solve_ide(prob, 2)
+
+
+@pytest.mark.parametrize("tonelli_n", [2.0, "4", None])
+def test_tonelli_rejects_a_count_that_is_not_an_integer(x12, tonelli_n):
+    prob = geometric_problem(x12.restrict(8))
+    with pytest.raises(DomainError, match="tonelli_n must be an integer"):
+        solve_ide(prob, 8, scheme="tonelli", tonelli_n=tonelli_n)
+
+
+def test_tonelli_takes_a_numpy_integer_count(x12):
+    prob = geometric_problem(x12.restrict(8))
+    a = solve_ide(prob, 8, scheme="tonelli", tonelli_n=np.int64(4))
+    b = solve_ide(prob, 8, scheme="tonelli", tonelli_n=4)
+    assert a.z.values.tobytes() == b.z.values.tobytes()

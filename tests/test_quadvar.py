@@ -163,6 +163,13 @@ def test_ell_row_bounds():
         ell1(c, 7, 0.5)
 
 
+def test_ell1_row_count_is_an_integer():
+    c = random_coeffs(np.random.default_rng(0), 4)
+    with pytest.raises(DomainError, match="row count must be an integer"):
+        ell1(c, 2.5, 0.5)
+    assert ell1(c, np.int64(3), 0.5) == ell1(c, 3, 0.5)
+
+
 def test_stolz_cesaro_gap_shrinks():
     for name in ("one", "fig1-left", "fig1-right", "fig2-left"):
         c = coefficients_x(preset(name), 14)

@@ -338,3 +338,38 @@ def test_quotients_affine_part_cancels():
     rep = nondiff_quotients(shifted, f, 0.3, 8)
     assert rep.recursion_defect <= 1e-10
     assert rep.d[0] == -2.0  # d_0 = x(1) - x(0) = slope
+
+
+@pytest.mark.parametrize("level", [8.7, "8", None])
+def test_shoot_rejects_a_level_that_is_not_an_integer(x10, level):
+    with pytest.raises(DomainError, match="level must be an integer"):
+        shoot_constant_b(constant_field(1.0), x10, 0.0, 1.0, 0.5, level)
+
+
+def test_shoot_takes_a_numpy_integer_level(x10):
+    field = constant_field(1.0)
+    assert (shoot_constant_b(field, x10, 0.0, 1.0, 0.5, np.int64(6))
+            == shoot_constant_b(field, x10, 0.0, 1.0, 0.5, 6))
+
+
+def test_quotients_check_n_max_is_an_integer():
+    f = preset("one")
+    c = coefficients_x(f, 8)
+    with pytest.raises(DomainError, match="n_max must be an integer"):
+        nondiff_quotients(c, f, 0.3, 5.9)
+    a, b = nondiff_quotients(c, f, 0.3, np.int64(5)), nondiff_quotients(c, f, 0.3, 5)
+    assert a.d.tobytes() == b.d.tobytes()
+
+
+# 1229/4096: a level-12 point on no coarser grid, so no spot check or row sees it
+T_OFF = 1229 / 4096
+
+
+@pytest.mark.parametrize("eps, what", [(None, "f_inf"), (0.5, "f_12")])
+def test_quotients_refuse_f_that_is_not_finite_at_t(eps, what):
+    from pathqv import FunctionSequence
+
+    f = FunctionSequence.constant_in_n(lambda t: np.where(t == T_OFF, np.nan, 1.0), 1.0)
+    c = coefficients_x(f, 12)
+    with pytest.raises(DomainError, match=rf"^{what}\(0\.300048828125\) is not finite$"):
+        nondiff_quotients(c, f, T_OFF, 12, eps=eps)
