@@ -221,7 +221,8 @@ def predicted_qv(fseq, kind, level):
     fine = max(level + 1, _QUAD_LEVEL)
     panels = 2 ** (fine - level)
     s = np.arange(2**fine + 1, dtype=np.float64) * 2.0 ** (-fine)
-    y = np.asarray(fseq.limit(s), dtype=np.float64) ** 2
+    y = _finite(DomainError, "limit(t)^2 must be finite at every point",
+                lambda: np.asarray(fseq.limit(s), dtype=np.float64) ** 2)
     cells = y[:-1].reshape(2**level, panels)  # row k: cell k without its right end
     simpson = (cells[:, 0] + y[panels::panels] + 4.0 * np.sum(cells[:, 1::2], axis=1)
                + 2.0 * np.sum(cells[:, 2::2], axis=1)) * (2.0 ** (-fine) / 3.0)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _finite
 
 #: Largest supported grid level (2^20 + 1 points per path).
 MAX_LEVEL = 20
@@ -193,9 +193,10 @@ class SampledPath:
     @classmethod
     def from_function(cls, fn, level):
         """Sample a callable at the level's grid points (for a QVCurve: an
-        analytic curve from a known limit t -> <x>_t)."""
-        t = grid_points(level)
-        return cls(level, np.asarray(fn(t), dtype=np.float64))
+        analytic curve from a known limit t -> <x>_t); DomainError if a
+        value is not finite."""
+        return cls(level, _finite(DomainError, "path values must be finite",
+                                  fn, grid_points(level)))
 
 
 def read_json(path):

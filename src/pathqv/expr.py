@@ -1,4 +1,4 @@
-"""A small recursive-descent parser for field and drift expressions.
+"""Field and drift expressions: parsing, evaluation and symbolic derivatives.
 
 Grammar (usual precedence, ^ binds tightest and is right-associative):
 
@@ -7,6 +7,16 @@ Grammar (usual precedence, ^ binds tightest and is right-associative):
     unary :=  '-' unary | power
     power :=  atom ('^' unary)?
     atom  :=  NUMBER | NAME | NAME '(' expr ')' | '(' expr ')'
+
+Python's expression grammar has the same precedence and associativity
+over these tokens (its ``factor := '-' factor | power`` and
+``power := primary '**' factor`` are unary and power above), so Python
+parses them: ``_tokenize`` reads the grammar's tokens and spells each as
+Python does (``^`` as ``**``, a number as the repr of its value),
+``ast.parse`` reads them joined with spaces (so ``**``, ``1_0`` or
+``0x1`` in the input stay refused), and ``_tree`` keeps only the
+grammar's node types, each as a tuple node.  Anything else, including a
+tree nested deeper than ``MAX_DEPTH``, is a DomainError.
 
 Names resolve to the functions sin, cos, sinh, exp, sqrt, the constants
 pi and e, or a declared variable (typically t and xi).  Expressions
@@ -20,8 +30,10 @@ here and are rejected when differentiated.
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import sys
 
 import numpy as np
 
@@ -43,9 +55,17 @@ _FUNCTIONS = {
 
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
+#: Deepest tree a parse accepts.  A derivative's tree is at most about
+#: three times as deep as its expression's, so evaluating and
+#: differentiating an accepted tree stays well below Python's recursion
+#: limit, also inside a flow solve.
+MAX_DEPTH = 100
+
 
 def _tokenize(src):
-    tokens = []
+    """The grammar's tokens of ``src``, each spelt the way Python reads it:
+    ``^`` as ``**`` and a number as the repr of its value (1e999 for inf)."""
+    words = []
     pos = 0
     while pos < len(src):
         match = _TOKEN.match(src, pos)
@@ -56,95 +76,56 @@ def _tokenize(src):
             raise DomainError(f"unexpected character {rest[0]!r} in expression {src!r}")
         pos = match.end()
         if match.lastgroup == "num":
-            tokens.append(("num", float(match.group("num"))))
-        elif match.lastgroup == "name":
-            tokens.append(("name", match.group("name")))
+            value = float(match.group("num"))
+            words.append(repr(value) if math.isfinite(value) else "1e999")
         else:
-            tokens.append(("op", match.group("op")))
-    tokens.append(("end", None))
-    return tokens
+            words.append(match.group("name") or match.group("op").replace("^", "**"))
+    return words
 
 
-class _Parser:
-    def __init__(self, src, variables):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.pos = 0
-        self.variables = frozenset(variables)
+def _parse(src, variables):
+    """The tuple tree of ``src``: Python parses the tokens joined with
+    spaces, and ``_tree`` keeps the grammar's node types."""
+    try:
+        body = ast.parse(" ".join(_tokenize(src)), mode="eval").body
+    except (SyntaxError, RecursionError, MemoryError):
+        raise DomainError(f"malformed expression {src!r}") from None
+    return _tree(body, src, frozenset(variables), 1)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
 
-    def expect_op(self, op):
-        kind, value = self.take()
-        if kind != "op" or value != op:
-            raise DomainError(f"expected {op!r} in expression {self.src!r}")
 
-    def parse(self):
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise DomainError(f"trailing input in expression {self.src!r}")
-        return node
+def _tree(node, src, variables, depth):
+    if depth > MAX_DEPTH:
+        raise DomainError(f"expression {src!r} is nested deeper than {MAX_DEPTH}")
 
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
+    def sub(child):
+        return _tree(child, src, variables, depth + 1)
 
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            op = self.take()[1]
-            rhs = self.unary()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.take()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            return ("pow", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, value = self.take()
-        if kind == "num":
-            return ("num", value)
-        if kind == "name":
-            if self.peek() == ("op", "("):
-                if value not in _FUNCTIONS:
-                    raise DomainError(f"unknown function {value!r} in {self.src!r}")
-                self.take()
-                arg = self.expr()
-                self.expect_op(")")
-                return ("call", value, arg)
-            if value in _CONSTANTS:
-                return ("num", _CONSTANTS[value])
-            if value in self.variables:
-                return ("var", value)
-            raise DomainError(
-                f"unknown name {value!r} in {self.src!r} "
-                f"(variables here: {', '.join(sorted(self.variables))})"
-            )
-        if kind == "op" and value == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise DomainError(f"unexpected token in expression {self.src!r}")
+    if isinstance(node, ast.Constant) and type(node.value) is float:
+        return ("num", node.value)
+    if isinstance(node, ast.Name):
+        if node.id in _CONSTANTS:
+            return ("num", _CONSTANTS[node.id])
+        if node.id in variables:
+            return ("var", node.id)
+        raise DomainError(
+            f"unknown name {node.id!r} in {src!r} "
+            f"(variables here: {', '.join(sorted(variables))})"
+        )
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return ("neg", sub(node.operand))
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return (_BINARY[type(node.op)], sub(node.left), sub(node.right))
+    # a call's name stands right before its "(": "(sin)(xi)" is refused
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.col_offset == node.col_offset):
+        if node.func.id not in _FUNCTIONS:
+            raise DomainError(f"unknown function {node.func.id!r} in {src!r}")
+        if len(node.args) == 1 and not node.keywords:
+            return ("call", node.func.id, sub(node.args[0]))
+    raise DomainError(f"malformed expression {src!r}")
 
 
 def _eval(node, env):
@@ -188,6 +169,10 @@ def _num(v):
     return ("num", float(v))
 
 
+def _neg(a):
+    return _num(0.0) if a == _num(0.0) else ("neg", a)
+
+
 def _add(a, b):
     if a == ("num", 0.0):
         return b
@@ -200,7 +185,7 @@ def _sub(a, b):
     if b == ("num", 0.0):
         return a
     if a == ("num", 0.0):
-        return ("neg", b)
+        return _neg(b)
     return ("sub", a, b)
 
 
@@ -229,7 +214,7 @@ def _diff(node, var):
     if tag == "var":
         return _num(1.0 if node[1] == var else 0.0)
     if tag == "neg":
-        return ("neg", _diff(node[1], var))
+        return _neg(_diff(node[1], var))
     if tag == "add":
         return _add(_diff(node[1], var), _diff(node[2], var))
     if tag == "sub":
@@ -252,7 +237,7 @@ def _diff(node, var):
         if fname == "sin":
             return _mul(("call", "cos", arg), da)
         if fname == "cos":
-            return ("neg", _mul(("call", "sin", arg), da))
+            return _neg(_mul(("call", "sin", arg), da))
         if fname == "exp":
             return _mul(node, da)
         if fname == "sqrt":
@@ -275,7 +260,7 @@ class Expression:
     def __init__(self, src, variables=("t", "xi"), _ast=None):
         self.src = src
         self.variables = tuple(variables)
-        self.ast = _ast if _ast is not None else _Parser(src, self.variables).parse()
+        self.ast = _ast if _ast is not None else _parse(src, self.variables)
 
     def __call__(self, *args):
         if len(args) != len(self.variables):
@@ -323,7 +308,7 @@ def field_from_expression(src):
                "t in [0, 1], xi in [-8, 8]")
     sup_t, sup_xi = (float(np.max(np.abs(_finite(DomainError, message, d, tt, xx))))
                      for d in (d_t, d_xi))
-    sup_t = 0.0 if d_t.ast == _num(0.0) else max(sup_t, np.finfo(np.float64).tiny)
+    sup_t = 0.0 if d_t.ast == _num(0.0) else max(sup_t, sys.float_info.min)
     return VolatilityField(
         sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,
         sup_sigma_t=sup_t, sup_sigma_xi=sup_xi, name=src,

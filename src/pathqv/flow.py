@@ -123,8 +123,11 @@ class VolatilityField:
         sig = sample_box_values(self.sigma, "sigma")
         d_xi = sample_box_values(self.sigma_xi, "sigma_xi")
         d_t = sample_box_values(self.sigma_t, "sigma_t")
-        if not (math.isfinite(self.sup_sigma_t) and math.isfinite(self.sup_sigma_xi)):
-            raise DomainError("declared sup-bounds must be finite")
+        for name in ("sup_sigma_t", "sup_sigma_xi"):
+            bound = float(getattr(self, name))
+            if not math.isfinite(bound):
+                raise DomainError("declared sup-bounds must be finite")
+            object.__setattr__(self, name, bound)
         for name, d, up, dn in (("sigma_xi", d_xi, (tt, xx + h), (tt, xx - h)),
                                 ("sigma_t", d_t, (tt + h, xx), (tt - h, xx))):
             message = f"{name} disagrees with finite differences of sigma"  # or is not finite
@@ -248,7 +251,7 @@ def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
         sig0 = at(field.sigma, xi)
         error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
         keep_v = not np.all(abs(sig0) > error_scale)
-        keep_w = getattr(field, "sup_sigma_t", None) != 0
+        keep_w = bool(getattr(field, "sup_sigma_t", None) != 0)
         rows = "u" + "v" * keep_v + "w" * keep_w
         y = _dp45_rows(field, tau, xi, scale, rows, ops, rtol, max_steps)
         phi = y[0]
@@ -500,8 +503,9 @@ def scalar_linear_field(sig, dsig, name="linear"):
     [0, 1] x [-5, 5].
     """
     tt = np.linspace(0.0, 1.0, 201)
-    sup_t = float(np.max(np.abs(np.asarray(dsig(tt), dtype=np.float64)))) * 5.0
-    sup_xi = float(np.max(np.abs(np.asarray(sig(tt), dtype=np.float64))))
+    message = f"{name}: sig and dsig must be finite on [0, 1]"
+    sup_t = float(np.max(np.abs(_finite(DomainError, message, dsig, tt)))) * 5.0
+    sup_xi = float(np.max(np.abs(_finite(DomainError, message, sig, tt))))
 
     def exact_flow(tau, xi, t):  # xi e^{sig(tau) t}
         e = np.exp(sig(tau) * t)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import MAX_LEVEL, SampledPath, _check_level
+from .dyadic import MAX_LEVEL, SampledPath, _check_count, _check_level
 from .errors import DomainError
 
 
@@ -28,6 +28,7 @@ def basis_eval(m, k, t):
     Zero outside [k 2^-m, (k+1) 2^-m]; peak 2^(-(m+2)/2) at (k + 1/2) 2^-m.
     """
     m = _check_level(m)
+    k = _check_count(k, "wedge index k")
     if not (0 <= k <= 2**m - 1):
         raise DomainError(f"wedge index k={k} out of range for row m={m}")
     t = np.asarray(t, dtype=np.float64)
@@ -64,6 +65,7 @@ class FSCoefficients:
         return len(self.theta)
 
     def row(self, m):
+        m = _check_count(m, "row index")
         if not (0 <= m < self.depth):
             raise DomainError(f"row {m} out of range (depth {self.depth})")
         return self.theta[m]
@@ -77,8 +79,7 @@ def analyze(path, depth=None):
     """
     if path.level < 1:
         raise DomainError("analysis needs path level >= 1")
-    if depth is None:
-        depth = path.level
+    depth = path.level if depth is None else _check_count(depth, "analysis depth")
     if not (1 <= depth <= path.level):
         raise DomainError(
             f"analysis depth {depth} must lie in [1, path level {path.level}]"

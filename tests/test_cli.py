@@ -618,3 +618,83 @@ def test_solve_bad_driver_file_exit_2(tmp_path, capsys, name, text):
     pfile.write_text(json.dumps({**GOOD_PROBLEM, "A": str(afile)}))
     assert run(["solve", "--problem", str(pfile)]) == 2
     assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("sigma", ["2+cos(xi)", "-xi", "exp(-xi^2/2)", "1+0.5*exp(-xi)",
+                                   "xi*(t-t)"])
+def test_negated_zero_t_derivative_fields_check_and_solve(tmp_path, capsys, sigma):
+    if sigma == "1+0.5*exp(-xi)":
+        # e^u = (e^xi + 1/2) e^t - 1/2 reaches 0 at t > -1 on the sample box
+        assert run(["flow-check", f"--sigma={sigma}"]) == 3
+        assert "underflow" in assert_one_line_error(capsys, "numerical failure: ")
+    else:
+        assert run(["flow-check", f"--sigma={sigma}"]) == 0
+        assert capsys.readouterr().out.count("PASS") == 4
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "sigma": sigma}))
+    assert run(["solve", "--problem", str(pfile)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_solve_empirical_qv_is_the_default_for_a_file_x(tmp_path, monkeypatch, capsys):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "one", "--level", "6", "--out", str(x)])
+    problem = {k: v for k, v in GOOD_PROBLEM.items() if k != "qv"}
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**problem, "x": str(x)}))
+    loaded, _ = cli._load_problem(str(pfile))
+    assert np.array_equal(loaded.qv_x.values, qv_curve(SampledPath.from_csv(x), 6).values)
+    capsys.readouterr()
+    assert run(["solve", "--problem", str(pfile)]) == 0
+    assert capsys.readouterr().out.startswith("solved at level 6 (picard)")
+
+
+def test_solve_bad_qv_spec_exit_2(tmp_path, capsys):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "qv": "quadratic"}))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert "bad qv spec 'quadratic'" in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("levels, message", [("8,x", "bad --levels '8,x'"),
+                                             (",", "--levels is empty"),
+                                             ("", "--levels is empty")])
+def test_qv_bad_levels_exit_2(tmp_path, capsys, levels, message):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "one", "--level", "8", "--out", str(x)])
+    capsys.readouterr()
+    assert run(["qv", "--in", str(x), "--levels", levels]) == 2
+    assert message in assert_one_line_error(capsys)
+
+
+def test_x_file_below_the_requested_level_exit_2(tmp_path, capsys):
+    x = tmp_path / "x.csv"
+    run(["synth-x", "--preset", "one", "--level", "6", "--out", str(x)])
+    capsys.readouterr()
+    assert run(["shoot", "--sigma", "1", "--x", str(x), "--z0", "0", "--z1", "1",
+                "--t0", "0.5", "--level", "8"]) == 2
+    assert "level 6 below requested 8" in assert_one_line_error(capsys)
+
+
+def test_numerical_error_prints_its_defects(tmp_path, monkeypatch, capsys):
+    def stall(*args, **kwargs):
+        raise cli.NumericalError("Picard iteration stalled", trace=[0.5, 0.25])
+
+    monkeypatch.setattr(cli, "solve_ide", stall)
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(GOOD_PROBLEM))
+    assert run(["solve", "--problem", str(pfile)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical failure: Picard iteration stalled",
+        "  defect[0] = 5.000000e-01", "  defect[1] = 2.500000e-01"]
+
+
+@pytest.mark.parametrize("src", ["(" * 300 + "xi" + ")" * 300, "-" * 300 + "xi",
+                                 "+".join(["xi"] * 300)], ids=["parentheses", "minus", "sum"])
+def test_expression_nested_300_deep_exit_2(tmp_path, capsys, src):
+    assert run(["flow-check", f"--sigma={src}"]) == 2
+    assert_one_line_error(capsys)
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "b": src}))
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert_one_line_error(capsys)

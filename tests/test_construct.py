@@ -295,3 +295,15 @@ def test_preset_lookup():
     assert preset("fig2-right").uniform_bound == 10.0
     with pytest.raises(DomainError):
         preset("nope")
+
+
+def test_predicted_qv_refuses_a_limit_pole_between_the_spot_checks():
+    # 1/(t - 2^-14) is finite on the level-10 spot grid, and the level-12
+    # coefficient rows never sample 2^-14, but the Simpson pass does
+    pole = 2.0**-14
+    fseq = FunctionSequence.constant_in_n(lambda t: 1.0 / (t - pole), 2.0 / pole)
+    build_x(fseq, 12)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="limit"):
+            predicted_qv(fseq, "curved", 12)

@@ -266,3 +266,10 @@ def test_csv_t_column_must_be_the_grid(tmp_path):
     level1.write_text("t,value\n0.5,0\n0.0,1\n9.0,2\n")
     with pytest.raises(DomainError):
         SampledPath.from_csv(level1)
+
+
+def test_from_function_refuses_a_pole_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="finite"):
+            QVCurve.from_function(lambda t: 1 / (t - 0.5), 4)

@@ -1,7 +1,9 @@
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathqv import DomainError, Expression, evaluate_constant, field_from_expression
 from pathqv.expr import scalar_function
@@ -49,6 +51,11 @@ def test_parse_errors():
         Expression("2 $ 3", variables=())
     with pytest.raises(DomainError):
         Expression("2 3", variables=())  # trailing input
+    # Python syntax outside the grammar; a call's name must precede its "("
+    for src in ("(sin)(xi)", "exp)(e", "sin(xi)(xi)", "2(3)", "sin()", "2**3", "1_0", "0x1",
+                "xi # 2", "not xi", "True", "xi if xi"):
+        with pytest.raises(DomainError):
+            Expression(src, ("t", "xi"))
 
 
 def test_differentiation_matches_finite_differences():
@@ -100,15 +107,45 @@ def test_field_from_expression_time_dependent():
     assert float(np.asarray(fe.sigma_xi(1.0, 5.0))) == pytest.approx(0.3, rel=1e-12)
 
 
-@pytest.mark.parametrize("src", ["1+0.3*sin(xi)", "sqrt(1+xi^2)", "xi + 0*t"])
+def _solves(field):
+    from pathqv import flow_with_derivatives
+
+    xi = np.linspace(-1.0, 1.0, 5)
+    batch = flow_with_derivatives(field, 0.3, xi, 0.5)
+    point = flow_with_derivatives(field, 0.3, xi[1], 0.5)
+    assert np.allclose([c[1] for c in batch], point, rtol=1e-9, atol=1e-12)
+    return batch
+
+
+# cos and unary minus leave a negated zero in the t-derivative, which folds
+@pytest.mark.parametrize("src", ["1+0.3*sin(xi)", "sqrt(1+xi^2)", "xi + 0*t", "2+cos(xi)",
+                                 "-xi", "exp(-xi^2/2)", "1+0.5*exp(-xi)"])
 def test_time_free_field_declares_a_zero_t_bound(src):
-    assert field_from_expression(src).sup_sigma_t == 0.0
+    field = field_from_expression(src)
+    assert field.sup_sigma_t == 0.0 and type(field.sup_sigma_t) is float
+    assert not np.any(_solves(field)[2])  # d_tau
 
 
 @pytest.mark.parametrize("src", ["(0.2+0.1*t)*xi", "xi*(t-t)"])
 def test_only_a_folded_zero_t_derivative_is_time_free(src):
     # xi*(t-t) samples a zero t-derivative, but its tree does not fold to 0
-    assert field_from_expression(src).sup_sigma_t > 0.0
+    field = field_from_expression(src)
+    assert field.sup_sigma_t > 0.0 and type(field.sup_sigma_t) is float
+    _solves(field)
+
+
+def test_a_field_stores_its_sup_bounds_as_floats():
+    from pathqv import VolatilityField
+
+    field = VolatilityField(sigma=lambda t, xi: 1.0 + 0.3 * np.sin(xi), sigma_t=lambda t, xi: 0.0,
+                            sigma_xi=lambda t, xi: 0.3 * np.cos(xi),
+                            sup_sigma_t=np.float64(0.0), sup_sigma_xi=np.float64(0.3))
+    assert type(field.sup_sigma_t) is float and type(field.sup_sigma_xi) is float
+    assert not np.any(_solves(field)[2])
+    # the flow takes any object with the field's attributes
+    duck = SimpleNamespace(**{k: getattr(field, k) for k in ("sigma", "sigma_t", "sigma_xi")},
+                           sup_sigma_t=np.float64(0.0))
+    assert not np.any(_solves(duck)[2])
 
 
 def test_time_dependent_expression_field_d_tau_matches_closed_form():
@@ -157,3 +194,82 @@ def test_field_from_expression_non_finite_derivative_on_its_box(src):
         with pytest.raises(DomainError) as err:
             field_from_expression(src)
     assert src in str(err.value) and "xi in [-8, 8]" in str(err.value)
+
+
+# -- the grammar, as property tests ---------------------------------------------
+
+_LEAVES = st.one_of(
+    st.floats(0.0, 1e300).map(lambda v: ("num", abs(v))),  # abs: no -0.0
+    st.sampled_from([("var", "t"), ("var", "xi")]),
+)
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    kids.map(lambda a: ("neg", a)),
+    st.tuples(st.just("call"), st.sampled_from(["sin", "cos", "sinh", "exp", "sqrt"]), kids),
+    st.tuples(st.sampled_from(["add", "sub", "mul", "div", "pow"]), kids, kids),
+), max_leaves=12)
+_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "^"}
+
+
+def _render(node, full):
+    """(text, precedence) of a tree, with the parentheses the grammar's
+    precedence needs, or around every operation when ``full``."""
+    tag = node[0]
+    if tag == "num":
+        return repr(node[1]), 5
+    if tag == "var":
+        return node[1], 5
+    if tag == "call":
+        return f"{node[1]}({_render(node[2], full)[0]})", 5
+
+    def operand(child, least):
+        text, prec = _render(child, full)
+        return f"({text})" if prec < least or (full and prec < 5) else text
+
+    if tag == "neg":  # unary := '-' unary | power
+        return "-" + operand(node[1], 3), 3
+    if tag == "pow":  # power := atom '^' unary
+        return operand(node[1], 5) + "^" + operand(node[2], 3), 4
+    prec = _PREC[tag]  # left-associative: the right operand binds tighter
+    return operand(node[1], prec) + _SYMBOL[tag] + operand(node[2], prec + 1), prec
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_TREES, st.booleans())
+def test_rendered_trees_parse_back_to_themselves(tree, full):
+    assert Expression(_render(tree, full)[0], ("t", "xi")).ast == tree
+
+
+_WORDS = ["xi", "t", "2", "0.5", "1e-3", ".25", "1e400", "pi", "e", "sin", "exp", "sqrt",
+          "foo", "+", "-", "*", "/", "^", "(", ")", " "]
+_STRAY = ["$", "#", "_", "1_0", "0x1", ".", "**", "%", "@", "=", ",", "[", "\n", "j", "if",
+          "not", "True", "lambda", ":", "await", "for", "in", "//", "'"]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_WORDS + _STRAY), max_size=16).map("".join))
+def test_token_strings_parse_or_raise_domain_error(src):
+    try:
+        Expression(src, ("t", "xi"))
+    except DomainError:
+        pass
+
+
+def _nested(depth):
+    return "xi" + "+xi" * (depth - 1)  # a flat sum is a tree as deep as its terms
+
+
+def test_nesting_cap():
+    from pathqv import flow_with_derivatives
+    from pathqv.expr import MAX_DEPTH
+
+    with pytest.raises(DomainError, match="nested deeper"):
+        Expression(_nested(MAX_DEPTH + 1))
+    # the deepest accepted trees and their derivatives evaluate in a flow solve
+    # d/dxi of a quotient is about three times as deep as the quotient
+    quotients = "(" * (MAX_DEPTH - 3) + "xi" + ")/(2+sin(xi))" * (MAX_DEPTH - 3)
+    for src in (_nested(MAX_DEPTH - 1) + "+1", quotients):
+        field = field_from_expression(src)
+        assert np.all(np.isfinite(flow_with_derivatives(field, 0.5, 1.5, 0.01)))
+    with pytest.raises(DomainError):
+        Expression("(" * 300 + "xi" + ")" * 300)  # Python's parser refuses 300 parentheses

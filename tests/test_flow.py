@@ -700,3 +700,10 @@ def test_flow_overflow_is_a_flow_error():
         raises_quietly(fn, field, np.zeros(2), np.array([0.5, 1e200]), np.ones(2))
     # a closed-form flow whose d_tt overflows at a finite flow value
     raises_quietly(flow_with_derivatives, sqrt1p_field(), 0.0, 1e200, 1.0)
+
+
+def test_scalar_linear_field_refuses_a_pole_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="finite on"):
+            scalar_linear_field(lambda t: 1 / (t - 0.5), lambda t: -1 / (t - 0.5) ** 2)

@@ -132,3 +132,19 @@ def test_analysis_depth_capped_by_level():
         analyze(p, depth=5)
     with pytest.raises(DomainError):
         analyze(SampledPath.from_function(lambda t: t, 0))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: analyze(SampledPath(3, np.arange(9.0)), 2.5), "analysis depth"),
+    (lambda: analyze(SampledPath(3, np.arange(9.0))).row(2.0), "row index"),
+    (lambda: basis_eval(2, 0.5, 0.3), "wedge index k"),
+], ids=["analyze-depth", "row", "basis-eval-k"])
+def test_indices_must_be_integers(call, what):
+    with pytest.raises(DomainError, match=f"{what} must be an integer"):
+        call()
+
+
+def test_indices_of_any_integer_type():
+    coeffs = analyze(SampledPath(3, np.arange(9.0) ** 2), np.int64(2))
+    assert coeffs.depth == 2 and coeffs.row(np.int32(1)) is coeffs.theta[1]
+    assert basis_eval(2, np.int64(1), 0.375) == basis_eval(2, 1, 0.375)
