@@ -44,8 +44,11 @@ def _check_level(n):
 
 
 def _check_count(n, what):
-    """n as an int, from any integer type; DomainError naming ``what`` if not."""
+    """n as an int, from any integer type but bool (as ``_check_level``);
+    DomainError naming ``what`` if not."""
     try:
+        if isinstance(n, bool):  # operator.index(True) is 1
+            raise TypeError
         return operator.index(n)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {n!r}") from None

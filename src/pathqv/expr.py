@@ -62,6 +62,16 @@ _CONSTANTS = {"pi": math.pi, "e": math.e}
 MAX_DEPTH = 100
 
 
+#: Longest source a parse error quotes whole; a longer one is cut there.
+_QUOTED = 60
+
+
+def _quote(src):
+    """``src`` as a parse error shows it: its repr, cut after the first
+    _QUOTED characters, with "..." after the quote, when it is longer."""
+    return repr(src) if len(src) <= _QUOTED else f"{src[:_QUOTED]!r}..."
+
+
 def _tokenize(src):
     """The grammar's tokens of ``src``, each spelt the way Python reads it:
     ``^`` as ``**`` and a number as the repr of its value (1e999 for inf)."""
@@ -73,7 +83,7 @@ def _tokenize(src):
             rest = src[pos:].lstrip()
             if not rest:
                 break
-            raise DomainError(f"unexpected character {rest[0]!r} in expression {src!r}")
+            raise DomainError(f"unexpected character {rest[0]!r} in expression {_quote(src)}")
         pos = match.end()
         if match.lastgroup == "num":
             value = float(match.group("num"))
@@ -89,7 +99,7 @@ def _parse(src, variables):
     try:
         body = ast.parse(" ".join(_tokenize(src)), mode="eval").body
     except (SyntaxError, RecursionError, MemoryError):
-        raise DomainError(f"malformed expression {src!r}") from None
+        raise DomainError(f"malformed expression {_quote(src)}") from None
     return _tree(body, src, frozenset(variables), 1)
 
 
@@ -98,7 +108,7 @@ _BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.
 
 def _tree(node, src, variables, depth):
     if depth > MAX_DEPTH:
-        raise DomainError(f"expression {src!r} is nested deeper than {MAX_DEPTH}")
+        raise DomainError(f"expression {_quote(src)} is nested deeper than {MAX_DEPTH}")
 
     def sub(child):
         return _tree(child, src, variables, depth + 1)
@@ -111,7 +121,7 @@ def _tree(node, src, variables, depth):
         if node.id in variables:
             return ("var", node.id)
         raise DomainError(
-            f"unknown name {node.id!r} in {src!r} "
+            f"unknown name {_quote(node.id)} in {_quote(src)} "
             f"(variables here: {', '.join(sorted(variables))})"
         )
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -122,10 +132,10 @@ def _tree(node, src, variables, depth):
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.col_offset == node.col_offset):
         if node.func.id not in _FUNCTIONS:
-            raise DomainError(f"unknown function {node.func.id!r} in {src!r}")
+            raise DomainError(f"unknown function {_quote(node.func.id)} in {_quote(src)}")
         if len(node.args) == 1 and not node.keywords:
             return ("call", node.func.id, sub(node.args[0]))
-    raise DomainError(f"malformed expression {src!r}")
+    raise DomainError(f"malformed expression {_quote(src)}")
 
 
 def _eval(node, env):

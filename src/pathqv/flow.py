@@ -169,19 +169,32 @@ def _require_close(got, want, tol, message):
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau): plain floats for one point given as
     floats (see ``_points``), else fresh float arrays of the joint input
-    shape; raises FlowIntegrationError on any non-finite value.  Callers
-    turn numpy's warnings off."""
+    shape; raises FlowIntegrationError on any non-finite value.  An output
+    is copied only when it is not already such an array: a float64 array
+    of that shape that owns its data and is none of the inputs and no
+    earlier output.  Callers turn numpy's warnings off."""
     values = exact_flow(tau, xi, t)
     if isinstance(tau, float) and isinstance(xi, float) and isinstance(t, float):
         out = tuple(float(v) for v in values)
         finite = all(map(math.isfinite, out))
     else:
         shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
-        out = tuple(np.broadcast_to(v, shape).astype(np.float64)[()] for v in values)
+        out = []
+        for v in values:
+            fresh = _fresh(v, shape, (tau, xi, t, *out))
+            out.append(v if fresh else np.full(shape, v, dtype=np.float64))
+        out = tuple(out)
         finite = all(np.all(np.isfinite(v)) for v in out)
     if not finite:
         raise FlowIntegrationError("non-finite value from the closed-form flow")
     return out
+
+
+def _fresh(v, shape, others):
+    """Whether v is a float64 array of ``shape`` that owns its data and is
+    none of ``others``: a closed form's own result, safe to hand out."""
+    return (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
+            and v.flags.owndata and v.flags.writeable and not any(v is w for w in others))
 
 
 def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):

@@ -17,20 +17,25 @@ non-anticipative convention of the pathwise integral.  Two schemes solve
 the resulting discrete fixed-point system:
 
 * ``picard``  sweeps from the constant z0 with one vectorized flow solve
-  per sweep, loose while the defect is large and at full tolerance
-  before it may stop (a closed-form flow is always at full accuracy); the
-  flow values of that last sweep are phi(t, B(t), x(t)) and assemble z
-  without a further solve.  The first sweep takes the Picard step
-  B -> z0 + S(B); every later one a causal Newton step.  Cell j of S
-  reads B only at its left point, so the Jacobian of S is strictly lower
-  triangular and the Newton step solves a first-order recurrence in
-  O(n), with one cumulative product and one cumulative sum; each cell's
-  slope is the secant of the last two sweeps, so no flow solve is added.
+  per sweep (per block, see below), loose while the defect is large and
+  at full tolerance before it may stop (a closed-form flow is always at
+  full accuracy); the flow values of that last sweep are phi(t, B(t),
+  x(t)) and assemble z without a further solve.  The first sweep takes
+  the Picard step B -> z0 + S(B); every later one a causal Newton step.
+  Cell j of S reads B only at its left point, so the Jacobian of S is
+  strictly lower triangular and the Newton step solves a first-order
+  recurrence in O(n), with one cumulative product and one cumulative
+  sum; each cell's slope is the secant of the last two sweeps, so no
+  flow solve is added.
   Safeguards keep the step bounded: the secant counts only where B moved
   by more than 1e-3 of its largest move (a loose sweep's noise over a
   tiny move is no slope), each slope is clipped to min(1/2, 8 x the
   cell's driver mass), and a step that is not finite falls back to the
-  Picard step;
+  Picard step.  With a closed-form flow a sweep runs in blocks of 8192
+  cells, read from slices of the problem's own paths, so that only the
+  Picard state lives at full grid size (a level-16 solve holds about
+  nine grid arrays at once); a DP45 flow takes the whole grid as one
+  batch, since its step control is shared across a batch;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
@@ -54,7 +59,12 @@ PICARD_TOL = 1e-10
 MAX_PICARD_ITER = 200
 _FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
 _SLOPE_CAP = 8.0  # largest trusted slope of a cell per unit of its driver mass
-_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
+_PRODUCT_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
+# Cells per block of a closed-form sweep: a block array of 8192 floats is
+# 64 KiB, under glibc's default 128 KiB mmap threshold, so the blocks'
+# temporaries are reused from the heap instead of being mapped afresh and
+# page-faulted in every sweep.  Grids up to level 13 are one block.
+_SWEEP_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,29 +146,66 @@ class IDESolution:
     follmer_defect: float
 
 
-def _cell_contributions(problem, tpts, xpts, y, dA, ds, dQ, rtol=RTOL):
-    """Flow values at (t, B, x(t)) points and the left-point contributions
-    of the len(dA) cells starting there, from one vectorized flow solve at
-    relative tolerance rtol.  Raises NumericalError when the drift is not
-    finite at the flow values."""
-    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, tpts, y, xpts, rtol)
+def _paths(problem, level):
+    """x, A and <x> at the grid points of ``level``: strided views of the
+    problem's own values, so restriction copies nothing."""
+    return tuple(p.values[::2 ** (p.level - level)]
+                 for p in (problem.x, problem.driver_A, problem.qv_x))
+
+
+def _spans(problem, level):
+    """(a, b) point ranges that cover the grid points 0..2^level with
+    blocks of _SWEEP_BLOCK cells for a field with a closed-form flow, and
+    with one block otherwise (see ``_solve_picard``); the last also holds
+    the point t = 1, which starts no cell."""
+    n = 2**level
+    size = _SWEEP_BLOCK if getattr(problem.field, "exact_flow", None) is not None else n
+    return [(a, min(a + size, n) + (a + size >= n)) for a in range(0, n, size)]
+
+
+def _block(problem, level, paths, a, b, y, cells, rtol=RTOL):
+    """The flow at grid points a..b-1 of ``level``, at (t, y, x(t)), from
+    one vectorized flow solve at relative tolerance rtol; writes the
+    left-point contributions of the cells starting there (all but t = 1)
+    to ``cells`` from index a.  The times k 2^-level are exact, ds is the
+    constant 2^-level, and each cell takes b/phi_xi dA - phi_tau/phi_xi ds
+    - 1/2 phi_tt/phi_xi d<x> in that order.  Raises NumericalError when
+    the drift is not finite at the flow values."""
+    h = 2.0 ** -level
+    t = np.arange(a, b, dtype=np.float64) * h
+    xv, Av, Qv = paths
+    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, t, y, xv[a:b], rtol)
     bvals = _finite(NumericalError, "drift b is not finite at the flow values",
-                    problem.drift, tpts, phi)
-    n = dA.shape[0]
-    return phi, (bvals / dxi)[:n] * dA + (-dtau / dxi)[:n] * ds + (-0.5 * dtt / dxi)[:n] * dQ
+                    problem.drift, t, phi)
+    c = min(b, Av.shape[0] - 1)
+    m = c - a
+    out = np.multiply(np.divide(bvals, dxi)[:m], _increments(Av, a, c), out=cells[a:c])
+    term = np.negative(dtau[:m])
+    term /= dxi[:m]
+    term *= h
+    out += term
+    np.multiply(dtt[:m], -0.5, out=term)
+    term /= dxi[:m]
+    term *= _increments(Qv, a, c)
+    out += term
+    return phi
 
 
-def _restricted(problem, level):
-    x = problem.x.restrict(level)
-    A = problem.driver_A.restrict(level)
-    Q = problem.qv_x.restrict(level)
-    tgrid = grid_points(level)
-    return tgrid, x.values, A.increments(), np.diff(tgrid), Q.increments()
+def _increments(values, a, c):
+    """values[a+1:c+1] - values[a:c], as np.diff takes them."""
+    return np.subtract(values[a + 1:c + 1], values[a:c])
 
 
-def _solve_picard(problem, level, grid, max_iter, initial=None):
-    """Sweeps from z0 or ``initial`` on ``grid``, ``_restricted``'s arrays
-    at ``level``; returns (B, phi, defect).
+def _solve_picard(problem, level, paths, max_iter, initial=None):
+    """Sweeps from z0 or ``initial`` on the grid of ``level``, reading the
+    problem through ``_paths``; returns the arrays (B, phi) and the defect.
+
+    A sweep with a closed-form flow runs in blocks of _SWEEP_BLOCK cells:
+    cell j reads the flow only at its own left point, so the sweep is
+    pointwise along the grid, and only the Picard state (B, the previous
+    B and cells, S, phi) lives at full grid size.  A DP45 flow solves the
+    whole grid as one batch, because its step control is shared across a
+    batch, so its values would depend on the blocks.
 
     Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
     with F = _FORCING (inexact Newton; the flow scales its absolute
@@ -177,26 +224,31 @@ def _solve_picard(problem, level, grid, max_iter, initial=None):
     sweeps = _check_count(max_iter, "max_iter") + 1
     if sweeps < 1:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
-    tgrid, xvals, dA, ds, dQ = grid
-    B = np.full(tgrid.shape[0], problem.z0)
+    n = 2**level
+    B = np.full(n + 1, problem.z0)
     if initial is not None:
         # a copy, since the sweeps write to it
         B = np.array(getattr(initial, "values", initial), dtype=np.float64)
-        if B.shape != tgrid.shape:
+        if B.shape != (n + 1,):
             raise DomainError("initial iterate must live on the working grid")
         if not np.all(np.isfinite(B)):
             raise DomainError("initial iterate must be finite")
     exact = getattr(problem.field, "exact_flow", None) is not None
+    spans = _spans(problem, level)
     trace, defect = [], np.inf
-    B_prev = cells_prev = None
+    B_prev = cells_prev = cap = None
     for _ in range(sweeps):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
-        phi, cells = _cell_contributions(problem, tgrid, xvals, B, dA, ds, dQ, rtol)
-        S = np.concatenate([[0.0], np.cumsum(cells)])
-        defect = float(np.max(np.abs(B - problem.z0 - S)))
+        phi, cells = np.empty(n + 1), np.empty(n)
+        for a, b in spans:
+            phi[a:b] = _block(problem, level, paths, a, b, B[a:b], cells, rtol)
+        S = np.empty(n + 1)
+        S[0] = 0.0
+        np.cumsum(cells, out=S[1:])
+        defect = _sup_gap(B, problem.z0, S, spans)
         trace.append(defect)
         if defect <= PICARD_TOL and (exact or rtol == RTOL):
-            return SampledPath(level, B), phi, defect
+            return B, phi, defect
         if len(trace) >= 8 and defect >= 0.9999 * max(trace[-3], trace[-2]):
             raise NumericalError(
                 f"Picard iteration stalled at defect {defect:.3e} "
@@ -206,7 +258,9 @@ def _solve_picard(problem, level, grid, max_iter, initial=None):
         phi = None  # not needed unless the sweep stops: free it before the next solve
         S += problem.z0  # the Picard iterate z0 + S(B), in place
         if B_prev is not None:
-            _newton_step(S, B, B_prev, cells, cells_prev, dA, ds, dQ)
+            if cap is None:
+                cap = _slope_cap(paths, level, spans)
+            _newton_step(S, B, B_prev, cells, cells_prev, cap)
         B, B_prev, cells_prev = S, B, cells
     raise NumericalError(
         f"Picard did not reach defect {PICARD_TOL:.1e} in {len(trace)} "
@@ -215,7 +269,28 @@ def _solve_picard(problem, level, grid, max_iter, initial=None):
     )
 
 
-def _newton_step(zS, B, B_prev, cells, cells_prev, dA, ds, dQ):
+def _sup_gap(u, z0, v, spans):
+    """max |u - z0 - v| over the points of ``spans``, a block at a time;
+    NaN when any term is."""
+    return float(np.max([np.max(np.abs(u[a:b] - z0 - v[a:b])) for a, b in spans]))
+
+
+def _slope_cap(paths, level, spans):
+    """Each cell's bound min(1/2, _SLOPE_CAP m_j) on its Newton slope, with
+    the driver mass m_j = |dA_j| + ds + |dQ_j| (see ``_newton_step``)."""
+    _, Av, Qv = paths
+    n = Av.shape[0] - 1
+    cap = np.empty(n)
+    for a, b in spans:
+        c = min(b, n)
+        mass = np.abs(_increments(Av, a, c), out=cap[a:c])
+        mass += 2.0 ** -level
+        mass += np.abs(_increments(Qv, a, c))
+    cap *= _SLOPE_CAP
+    return np.minimum(cap, 0.5, out=cap)
+
+
+def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
     """Turn the Picard iterate zS = z0 + S(B) into the causal Newton
     iterate, in place; B_prev and cells_prev are overwritten.
 
@@ -232,39 +307,36 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, dA, ds, dQ):
     * the secant is used only where |B_j - B_prev_j| > 1e-3 max |B - B_prev|,
       and c'_j = 0 (the Picard step) elsewhere: a loose sweep's noise over
       a tiny change of B is no slope;
-    * |c'_j| <= min(1/2, _SLOPE_CAP m_j), with the cell's driver mass
-      m_j = |dA_j| + ds_j + |dQ_j|.  The true slope is at most m_j times
-      the largest sensitivity to B of the cell's kernels b/phi_xi,
-      phi_tau/phi_xi and phi_tt/phi_xi, which involves the drift's
-      derivative and so has no declared bound.  Sensitivities up to 8
-      pass, and a larger one is clipped, which makes the step inexact but
-      not unsafe: a secant of noise costs at most that much.  The 1/2
-      keeps 1 + c'_j in [1/2, 3/2];
-    * the cumulative product runs over blocks of _BLOCK cells, so it stays
-      within normal floats, and P is carried from block to block: over a
-      whole fine grid the product of the factors can leave float range
-      while P itself does not;
+    * |c'_j| <= ``cap``_j = min(1/2, _SLOPE_CAP m_j), with the cell's
+      driver mass m_j = |dA_j| + ds_j + |dQ_j| (``_slope_cap``).  The true
+      slope is at most m_j times the largest sensitivity to B of the
+      cell's kernels b/phi_xi, phi_tau/phi_xi and phi_tt/phi_xi, which
+      involves the drift's derivative and so has no declared bound.
+      Sensitivities up to 8 pass, and a larger one is clipped, which makes
+      the step inexact but not unsafe: a secant of noise costs at most
+      that much.  The 1/2 keeps 1 + c'_j in [1/2, 3/2];
+    * the cumulative product runs over blocks of _PRODUCT_BLOCK cells, so
+      it stays within normal floats, and P is carried from block to block:
+      over a whole fine grid the product of the factors can leave float
+      range while P itself does not;
     * where the Newton iterate is not finite, zS stays the Picard iterate.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # caught by the finite check
         n = cells.shape[0]
         dB = np.subtract(B[:n], B_prev[:n], out=B_prev[:n])
-        trusted = np.abs(dB)
-        trusted = trusted > 1e-3 * trusted.max()
+        r = np.abs(dB)
+        trusted = r > 1e-3 * r.max()
         slope = np.subtract(cells, cells_prev, out=cells_prev)
         np.divide(slope, dB, out=slope, where=trusted)
         slope[~trusted] = 0.0
-        cap = np.abs(dA)
-        cap += ds
-        cap += np.abs(dQ)
-        cap *= _SLOPE_CAP
-        np.minimum(cap, 0.5, out=cap)
         np.minimum(slope, cap, out=slope)
-        np.negative(cap, out=cap)
-        np.maximum(slope, cap, out=slope)
-        r = np.subtract(zS[:n], B[:n])
-        blocks = (-1, min(n, _BLOCK))
-        g = np.add(slope, 1.0, out=cap).reshape(blocks)
+        # max(slope, -cap) as -min(-slope, cap), with no negated copy of cap
+        np.negative(slope, out=slope)
+        np.minimum(slope, cap, out=slope)
+        np.negative(slope, out=slope)
+        np.subtract(zS[:n], B[:n], out=r)
+        blocks = (-1, min(n, _PRODUCT_BLOCK))
+        g = np.add(slope, 1.0, out=dB).reshape(blocks)
         np.cumprod(g, axis=1, out=g)
         P = np.multiply(slope, r, out=slope).reshape(blocks)  # P_1 .. P_n once done
         P /= g
@@ -281,10 +353,11 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, dA, ds, dQ):
             zS[1:] = newton
 
 
-def _solve_tonelli(problem, level, grid, tonelli_n):
+def _solve_tonelli(problem, level, paths, tonelli_n):
     """The delayed iterate with lag 1/tonelli_n, built block by block on
-    ``grid``; returns (B, phi, 0.0) like ``_solve_picard``, with phi from
-    one full-grid flow solve at B (the delayed equation has no defect)."""
+    the grid of ``level``; returns (B, phi, 0.0) like ``_solve_picard``,
+    with phi from one full-grid flow solve at B (the delayed equation has
+    no defect)."""
     tonelli_n = _check_count(tonelli_n, "tonelli_n")
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
@@ -292,8 +365,7 @@ def _solve_tonelli(problem, level, grid, tonelli_n):
             f"need tonelli_n | 2^{level}"
         )
     lag = 2**level // tonelli_n  # delay in grid steps
-    tgrid, xvals, dA, ds, dQ = grid
-    npts = tgrid.shape[0]
+    npts = 2**level + 1
     B = np.full(npts, problem.z0)
     prefix = np.zeros(npts - 1)  # prefix[c] = sum of cell contributions 0..c
     running = 0.0
@@ -301,13 +373,13 @@ def _solve_tonelli(problem, level, grid, tonelli_n):
         # B[j0:j1] reads cells [j0-lag, j1-lag), which use only B values of earlier blocks
         j1 = min(j0 + lag, npts)
         sl = slice(j0 - lag, j1 - lag)
-        _, cells = _cell_contributions(problem, tgrid[sl], xvals[sl], B[sl],
-                                       dA[sl], ds[sl], dQ[sl])
-        prefix[sl] = running + np.cumsum(cells)
+        _block(problem, level, paths, sl.start, sl.stop, B[sl], prefix)
+        np.cumsum(prefix[sl], out=prefix[sl])
+        prefix[sl] += running
         running = prefix[j1 - lag - 1]
         B[j0:j1] = problem.z0 + prefix[sl]
-    phi, _, _, _ = flow_with_derivatives(problem.field, tgrid, B, xvals)
-    return SampledPath(level, B), phi, 0.0
+    phi, _, _, _ = flow_with_derivatives(problem.field, grid_points(level), B, paths[0])
+    return B, phi, 0.0
 
 
 def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
@@ -316,8 +388,9 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
     must divide 2^level).  The "picard" scheme makes one flow solve per
-    sweep: a Picard step first, then causal Newton steps whose slopes are
-    secants of the last two sweeps (see the module docstring).  It stops
+    sweep, or per block of a closed-form sweep: a Picard step first, then
+    causal Newton steps whose slopes are secants of the last two sweeps
+    (see the module docstring).  It stops
     at a fixed-point defect (sup over grid points) <= PICARD_TOL and
     raises NumericalError with the defect trace if it stalls or has made
     ``max_iter`` + 1 sweeps; ``max_iter`` must be an integer >= 0.
@@ -336,21 +409,39 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     sigma and b at the left points only, NumericalError if not finite.
     """
     level = problem.working_level(level)
-    grid = _restricted(problem, level)
+    paths = _paths(problem, level)
     if scheme == "picard":
-        B, phi, resid = _solve_picard(problem, level, grid, max_iter, initial)
+        B, phi, resid = _solve_picard(problem, level, paths, max_iter, initial)
     elif scheme == "tonelli":
-        B, phi, resid = _solve_tonelli(problem, level, grid, tonelli_n)
+        B, phi, resid = _solve_tonelli(problem, level, paths, tonelli_n)
     else:
         raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
-    tgrid, xvals, dA, _, _ = grid
-    z = SampledPath(level, phi)
-    left = (tgrid[:-1], z.values[:-1])  # the sums read no value at t = 1
-    sig = _finite(NumericalError, "sigma is not finite at the solution", problem.field.sigma, *left)
-    bv = _finite(NumericalError, "drift b is not finite at the solution", problem.drift, *left)
-    sums = np.concatenate([[0.0], np.cumsum(sig * np.diff(xvals) + bv * dA)])
-    follmer_defect = float(np.max(np.abs(z.values - problem.z0 - sums)))
+    B, z = SampledPath(level, B), SampledPath(level, phi)
+    phi = None  # z holds a copy
+    follmer_defect = _follmer_defect(problem, level, paths, z.values)
     return IDESolution(B=B, z=z, residual_report=resid, follmer_defect=follmer_defect)
+
+
+def _follmer_defect(problem, level, paths, z):
+    """sup |z(t) - z0 - sum sigma(s, z) dx - sum b(s, z) dA| over the grid,
+    a block of ``_spans`` at a time: each block's left sums continue the
+    running sum from its first cell, in the order of one cumulative sum
+    over the grid.  The sums read no value at t = 1."""
+    xv, Av, _ = paths
+    h = 2.0 ** -level
+    n = z.shape[0] - 1
+    running, gaps = 0.0, [abs(z[0] - problem.z0)]
+    for a, b in _spans(problem, level):
+        c = min(b, n)
+        t, zl = np.arange(a, c, dtype=np.float64) * h, z[a:c]
+        sig = _finite(NumericalError, "sigma is not finite at the solution", problem.field.sigma, t, zl)
+        bv = _finite(NumericalError, "drift b is not finite at the solution", problem.drift, t, zl)
+        sums = sig * _increments(xv, a, c) + bv * _increments(Av, a, c)
+        sums[0] += running
+        np.cumsum(sums, out=sums)
+        running = sums[-1]
+        gaps.append(np.max(np.abs(z[a + 1:c + 1] - problem.z0 - sums)))
+    return float(np.max(gaps))
 
 
 def verify_local_qv(z, field, qv_x, n):

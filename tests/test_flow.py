@@ -18,7 +18,7 @@ from pathqv import (
     scalar_linear_field,
     sqrt1p_field,
 )
-from pathqv.flow import FLOW_CHECKS, _integrate, sample_box_values
+from pathqv.flow import FLOW_CHECKS, _exact, _integrate, sample_box_values
 
 
 def bs_field():
@@ -380,6 +380,16 @@ def test_guards_raise_near_rest_points():
 
 def dp45_fields():
     return [field_from_expression("1+0.3*sin(xi)"), dp45(sqrt1p_field())]
+
+
+def test_closed_form_results_are_handed_out_uncopied_unless_shared():
+    # a closed form's own result is not copied again; an input it returns,
+    # or a result it returns twice, is, so every output is a fresh array
+    tau, xi, t = np.zeros(5), np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
+    e = np.exp(xi)
+    phi, d_xi, d_tau = _exact(lambda tau, xi, t: (e, e, xi), tau, xi, t)
+    assert phi is e and d_xi is not e and d_tau is not xi
+    assert np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
 
 
 def test_one_point_gives_the_same_bits_in_any_shape():

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -441,11 +442,11 @@ def test_newton_step_falls_back_to_picard_when_not_finite():
     picard = np.full(n + 1, 1e308)
     zS, B, B_prev = picard.copy(), np.zeros(n + 1), np.full(n + 1, -1.0)
     cells, cells_prev = np.full(n, 0.25), np.zeros(n)  # secant 0.25 per cell
-    ones = np.ones(n)
-    _newton_step(zS, B, B_prev, cells, cells_prev, ones, ones, ones)
+    cap = np.full(n, 0.5)  # the slope cap of cells of driver mass 3
+    _newton_step(zS, B, B_prev, cells, cells_prev, cap)
     assert np.array_equal(zS, picard)
     zS = np.full(n + 1, 1.0)  # r = 1: the step moves every later point
-    _newton_step(zS, B, np.full(n + 1, -1.0), cells, np.zeros(n), ones, ones, ones)
+    _newton_step(zS, B, np.full(n + 1, -1.0), cells, np.zeros(n), cap)
     assert zS[0] == 1.0 and np.all(zS[1:] > 1.0)
 
 
@@ -602,3 +603,60 @@ def test_tonelli_takes_a_numpy_integer_count(x12):
     a = solve_ide(prob, 8, scheme="tonelli", tonelli_n=np.int64(4))
     b = solve_ide(prob, 8, scheme="tonelli", tonelli_n=4)
     assert a.z.values.tobytes() == b.z.values.tobytes()
+
+
+# -- closed-form sweeps in blocks ------------------------------------------------
+
+X16 = build_x(preset("one"), 16)
+
+
+def test_blocked_sweeps_give_the_bits_of_one_batch(monkeypatch):
+    # a closed-form sweep runs in blocks of _SWEEP_BLOCK cells from level 14
+    # on; one block over the whole grid is the batch the solve would make
+    ide = sys.modules["pathqv.ide"]
+    sup_gap, defects = ide._sup_gap, []
+    monkeypatch.setattr(ide, "_sup_gap",
+                        lambda *args: defects.append(sup_gap(*args)) or defects[-1])
+    drift = lambda t, xi: 0.3 * np.cos(xi) - 0.5 * xi + np.sin(5 * t)
+    for level in (14, 16):
+        x = X16.restrict(level)
+        for field in (constant_field(1.0), GEOMETRIC, sqrt1p_field()):
+            prob = linear_qv_problem(field, drift, x, 0.7, level)
+            warm = 0.7 + 0.1 * np.sin(3 * x.times())
+            runs = []
+            for block in (ide._SWEEP_BLOCK, 2**level):
+                monkeypatch.setattr(ide, "_SWEEP_BLOCK", block)
+                for initial in (None, warm):
+                    defects.clear()
+                    sol = solve_ide(prob, level, initial=initial)
+                    runs.append((sol.B.values.tobytes(), sol.z.values.tobytes(),
+                                 sol.residual_report, sol.follmer_defect, list(defects)))
+                    assert sol.residual_report <= 1e-10 and len(defects) >= 2
+            blocked, whole = runs[:2], runs[2:]
+            assert blocked == whole, (level, field.name)
+            assert blocked[0] != blocked[1]  # the warm start took its own sweeps
+            # every point, t = 1 too, holds the flow at (t, B(t), x(t))
+            z = flow_with_derivatives(field, grid_points(level), sol.B.values, x.values)[0]
+            assert sol.z.values.tobytes() == z.tobytes()
+
+
+def test_level_16_picard_solve_stays_within_eleven_grid_arrays():
+    # one level-16 float array is 0.5 MiB; the solve held 17 at once when
+    # every sweep took full-grid temporaries
+    def solve():
+        prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, X16, 1.0, 16)
+        return solve_ide(prob, 16)
+
+    solve()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        solve()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 11 * 8 * (2**16 + 1)

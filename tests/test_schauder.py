@@ -138,7 +138,11 @@ def test_analysis_depth_capped_by_level():
     (lambda: analyze(SampledPath(3, np.arange(9.0)), 2.5), "analysis depth"),
     (lambda: analyze(SampledPath(3, np.arange(9.0))).row(2.0), "row index"),
     (lambda: basis_eval(2, 0.5, 0.3), "wedge index k"),
-], ids=["analyze-depth", "row", "basis-eval-k"])
+    (lambda: analyze(SampledPath(3, np.arange(9.0)), True), "analysis depth"),
+    (lambda: analyze(SampledPath(3, np.arange(9.0))).row(False), "row index"),
+    (lambda: basis_eval(2, True, 0.3), "wedge index k"),
+], ids=["analyze-depth", "row", "basis-eval-k", "analyze-depth-bool", "row-bool",
+        "basis-eval-k-bool"])
 def test_indices_must_be_integers(call, what):
     with pytest.raises(DomainError, match=f"{what} must be an integer"):
         call()
