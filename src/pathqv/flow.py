@@ -76,9 +76,41 @@ ATOL = 1e-13
 _MAX_STEPS = 100000
 
 
-# field construction's (t, xi) sample box, read-only as every check shares it
-_SAMPLE_BOX = np.meshgrid([0.0, 0.25, 0.5, 0.75, 1.0], [-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0])
-_SAMPLE_BOX[0].flags.writeable = _SAMPLE_BOX[1].flags.writeable = False
+def _read_only(*arrays):
+    """The arrays with writing turned off: construction's sample points are
+    shared, so a callable that writes into its arguments must not change
+    them for the next field."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# field construction's (t, xi) sample box, and the step of its central differences
+_SAMPLE_BOX = _read_only(*np.meshgrid([0.0, 0.25, 0.5, 0.75, 1.0],
+                                      [-5.0, -2.0, -0.5, 0.0, 0.5, 2.0, 5.0]))
+_H = 1e-5
+
+
+def _construction_slabs():
+    """Copies of the sample box stacked on a new first axis, read-only:
+    sigma's (t, xi) at the xi-shifts and at the t-shifts of the box by
+    +-_H; exact_flow's (tau, xi, t) at the box at t = 0, then for t = -0.5
+    and 0.5 at the box and its t-, xi- and tau-shifts; and exact_flow's
+    (xi, 1, 0) at t = 0."""
+    tt, xx = _SAMPLE_BOX
+    pair = np.array([_H, -_H])[:, None, None]
+    # exact_flow's (tau, xi, t) shifts at each t: none, t +- _H, xi +- _H, tau +- _H
+    kinds = [(0.0, 0.0, 0.0), (0.0, 0.0, _H), (0.0, 0.0, -_H), (0.0, _H, 0.0),
+             (0.0, -_H, 0.0), (_H, 0.0, 0.0), (-_H, 0.0, 0.0)]
+    times = np.repeat([0.0, -0.5, 0.5], [1, 7, 7])[:, None, None]
+    d_tau, d_xi, d_t = np.array(kinds[:1] + kinds * 2).T[:, :, None, None]
+    flow_t = np.broadcast_to(times + d_t, (15, *tt.shape)).copy()
+    return (_read_only(np.stack((tt, tt)), xx + pair), _read_only(tt + pair, np.stack((xx, xx))),
+            _read_only(tt + d_tau, xx + d_xi, flow_t),
+            *_read_only(np.stack(np.broadcast_arrays(xx, 1.0, 0.0))))
+
+
+_XI_SHIFTS, _T_SHIFTS, _FLOW_SLABS, _AT_ZERO = _construction_slabs()
 
 
 @dataclass(frozen=True)
@@ -105,6 +137,13 @@ class VolatilityField:
     phi = xi, d_xi = 1 and d_tau = 0 at t = 0, and at t = +-0.5 a
     central difference in t matches sigma(tau, phi) while d_xi and d_tau
     match central differences of phi, to the tolerance above.
+
+    Construction evaluates each callable on copies of the sample box and
+    of its difference shifts stacked on a new first axis, in few calls:
+    sigma on the box, on its two xi-shifts and on its two t-shifts, and at
+    the flow values; sigma_t and sigma_xi on the box; exact_flow once, on
+    all its 15 slabs.  That is the elementwise contract that broadcasting
+    already implies.
     """
 
     sigma: callable
@@ -116,11 +155,9 @@ class VolatilityField:
     exact_flow: callable = None
 
     def __post_init__(self):
-        tt, xx = _SAMPLE_BOX
-        h = 1e-5
         tol = 1e-4
         # NaN fails every comparison below, so non-finite values go first
-        sig = sample_box_values(self.sigma, "sigma")
+        sample_box_values(self.sigma, "sigma")
         d_xi = sample_box_values(self.sigma_xi, "sigma_xi")
         d_t = sample_box_values(self.sigma_t, "sigma_t")
         for name in ("sup_sigma_t", "sup_sigma_xi"):
@@ -128,63 +165,72 @@ class VolatilityField:
             if not math.isfinite(bound):
                 raise DomainError("declared sup-bounds must be finite")
             object.__setattr__(self, name, bound)
-        for name, d, up, dn in (("sigma_xi", d_xi, (tt, xx + h), (tt, xx - h)),
-                                ("sigma_t", d_t, (tt + h, xx), (tt - h, xx))):
+        for name, d, shifts in (("sigma_xi", d_xi, _XI_SHIFTS), ("sigma_t", d_t, _T_SHIFTS)):
             message = f"{name} disagrees with finite differences of sigma"  # or is not finite
-            fd = (_finite(DomainError, message, self.sigma, *up)
-                  - _finite(DomainError, message, self.sigma, *dn)) / (2 * h)
-            _require_close(fd, d, tol, message)
+            up, dn = _pair(_finite(DomainError, message, self.sigma, *shifts))
+            _require_close((up - dn) / (2 * _H), d, tol, message)
         slack = 1e-9
         if np.max(np.abs(d_t)) > self.sup_sigma_t + slack:
             raise DomainError("declared sup|sigma_t| violated at sampled points")
         if np.max(np.abs(d_xi)) > self.sup_sigma_xi + slack:
             raise DomainError("declared sup|sigma_xi| violated at sampled points")
         if self.exact_flow is not None:
-            self._check_exact_flow(tt, xx, h, tol)
+            self._check_exact_flow(tol)
 
-    def _check_exact_flow(self, tt, xx, h, tol):
-        def exact(tau, xi, t):  # (phi, d_xi, d_tau) on the box, stacked
-            return _finite(DomainError, "exact_flow is not finite at sampled points",
-                           lambda: np.broadcast_arrays(tt, *self.exact_flow(tau, xi, t))[1:])
+    def _check_exact_flow(self, tol):
+        tau = _FLOW_SLABS[0]
+        values = _finite(DomainError, "exact_flow is not finite at sampled points",
+                         lambda: np.broadcast_arrays(tau, *self.exact_flow(*_FLOW_SLABS))[1:])
+        _require_close(values[:, 0], _AT_ZERO, tol, "exact_flow is not (xi, 1, 0) at t = 0")
+        phi, d_xi, d_tau = values
+        # per t = -0.5, 0.5: phi at the box, then at its t-, xi- and tau-shifts in pairs
+        shifted = phi[1:].reshape(2, 7, *tau.shape[1:])
+        fd = (shifted[:, 1::2] - shifted[:, 2::2]) / (2 * _H)  # in t, xi and tau
+        message = "exact_flow does not solve u' = sigma(tau, u)"
+        sig = _pair(_finite(DomainError, message, self.sigma, _XI_SHIFTS[0], shifted[:, 0]))
+        # per t: fd_t against sigma(tau, phi), d_xi and d_tau against fd_xi and fd_tau
+        got = np.stack((fd[:, 0], d_xi[1::7], d_tau[1::7]), axis=1)
+        want = np.concatenate((sig[:, None], fd[:, 1:]), axis=1)
+        _require_close(got, want, tol, *(message,
+                                         "exact_flow d_xi disagrees with finite differences",
+                                         "exact_flow d_tau disagrees with finite differences") * 2)
 
-        for got, want in zip(exact(tt, xx, 0.0), (xx, 1.0, 0.0)):
-            _require_close(got, want, tol, "exact_flow is not (xi, 1, 0) at t = 0")
-        for t in (-0.5, 0.5):
-            value, d_xi, d_tau = exact(tt, xx, t)
-            fd_t = (exact(tt, xx, t + h)[0] - exact(tt, xx, t - h)[0]) / (2 * h)
-            message = "exact_flow does not solve u' = sigma(tau, u)"
-            _require_close(fd_t, _finite(DomainError, message, self.sigma, tt, value), tol, message)
-            fd_xi = (exact(tt, xx + h, t)[0] - exact(tt, xx - h, t)[0]) / (2 * h)
-            _require_close(d_xi, fd_xi, tol, "exact_flow d_xi disagrees with finite differences")
-            fd_tau = (exact(tt + h, xx, t)[0] - exact(tt - h, xx, t)[0]) / (2 * h)
-            _require_close(d_tau, fd_tau, tol, "exact_flow d_tau disagrees with finite differences")
+
+def _pair(values):
+    """A value of sigma on two stacked copies of the box, padded to their shape."""
+    return np.broadcast_to(values, _XI_SHIFTS[0].shape)
 
 
-def _require_close(got, want, tol, message):
-    """DomainError(message) unless |got - want| <= tol (1 + |want|); NaN fails."""
-    if not np.all(np.abs(got - want) <= tol * (1.0 + np.abs(want))):
-        raise DomainError(message)
+def _require_close(got, want, tol, *messages):
+    """DomainError unless |got - want| <= tol (1 + |want|) everywhere (NaN
+    fails).  got and want stack one check per message on their first axis,
+    and the first check that fails names the error."""
+    ok = np.abs(got - want) <= tol * (1.0 + np.abs(want))
+    if not ok.all():
+        failed = ~ok.reshape(len(messages), -1).all(axis=1)
+        raise DomainError(messages[int(np.argmax(failed))])
 
 
 def _exact(exact_flow, tau, xi, t):
     """exact_flow's (phi, d_xi, d_tau): plain floats for one point given as
-    floats (see ``_points``), else fresh float arrays of the joint input
-    shape; raises FlowIntegrationError on any non-finite value.  An output
-    is copied only when it is not already such an array: a float64 array
-    of that shape that owns its data and is none of the inputs and no
-    earlier output.  Callers turn numpy's warnings off."""
+    floats, else fresh float arrays of the inputs' shape (``_points`` gives
+    floats for all three inputs or 1-D float64 arrays of one shape); raises
+    FlowIntegrationError on any non-finite value.  An output is copied
+    only when it is not already such an array: a float64 array of that
+    shape that owns its data and is none of the inputs and no earlier
+    output, which a Picard block's 1-D batch passes as it is.  Callers turn
+    numpy's warnings off."""
     values = exact_flow(tau, xi, t)
-    if isinstance(tau, float) and isinstance(xi, float) and isinstance(t, float):
+    if isinstance(tau, float):
         out = tuple(float(v) for v in values)
         finite = all(map(math.isfinite, out))
     else:
-        shape = np.broadcast_shapes(np.shape(tau), np.shape(xi), np.shape(t))
         out = []
         for v in values:
-            fresh = _fresh(v, shape, (tau, xi, t, *out))
-            out.append(v if fresh else np.full(shape, v, dtype=np.float64))
+            fresh = _fresh(v, tau.shape, (tau, xi, t, *out))
+            out.append(v if fresh else np.full(tau.shape, v, dtype=np.float64))
         out = tuple(out)
-        finite = all(np.all(np.isfinite(v)) for v in out)
+        finite = all(_all_finite(v) for v in out)
     if not finite:
         raise FlowIntegrationError("non-finite value from the closed-form flow")
     return out
@@ -197,10 +243,17 @@ def _fresh(v, shape, others):
             and v.flags.owndata and v.flags.writeable and not any(v is w for w in others))
 
 
+def _all_finite(values):
+    """Whether every value of an array is finite."""
+    return bool(np.isfinite(values).all())
+
+
 def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):
     """(phi, d_xi, d_tau, d_tt) with the broadcast shape of the inputs, or
     (phi,) alone unless ``derivatives``: the one path of ``flow`` and
-    ``flow_with_derivatives``, closed form and DP45 alike.
+    ``flow_with_derivatives``, closed form and DP45 alike.  ``_points``
+    turns the inputs into floats or 1-D arrays, each checked once here, as
+    is d_tt, and ``_solve``'s values are reshaped to the inputs' shape.
 
     Raises FlowIntegrationError when tau, xi or t is not finite, and when
     the solve overflows: numpy warnings are off and an inf or NaN trips
@@ -208,25 +261,27 @@ def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivat
     may raise OverflowError itself (as math.exp does), and d_tt is checked
     last.
     """
-    if not all(np.isfinite(v).all() for v in (tau, xi, horizon)):
+    tau, xi, horizon, shape, one = _points(tau, xi, horizon)
+    finite = math.isfinite if one else _all_finite
+    if not (finite(tau) and finite(xi) and finite(horizon)):
         raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
     with np.errstate(all="ignore"):
         try:
-            out = _solve(field, tau, xi, horizon, rtol, max_steps, derivatives)
+            out = _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives)
         except OverflowError as exc:
             raise FlowIntegrationError("overflow during flow integration") from exc
-    if derivatives and not np.all(np.isfinite(out[3])):  # even a zero horizon can overflow it
+    if derivatives and not finite(out[3]):  # even a zero horizon can overflow it
         raise FlowIntegrationError("d_tt = sigma_xi sigma is not finite at the flow value")
-    return out
+    return out if shape is None else tuple(np.asarray(c).reshape(shape)[()] for c in out)
 
 
-def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
-    """``_integrate``'s values, unguarded.
+def _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives):
+    """``_integrate``'s values at the points of ``_points``, unguarded:
+    floats when ``one``, else 1-D arrays of their shape.
 
-    The points are flattened by ``_points``, solved, and reshaped to the
-    inputs' broadcast shape.  A field's ``exact_flow`` is used when
-    present.  Otherwise ``_dp45`` integrates the row u, u' = sigma(tau, u),
-    and the sensitivities cost as little as they can:
+    A field's ``exact_flow`` is used when present.  Otherwise ``_dp45``
+    integrates the row u, u' = sigma(tau, u), and the sensitivities cost
+    as little as they can:
 
     * d_xi = sigma(tau, phi) / sigma(tau, xi).  tau is frozen, so the
       equation is autonomous and this is its reverse-time identity.  The
@@ -247,39 +302,46 @@ def _solve(field, tau, xi, horizon, rtol, max_steps, derivatives):
     with one sigma call per stage, and so does the flow value alone.  One
     point and a batch follow the same rule.
     """
-    tau, xi, scale, shape, one = _points(tau, xi, horizon)
+    def at(fn, u):  # fn(tau, u): a float for one point, else a float64 array
+        return float(fn(tau, u)) if one else np.asarray(fn(tau, u), dtype=np.float64)
 
-    def at(fn, u):  # fn(tau, u): a float for one point, padded for a batch
-        return float(fn(tau, u)) if one else eval_on(fn, tau, u)
+    def full(v):  # a value computed from ``at``'s, padded to a fresh batch array
+        return v if one or v.shape == xi.shape else np.broadcast_to(v, xi.shape).copy()
 
     ops = _FLOATS if one else _ARRAYS
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
-        out = _exact(exact_flow, tau, xi, scale)
-        if derivatives:
-            out += (at(field.sigma_xi, out[0]) * at(field.sigma, out[0]),)
-    elif not derivatives:
-        out = (_dp45_rows(field, tau, xi, scale, "u", ops, rtol, max_steps)[0],)
-    else:
-        sig0 = at(field.sigma, xi)
-        error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
-        keep_v = not np.all(abs(sig0) > error_scale)
-        keep_w = bool(getattr(field, "sup_sigma_t", None) != 0)
-        rows = "u" + "v" * keep_v + "w" * keep_w
-        y = _dp45_rows(field, tau, xi, scale, rows, ops, rtol, max_steps)
-        phi = y[0]
-        sig_phi = at(field.sigma, phi)
-        d_xi = y[1] if keep_v else sig_phi / sig0
-        d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
-        out = (phi, d_xi, d_tau, at(field.sigma_xi, phi) * sig_phi)
-    return tuple(np.asarray(c).reshape(shape)[()] for c in (out if derivatives else out[:1]))
+        out = _exact(exact_flow, tau, xi, horizon)
+        if not derivatives:
+            return out[:1]
+        return (*out, full(at(field.sigma_xi, out[0]) * at(field.sigma, out[0])))
+    if not derivatives:
+        return (_dp45_rows(field, tau, xi, horizon, "u", ops, rtol, max_steps)[0],)
+    sig0 = at(field.sigma, xi)
+    error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
+    keep_v = not np.all(abs(sig0) > error_scale)
+    keep_w = bool(getattr(field, "sup_sigma_t", None) != 0)
+    rows = "u" + "v" * keep_v + "w" * keep_w
+    y = _dp45_rows(field, tau, xi, horizon, rows, ops, rtol, max_steps)
+    phi = y[0]
+    sig_phi = at(field.sigma, phi)
+    d_xi = y[1] if keep_v else full(sig_phi / sig0)
+    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
+    return phi, d_xi, d_tau, full(at(field.sigma_xi, phi) * sig_phi)
 
 
 def _points(tau, xi, horizon):
     """(tau, xi, horizon, shape, one): the points broadcast to ``shape``
     and flattened, or, when the inputs hold one point (any shapes of size
     1, ``one``), plain floats, which skip numpy's per-call overhead in the
-    strictly sequential solvers (lag-1 Tonelli)."""
+    strictly sequential solvers (lag-1 Tonelli).  Inputs that are already
+    1-D float64 arrays of one shape (not of size 1), as a Picard block
+    passes them, come back as they are with ``shape`` None: no broadcast,
+    copy or reshape."""
+    if (type(tau) is type(xi) is type(horizon) is np.ndarray
+            and tau.dtype == xi.dtype == horizon.dtype == np.float64
+            and tau.ndim == 1 and tau.shape == xi.shape == horizon.shape and tau.size != 1):
+        return tau, xi, horizon, None, False
     points = [np.asarray(v, dtype=np.float64) for v in (tau, xi, horizon)]
     if all(p.size == 1 for p in points):
         return (*(float(p.flat[0]) for p in points), (1,) * max(p.ndim for p in points), True)
@@ -417,7 +479,7 @@ def flow_with_derivatives(field, tau, xi, t, rtol=RTOL):
     exponential, and sigma(tau, phi) has the sign of sigma(tau, xi), since
     no flow crosses a rest point."""
     phi, d_xi, d_tau, d_tt = _integrate(field, tau, xi, t, rtol=rtol)
-    if np.any(d_xi <= 0.0):
+    if (d_xi <= 0.0).any():
         raise FlowIntegrationError("computed d_xi <= 0; integration not trustworthy")
     return phi, d_xi, d_tau, d_tt
 

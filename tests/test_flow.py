@@ -1,4 +1,5 @@
 import warnings
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -390,6 +391,64 @@ def test_closed_form_results_are_handed_out_uncopied_unless_shared():
     phi, d_xi, d_tau = _exact(lambda tau, xi, t: (e, e, xi), tau, xi, t)
     assert phi is e and d_xi is not e and d_tau is not xi
     assert np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
+    # a 1-D batch reaches exact_flow as the caller's own arrays
+    still = VolatilityField(sigma=lambda t, xi: 0.0, sigma_t=lambda t, xi: 0.0,
+                            sigma_xi=lambda t, xi: 0.0, sup_sigma_t=0.0, sup_sigma_xi=0.0,
+                            exact_flow=lambda tau, xi, t: (xi, 1.0, 0.0))
+    tau, xi, t = np.zeros(5), np.arange(5.0), np.full(5, 0.5)
+    phi = flow_with_derivatives(still, tau, xi, t)[0]
+    assert xi.flags.owndata and not np.shares_memory(phi, xi) and np.array_equal(phi, xi)
+
+
+def batch(n):
+    """n points (tau, xi, t) as 1-D arrays, tau in [0, 1), xi in [-3, 3], t in [-1, 1]."""
+    rng = np.random.default_rng(n)
+    return rng.uniform(0.0, 1.0, n), rng.uniform(-3.0, 3.0, n), rng.uniform(-1.0, 1.0, n)
+
+
+def assert_same_bits(got, want):
+    # the same bits, each in a writeable float64 array
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.float64 and g.flags.writeable and w.flags.writeable
+        assert bits(g) == bits(w)
+
+
+@pytest.mark.parametrize("n", [2, 17, 8193])
+def test_one_dimensional_batch_has_the_bits_of_its_other_forms(n):
+    # a 1-D batch skips broadcasting and reshaping; a 2-D array, a scalar
+    # tau and one point at a time go the general ways
+    tau, xi, t = batch(n)
+    for field in (constant_field(0.7), bs_field(), sqrt1p_field()):
+        out = flow_with_derivatives(field, tau, xi, t)
+        assert all(type(v) is np.ndarray and v.shape == (n,) for v in out)
+        assert not any(np.shares_memory(v, w) for v in out for w in (tau, xi, t, *out)
+                       if v is not w)
+        square = flow_with_derivatives(field, *(v.reshape(-1, 1) for v in (tau, xi, t)))
+        assert all(v.shape == (n, 1) for v in square)
+        assert_same_bits([v.reshape(-1) for v in square], out)
+        fixed = flow_with_derivatives(field, np.full(n, 0.3), xi, t)
+        scalar_tau = flow_with_derivatives(field, 0.3, xi, t)
+        assert all(v.shape == (n,) for v in scalar_tau)
+        assert_same_bits(scalar_tau, fixed)
+        alone = [flow_with_derivatives(field, *point) for point in zip(tau, xi, t)]
+        assert all(type(v) is np.float64 for point in alone for v in point)
+        assert_same_bits([np.array(v) for v in zip(*alone)], out)
+        assert bits(flow(field, tau, xi, t)) == bits(out[0])
+    field = field_from_expression("1+0.3*sin(xi)")  # DP45: the same batch in 2-D
+    out = flow_with_derivatives(field, tau, xi, t)
+    square = flow_with_derivatives(field, *(v.reshape(1, -1) for v in (tau, xi, t)))
+    assert_same_bits([v.reshape(-1) for v in square], out)
+
+
+def test_non_finite_input_of_a_one_dimensional_batch_is_refused():
+    for field in (sqrt1p_field(), field_from_expression("1+0.3*sin(xi)")):
+        for k in (1, 2):
+            for bad in (np.nan, np.inf):
+                points = [v.copy() for v in batch(17)]
+                points[k][5] = bad
+                with pytest.raises(FlowIntegrationError,
+                                   match="^flow inputs tau, xi and t must be finite$"):
+                    flow_with_derivatives(field, *points)
 
 
 def test_one_point_gives_the_same_bits_in_any_shape():
@@ -604,14 +663,62 @@ def wrong_flow(exact_flow, member, factor):
     return broken
 
 
+# the check that refuses each broken member, as its error message says
+WRONG_FLOW_MESSAGES = {"time": "does not solve", "d_xi at t = 0": r"not \(xi, 1, 0\)",
+                       "d_xi": "d_xi disagrees", "d_tau": "d_tau disagrees"}
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(kind=kinds, p=st.floats(0.1, 0.5), q=params, factor=st.floats(1.01, 2.0),
-       member=st.sampled_from(["time", "d_xi at t = 0", "d_xi", "d_tau"]))
+       member=st.sampled_from(sorted(WRONG_FLOW_MESSAGES)))
 def test_wrong_exact_flow_is_refused(kind, p, q, factor, member):
     # p >= 0.1 keeps the field off zero, whose flow ignores a time scale
     field = make_field(kind, p, q)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=WRONG_FLOW_MESSAGES[member]):
         replace(field, exact_flow=wrong_flow(field.exact_flow, member, factor))
+
+
+def test_exact_flow_not_finite_at_a_difference_point_is_refused():
+    # finite on the box at t = 0 and +-0.5, but NaN at t = 0.5 + 1e-5
+    field = sqrt1p_field()
+
+    def pole(tau, xi, t):
+        phi, d_xi, d_tau = field.exact_flow(tau, xi, t)
+        return phi + 0.0 / (np.asarray(t) - (0.5 + 1e-5)), d_xi, d_tau
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(DomainError, match="^exact_flow is not finite at sampled points$"):
+            replace(field, exact_flow=pole)
+
+
+def counted(field):
+    """The field's callables wrapped in call counters, and the counter."""
+    calls = Counter()
+
+    def wrap(name):
+        fn = getattr(field, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counting
+
+    names = ("sigma", "sigma_t", "sigma_xi", "exact_flow")
+    return {name: wrap(name) for name in names}, calls
+
+
+@pytest.mark.parametrize("make", [lambda: constant_field(0.7), bs_field, sqrt1p_field])
+def test_construction_evaluates_each_callable_on_stacked_slabs(make):
+    # the box, its difference shifts and exact_flow's 15 slabs go in a few
+    # stacked calls, not one call per slab
+    field = make()
+    callables, calls = counted(field)
+    replace(field, **callables)
+    assert calls["exact_flow"] == 1
+    assert calls["sigma"] <= 4
+    assert calls["sigma_xi"] == calls["sigma_t"] == 1
 
 
 def test_sample_box_is_shared_read_only():
