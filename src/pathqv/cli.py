@@ -10,6 +10,10 @@ strings over t and xi (see pathqv.expr for the grammar); "sqrt1p" names
 the built-in sqrt(1 + xi^2) field.  Identical invocations produce
 bit-identical output files: all reductions run in fixed order and
 nothing here draws randomness.
+
+Each command imports the library modules it uses, and the module level
+only what the parser and ``main`` need, so that a cold run of one command
+loads and compiles no module it does not use.
 """
 
 from __future__ import annotations
@@ -20,19 +24,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .construct import (SPOT_GRID, FunctionSequence, IrrationalShift, PRESETS,
-                        build_x, build_y, coefficients_x, predicted_qv, preset)
-from .dyadic import (BVDriver, DEFAULT_LEVEL, QVCurve, SampledPath,
-                     _check_level, _write_csv, grid_points, read_json)
-from .errors import DomainError, NumericalError, _finite
-from .expr import Expression, evaluate_constant, field_from_expression, scalar_function
-from .flow import (FLOW_CHECKS, flow_identity_defects, flow_with_derivatives,
-                   sample_box_values, sqrt1p_field)
-from .follmer import follmer_integral, ito_residual
-from .ide import IDEProblem, solve_ide
-from .quadvar import cov_curve, cov_level, qv_curve
-from .support import (_linear_qv_problem, drift_from_path, match_path, nondiff_quotients,
-                      shoot_constant_b)
+from .construct import PRESETS
+from .dyadic import DEFAULT_LEVEL
+from .errors import DomainError, NumericalError
 
 
 def _fmt(v):
@@ -42,6 +36,8 @@ def _fmt(v):
 def _parse_levels(spec, top):
     """--levels as a list of levels, each checked against ``top``, the level
     of the path(s) read, so that a bad entry fails before any output."""
+    from .dyadic import _check_level
+
     try:
         levels = [int(s) for s in spec.split(",") if s]
     except ValueError:
@@ -55,9 +51,14 @@ def _parse_levels(spec, top):
 
 
 def _resolve_fseq(args):
+    from .construct import SPOT_GRID, FunctionSequence, preset
+
     if getattr(args, "preset", None):
         return preset(args.preset)
     if getattr(args, "f", None):
+        from .errors import _finite
+        from .expr import scalar_function
+
         fn = scalar_function(args.f, "t")
         values = _finite(DomainError, f"--f {args.f!r} is not finite on [0, 1]", fn, SPOT_GRID)
         return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
@@ -65,12 +66,18 @@ def _resolve_fseq(args):
 
 
 def _resolve_field(spec):
+    from .expr import field_from_expression
+    from .flow import sqrt1p_field
+
     if spec == "sqrt1p":
         return sqrt1p_field()
     return field_from_expression(spec)
 
 
 def _resolve_drift(spec):
+    from .expr import Expression
+    from .flow import sample_box_values
+
     try:
         value = float(spec)
     except ValueError:
@@ -83,6 +90,9 @@ def _resolve_drift(spec):
 
 
 def _resolve_x(spec, level):
+    from .construct import build_x, preset
+    from .dyadic import SampledPath
+
     if spec.startswith("preset:"):
         fseq = preset(spec.split(":", 1)[1])
         return build_x(fseq, level), fseq
@@ -95,6 +105,8 @@ def _resolve_x(spec, level):
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_synth_x(args):
+    from .construct import build_x
+
     fseq = _resolve_fseq(args)
     path = build_x(fseq, args.level)
     path.to_file(args.out)
@@ -103,6 +115,9 @@ def _cmd_synth_x(args):
 
 
 def _cmd_synth_y(args):
+    from .construct import IrrationalShift, build_y
+    from .expr import evaluate_constant
+
     fseq = _resolve_fseq(args)
     shift = IrrationalShift(evaluate_constant(args.alpha))
     path = build_y(fseq, shift, args.level)
@@ -116,6 +131,9 @@ def _report_cov(kind, x, y, levels, out, extra=None):
     """Print <x,y>^n at t = 1 for each level and, given ``out``, write
     the curves on the lowest level's grid as columns ``{kind}_n{n}``,
     then ``extra`` (header, values) if given; qv is cov with y = x."""
+    from .dyadic import _write_csv, grid_points
+    from .quadvar import cov_curve, cov_level
+
     for n in levels:
         print(f"{kind} level {n} at t=1: {_fmt(cov_level(x, y, n, 1.0))}")
     if out:
@@ -132,6 +150,9 @@ def _report_cov(kind, x, y, levels, out, extra=None):
 
 
 def _cmd_qv(args):
+    from .construct import predicted_qv, preset
+    from .dyadic import SampledPath
+
     path = SampledPath.from_file(args.infile)
     levels = _parse_levels(args.levels, path.level)
     pred = None
@@ -142,6 +163,8 @@ def _cmd_qv(args):
 
 
 def _cmd_cov(args):
+    from .dyadic import SampledPath
+
     x = SampledPath.from_file(args.infile)
     y = SampledPath.from_file(args.infile2)
     levels = _parse_levels(args.levels, min(x.level, y.level))
@@ -149,6 +172,9 @@ def _cmd_cov(args):
 
 
 def _cmd_integrate(args):
+    from .dyadic import SampledPath
+    from .follmer import follmer_integral
+
     eta = SampledPath.from_file(args.eta)
     x = SampledPath.from_file(args.x)
     n = args.level if args.level is not None else min(eta.level, x.level)
@@ -158,6 +184,10 @@ def _cmd_integrate(args):
 
 
 def _cmd_ito_check(args):
+    from .dyadic import SampledPath
+    from .expr import Expression
+    from .follmer import ito_residual
+
     # --level is the synthesis level of a preset; a file keeps its own
     if args.x.startswith("preset:"):
         x, _ = _resolve_x(args.x, args.level)
@@ -174,6 +204,8 @@ def _cmd_ito_check(args):
 
 
 def _cmd_flow_check(args):
+    from .flow import FLOW_CHECKS, flow_identity_defects
+
     field = _resolve_field(args.sigma)
     defects = flow_identity_defects(field)
     failed = False
@@ -188,6 +220,11 @@ def _cmd_flow_check(args):
 
 
 def _load_problem(spec_path):
+    from .construct import predicted_qv
+    from .dyadic import BVDriver, QVCurve, _check_level, read_json
+    from .ide import IDEProblem
+    from .quadvar import qv_curve
+
     doc = read_json(spec_path)
     if not isinstance(doc, dict):
         raise DomainError(f"{spec_path}: expected a JSON object")
@@ -225,6 +262,8 @@ def _load_problem(spec_path):
 
 
 def _cmd_solve(args):
+    from .ide import solve_ide
+
     problem, level = _load_problem(args.problem)
     sol = solve_ide(problem, level, scheme=args.scheme, tonelli_n=args.tonelli_n)
     print(f"solved at level {level} ({args.scheme}): "
@@ -240,6 +279,9 @@ def _cmd_solve(args):
 
 
 def _cmd_shoot(args):
+    from .dyadic import _write_csv
+    from .support import shoot_constant_b
+
     field = _resolve_field(args.sigma)
     x, _ = _resolve_x(args.x, args.level)
     trace = []
@@ -258,6 +300,11 @@ def _cmd_shoot(args):
 
 
 def _cmd_match(args):
+    from .dyadic import SampledPath, grid_points
+    from .flow import flow_with_derivatives
+    from .ide import solve_ide
+    from .support import _linear_qv_problem, drift_from_path, match_path
+
     field = _resolve_field(args.sigma)
     x, _ = _resolve_x(args.x, args.level)
     target = SampledPath.from_file(args.target)
@@ -277,6 +324,9 @@ def _cmd_match(args):
 
 
 def _cmd_diagnose(args):
+    from .construct import coefficients_x, preset
+    from .support import nondiff_quotients
+
     fseq = preset(args.preset)
     coeffs = coefficients_x(fseq, args.n_max)
     report = nondiff_quotients(coeffs, fseq, args.t, args.n_max)
@@ -302,6 +352,10 @@ def _cmd_diagnose(args):
 
 
 def _cmd_figures(args):
+    from .construct import IrrationalShift, build_x, build_y, predicted_qv, preset
+    from .dyadic import _write_csv, grid_points
+    from .quadvar import qv_curve
+
     level = args.level
     t = grid_points(level)
     for name in ("fig1-left", "fig1-right"):
@@ -338,13 +392,13 @@ def _build_parser():
         return sp
 
     sp = add("synth-x", _cmd_synth_x, "synthesize a curved-QV path from f")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
+    sp.add_argument("--preset", choices=PRESETS)
     sp.add_argument("--f", help="expression f(t), used for every row")
     sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     sp.add_argument("--out", required=True)
 
     sp = add("synth-y", _cmd_synth_y, "synthesize a linear-QV path from f and alpha")
-    sp.add_argument("--preset", choices=sorted(PRESETS))
+    sp.add_argument("--preset", choices=PRESETS)
     sp.add_argument("--f", help="expression f(t)")
     sp.add_argument("--alpha", default="e", help="rotation number (expression, e.g. 10*e)")
     sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
@@ -402,7 +456,7 @@ def _build_parser():
     sp.add_argument("--out", required=True)
 
     sp = add("diagnose", _cmd_diagnose, "difference-quotient divergence report")
-    sp.add_argument("--preset", required=True, choices=sorted(PRESETS))
+    sp.add_argument("--preset", required=True, choices=PRESETS)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--n-max", type=int, default=14)
     sp.add_argument("--out")

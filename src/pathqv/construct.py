@@ -239,41 +239,48 @@ def _fig2_right_term(n, t):
     return (10.0 * t - n) / (1.0 + n) * np.cos(6.0 * np.pi * n * t / (1.0 + n))
 
 
-def _make_presets():
-    return {
-        "one": FunctionSequence.constant_in_n(lambda t: 1.0, 1.0, name="one"),
-        "fig1-left": FunctionSequence.constant_in_n(
-            lambda t: np.cos(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
-            1.0,
-            name="fig1-left",
-        ),
-        "fig1-right": FunctionSequence.constant_in_n(
-            lambda t: np.sin(7.0 * np.asarray(t, dtype=np.float64)) ** 2,
-            1.0,
-            name="fig1-right",
-        ),
-        "fig2-left": FunctionSequence.constant_in_n(
-            lambda t: np.sin(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
-            1.0,
-            name="fig2-left",
-        ),
-        "fig2-right": FunctionSequence(
-            _fig2_right_term,
-            lambda t: -np.cos(6.0 * np.pi * np.asarray(t, dtype=np.float64)),
-            10.0,
-            name="fig2-right",
-        ),
-    }
+#: How to build each preset; ``preset`` builds one on its first lookup, so
+#: no process pays for validating sequences it never uses.
+_PRESET_BUILDERS = {
+    "one": lambda: FunctionSequence.constant_in_n(lambda t: 1.0, 1.0, name="one"),
+    "fig1-left": lambda: FunctionSequence.constant_in_n(
+        lambda t: np.cos(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
+        1.0,
+        name="fig1-left",
+    ),
+    "fig1-right": lambda: FunctionSequence.constant_in_n(
+        lambda t: np.sin(7.0 * np.asarray(t, dtype=np.float64)) ** 2,
+        1.0,
+        name="fig1-right",
+    ),
+    "fig2-left": lambda: FunctionSequence.constant_in_n(
+        lambda t: np.sin(2.0 * np.pi * np.asarray(t, dtype=np.float64)),
+        1.0,
+        name="fig2-left",
+    ),
+    "fig2-right": lambda: FunctionSequence(
+        _fig2_right_term,
+        lambda t: -np.cos(6.0 * np.pi * np.asarray(t, dtype=np.float64)),
+        10.0,
+        name="fig2-right",
+    ),
+}
 
-
-PRESETS = _make_presets()
+#: The preset names, sorted.
+PRESETS = tuple(sorted(_PRESET_BUILDERS))
+_built_presets = {}
 
 
 def preset(name):
-    """Look up a shipped function sequence by CLI name."""
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}"
-        ) from None
+    """Look up a shipped function sequence by CLI name.  It is built and
+    validated on its first lookup; every lookup returns that object."""
+    fseq = _built_presets.get(name)
+    if fseq is None:
+        try:
+            build = _PRESET_BUILDERS[name]
+        except KeyError:
+            raise DomainError(
+                f"unknown preset {name!r}; available: {', '.join(PRESETS)}"
+            ) from None
+        fseq = _built_presets.setdefault(name, build())
+    return fseq

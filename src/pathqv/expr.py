@@ -21,11 +21,11 @@ tree nested deeper than ``MAX_DEPTH``, is a DomainError.
 Names resolve to the functions sin, cos, sinh, exp, sqrt, the constants
 pi and e, or a declared variable (typically t and xi).  Expressions
 evaluate with numpy semantics, on plain floats too (``^`` is np.power, so
-a float gets the bits of the same value in an array, and a negative base
-to a fractional power is NaN), and can be differentiated symbolically,
-which is how user-supplied volatility fields get exact partial
-derivatives; powers with non-constant exponents have no derivative rule
-here and are rejected when differentiated.
+a float gets the bits of the same value in an array, a negative base to a
+fractional power is NaN, and a zero divisor gives inf or NaN), and can be
+differentiated symbolically, which is how user-supplied volatility fields
+get exact partial derivatives; powers with non-constant exponents have no
+derivative rule here and are rejected when differentiated.
 """
 
 from __future__ import annotations
@@ -153,12 +153,25 @@ def _eval(node, env):
     if tag == "mul":
         return _eval(node[1], env) * _eval(node[2], env)
     if tag == "div":
-        return _eval(node[1], env) / _eval(node[2], env)
+        a, b = _eval(node[1], env), _eval(node[2], env)
+        try:
+            return a / b
+        except ZeroDivisionError:  # Python's floats raise where numpy's give inf or NaN
+            return _ieee_quotient(a, b)
     if tag == "pow":
         return np.power(_eval(node[1], env), _eval(node[2], env))
     if tag == "call":
         return _FUNCTIONS[node[1]](_eval(node[2], env))
     raise AssertionError(f"bad node {node!r}")
+
+
+def _ieee_quotient(a, b):
+    """a / b for a zero ``b``, as IEEE 754 defines it: NaN for a zero or NaN
+    ``a``, else an infinity signed by both operands' signs.  The finiteness
+    checks on an expression's values then refuse it."""
+    if a == 0.0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
 def _is_const(node):

@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -69,3 +72,52 @@ def test_finite_returns_a_float64_array_uncopied_and_refuses_non_finite_values()
         for error in (DomainError, NumericalError):
             with pytest.raises(error, match="^f is not finite$"):
                 _finite(error, "f is not finite", lambda t: 1.0 / t, values)
+
+
+# -- lazy exports ---------------------------------------------------------------
+
+IMPORT_ORDER_PROBE = """
+import sys, types
+
+def check_flow(after):
+    import pathqv
+    assert isinstance(pathqv.flow, types.FunctionType), after
+    assert pathqv.flow.__module__ == "pathqv.flow", after
+    assert isinstance(sys.modules["pathqv.flow"], types.ModuleType), after
+
+import pathqv.ide
+check_flow("pathqv.ide")
+from pathqv.flow import RTOL
+check_flow("RTOL")
+import pathqv.cli
+check_flow("pathqv.cli")
+
+import pathqv
+star = {}
+exec("from pathqv import *", star)
+listed = set(dir(pathqv))
+for name in pathqv.__all__:
+    home = sys.modules["pathqv." + pathqv._HOME[name]]
+    value = getattr(home, name)
+    assert getattr(pathqv, name) is value and star[name] is value, name
+    assert name in listed, name
+    assert getattr(value, "__module__", home.__name__) == home.__name__, name
+assert set(star) - {"__builtins__"} == set(pathqv.__all__)
+print("ok")
+"""
+
+
+def test_flow_stays_the_function_in_any_import_order():
+    # a fresh interpreter, so that no other test has imported a module first
+    out = subprocess.run([sys.executable, "-c", IMPORT_ORDER_PROBE], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(SRC.parent)})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "ok\n"
+
+
+def test_a_lazy_name_is_bound_on_first_lookup():
+    for name in pathqv.__all__:
+        value = getattr(pathqv, name)
+        assert vars(pathqv)[name] is value, name
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        pathqv.nope

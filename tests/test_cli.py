@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import pathqv.cli as cli
+import pathqv.construct as construct
+import pathqv.ide as ide
 from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, cov_curve,
                     grid_points, predicted_qv, preset, qv_curve)
 from pathqv.cli import main
@@ -102,7 +104,7 @@ def test_qv_table_with_predicted(tmp_path, capsys):
 def test_qv_predicted_is_one_curve_at_the_base_level(tmp_path, monkeypatch, capsys):
     x = tmp_path / "x.csv"
     run(["synth-x", "--preset", "fig1-left", "--level", "10", "--out", str(x)])
-    calls = count_calls(monkeypatch, cli, "predicted_qv")
+    calls = count_calls(monkeypatch, construct, "predicted_qv")
     table = tmp_path / "qv.csv"
     assert run(["qv", "--in", str(x), "--levels", "10,8",
                 "--predicted", "fig1-left", "--out", str(table)]) == 0
@@ -308,7 +310,7 @@ def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [("b", "1e999"), ("b", "nan"), ("z0", float("nan")),
                                         ("z0", "1e999"), ("b", "1e999*xi"),
-                                        ("b", "exp(1000)")])
+                                        ("b", "exp(1000)"), ("b", "1/0")])
 def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
@@ -348,7 +350,7 @@ def test_solve_analytic_qv_is_the_default_for_a_preset_x(tmp_path, monkeypatch, 
     problem.update({"x": "preset:fig1-left", "level": 8})
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(problem))
-    calls = count_calls(monkeypatch, cli, "predicted_qv")
+    calls = count_calls(monkeypatch, construct, "predicted_qv")
     loaded, level = cli._load_problem(str(pfile))
     assert calls == [(preset("fig1-left"), "curved", 8)]
     assert np.array_equal(loaded.qv_x.values,
@@ -380,6 +382,8 @@ def test_solve_analytic_qv_needs_a_preset_x(tmp_path, capsys):
     ["synth-y", "--preset", "one", "--alpha", "exp(1000)"],
     ["synth-x", "--f", "1/(t-0.5)"],
     ["synth-y", "--f", "1/(t-0.5)"],
+    ["synth-x", "--f", "1/0*t"],
+    ["synth-y", "--preset", "one", "--alpha", "1/0"],
 ])
 def test_synth_non_finite_input_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "p.csv"
@@ -422,6 +426,53 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+STARTUP_PROBE = """
+import contextlib, io, sys
+
+def loaded(stage):
+    print(stage, *sorted(m for m in sys.modules if m.split(".")[0] == "pathqv"))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pathqv.cli.main(list(argv)) == 0, argv
+
+import pathqv
+loaded("package")
+import pathqv.cli
+loaded("import")
+run("--version")
+loaded("--version")
+print("presets built", len(pathqv.construct._built_presets))
+run("cov", "--in", sys.argv[1], "--in2", sys.argv[1], "--levels", "6")
+loaded("cov")
+run("flow-check", "--sigma", "sqrt1p")
+loaded("flow-check")
+"""
+
+
+def test_a_cold_command_loads_only_the_modules_it_uses(tmp_path):
+    # module sets, not timings: each module a cold process loads is one
+    # more source file compiled when bytecode is not cached
+    path = tmp_path / "x.csv"
+    SampledPath.from_function(lambda t: t, 6).to_csv(path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path)], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    stages = dict(line.split(" ", 1) for line in out.splitlines())
+    package = {"pathqv", "pathqv.errors", "pathqv.flow"}
+    # building the parser imports construct for its PRESETS, the --preset choices
+    parser = package | {"pathqv.cli", "pathqv.construct", "pathqv.dyadic", "pathqv.schauder"}
+    assert {stage: set(names.split()) for stage, names in stages.items() if stage != "presets"} == {
+        "package": package,
+        "import": parser,
+        "--version": parser,
+        "cov": parser | {"pathqv.quadvar"},
+        "flow-check": parser | {"pathqv.quadvar", "pathqv.expr"},
+    }
+    assert stages["presets"] == "built 0"
 
 
 def test_missing_input_file_exit_2(tmp_path, capsys):
@@ -492,7 +543,7 @@ def test_figures_command(tmp_path, capsys):
 
 
 def test_figures_read_each_curve_in_one_call(tmp_path, monkeypatch, capsys):
-    pred_calls = count_calls(monkeypatch, cli, "predicted_qv")
+    pred_calls = count_calls(monkeypatch, construct, "predicted_qv")
     read_calls = count_calls(monkeypatch, QVCurve, "value_at")
     assert run(["figures", "--out-dir", str(tmp_path), "--level", "8"]) == 0
     assert pred_calls == [(preset("fig1-left"), "curved", 8),
@@ -544,7 +595,8 @@ def test_ito_check_reads_a_file_at_its_own_level(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
-@pytest.mark.parametrize("sigma", ["1/(xi-7)", "xi^0.5"], ids=["pole", "root"])
+@pytest.mark.parametrize("sigma", ["1/(xi-7)", "xi^0.5", "1+0/0*xi"],
+                         ids=["pole", "root", "zero-divisor"])
 def test_flow_check_non_finite_derivative_exit_2(capsys, sigma):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
@@ -680,7 +732,7 @@ def test_numerical_error_prints_its_defects(tmp_path, monkeypatch, capsys):
     def stall(*args, **kwargs):
         raise cli.NumericalError("Picard iteration stalled", trace=[0.5, 0.25])
 
-    monkeypatch.setattr(cli, "solve_ide", stall)
+    monkeypatch.setattr(ide, "solve_ide", stall)
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(GOOD_PROBLEM))
     assert run(["solve", "--problem", str(pfile)]) == 3

@@ -21,6 +21,7 @@ from pathqv import (
     qv_level,
     scalar_function,
 )
+import pathqv.construct as construct
 from pathqv.construct import PRESETS, _frac_loop
 
 
@@ -295,6 +296,17 @@ def test_preset_lookup():
     assert preset("fig2-right").uniform_bound == 10.0
     with pytest.raises(DomainError):
         preset("nope")
+
+
+def test_a_preset_is_built_on_its_first_lookup_only(monkeypatch):
+    built = []
+    build = construct._PRESET_BUILDERS["one"]
+    monkeypatch.setattr(construct, "_built_presets", {})
+    monkeypatch.setitem(construct._PRESET_BUILDERS, "one",
+                        lambda: built.append("one") or build())
+    first = preset("one")
+    assert preset("one") is first and first.name == "one"
+    assert built == ["one"]
 
 
 def test_predicted_qv_refuses_a_limit_pole_between_the_spot_checks():

@@ -187,6 +187,26 @@ def test_power_of_a_float_has_the_bits_of_an_array():
         assert np.isnan(Expression("(xi+10)^0.5", ("xi",))(-11.0))
 
 
+def test_quotient_of_floats_has_the_value_of_an_array():
+    # Python raises ZeroDivisionError on a float divided by zero; the
+    # expression gives numpy's inf or NaN instead, without a warning
+    e = Expression("x/y", ("x", "y"))
+    special = [0.0, -0.0, 1.5, -2.0, 5e-324, np.inf, -np.inf, np.nan]
+    values = special + np.random.default_rng(1).uniform(-3.0, 3.0, 40).tolist()
+    a, b = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
+    with np.errstate(all="ignore"):
+        want = a / b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([e(float(x), float(y)) for x, y in zip(a, b)])
+        # differentiating evaluates a constant exponent, here 1/0 = inf
+        d = Expression("xi^(1/0)", ("xi",)).diff("xi")
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    finite = ~np.isnan(want)
+    assert got[finite].tobytes() == want[finite].tobytes()
+    assert d.ast[1] == ("num", np.inf)
+
+
 @pytest.mark.parametrize("src", ["1/(xi-7)", "xi^0.5"], ids=["pole", "root"])
 def test_field_from_expression_non_finite_derivative_on_its_box(src):
     with warnings.catch_warnings():
