@@ -31,16 +31,15 @@ _HOME = {
         ("dyadic", "BVDriver DEFAULT_LEVEL MAX_LEVEL QVCurve SampledPath grid_points successor"),
         ("errors", "DomainError FlowIntegrationError NumericalError PathQVError"),
         ("schauder", "FSCoefficients analyze basis_eval synthesize"),
-        ("construct", "FunctionSequence IrrationalShift PRESETS build_x build_y "
-                      "coefficients_x coefficients_y predicted_qv preset"),
+        ("construct", "FunctionSequence IrrationalShift NondiffReport PRESETS build_x build_y "
+                      "coefficients_x coefficients_y nondiff_quotients predicted_qv preset"),
         ("quadvar", "coincidence_frequency cov_curve cov_level ell1 ell2 qv_curve qv_level"),
         ("follmer", "follmer_integral ito_residual"),
         ("flow", "VolatilityField constant_field flow flow_identity_defects "
                  "flow_with_derivatives scalar_linear_field sqrt1p_field"),
         ("ide", "IDEProblem IDESolution langevin_closed_form linear_closed_form "
                 "solve_ide sqrt1p_closed_form verify_local_qv"),
-        ("support", "NondiffReport drift_from_path match_path nondiff_quotients "
-                    "shoot_constant_b"),
+        ("support", "drift_from_path match_path shoot_constant_b"),
         ("expr", "Expression evaluate_constant field_from_expression scalar_function"),
     )
     for name in names.split()

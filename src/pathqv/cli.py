@@ -254,6 +254,8 @@ def _load_problem(spec_path):
     else:
         raise DomainError(f"bad qv spec {qv_spec!r}: use analytic | empirical | t")
     try:
+        if isinstance(doc["z0"], bool):  # float(true) would read it as 1.0
+            raise TypeError
         z0 = float(doc["z0"])
     except (TypeError, ValueError):
         raise DomainError(f"{spec_path}: z0 must be a number, got {doc['z0']!r}") from None
@@ -324,8 +326,7 @@ def _cmd_match(args):
 
 
 def _cmd_diagnose(args):
-    from .construct import coefficients_x, preset
-    from .support import nondiff_quotients
+    from .construct import coefficients_x, nondiff_quotients, preset
 
     fseq = preset(args.preset)
     coeffs = coefficients_x(fseq, args.n_max)

@@ -15,6 +15,19 @@ one cumulative composite-Simpson pass over f_inf^2.
 
 Coefficients depend linearly on the sequence, so each family is a vector
 space and covariations exist pairwise.
+
+``nondiff_quotients`` tracks the dyadic difference quotients
+d_n = 2^n (x(s_n') - x(s_n)) of a wedge-series path at a fixed time.
+Because rows at and beyond level n vanish on the level-n grid, the
+quotients obey an exact one-row recursion
+
+    d_n = d_{n-1} + eps_n * theta[n-1][k*] * 2^((n-1)/2),
+
+with k* the level-(n-1) cell containing t and eps_n = +1 or -1 according
+to whether that cell's left or right half contains t (the wedge rises,
+then falls).  When the coefficients stay bounded away from zero the
+increments blow up, so the quotients cannot converge: the divergence
+witness for the non-differentiability of the paths built here.
 """
 
 from __future__ import annotations
@@ -25,8 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import QVCurve, _check_level, grid_points
-from .errors import DomainError, _finite
+from .dyadic import QVCurve, _check_count, _check_level, grid_points
+from .errors import DomainError, NumericalError, _finite
 from .schauder import FSCoefficients, synthesize
 
 #: Where sequences are spot-checked: the level-10 dyadic grid, which holds
@@ -284,3 +297,87 @@ def preset(name):
             ) from None
         fseq = _built_presets.setdefault(name, build())
     return fseq
+
+
+@dataclass(frozen=True, eq=False)
+class NondiffReport:
+    """Difference quotients d_n at a point, their exact one-row recursion,
+    and the divergence bookkeeping for the non-differentiability argument.
+
+    Arrays are indexed by n = 1..n_max (entry 0 of ``d`` is d_0).
+    ``unoriented_increment`` is f_n(s_n) 2^((n-1)/2), the magnitude form
+    the divergence argument uses; ``predicted_increment`` carries the
+    orientation sign and matches ``increment`` to rounding.
+    """
+
+    t: float
+    d: np.ndarray
+    increment: np.ndarray
+    predicted_increment: np.ndarray
+    unoriented_increment: np.ndarray
+    sign: np.ndarray
+    hypothesis_met: np.ndarray
+    diverging: np.ndarray
+    eps: float
+    recursion_defect: float
+
+    @property
+    def max_abs_d(self):
+        return float(np.max(np.abs(self.d)))
+
+
+def nondiff_quotients(coeffs, fseq, t, n_max, *, eps=None):
+    """Difference quotients of the truncated wedge series at t in [0, 1).
+
+    Verifies the exact recursion (raises NumericalError beyond 1e-10) and
+    flags levels where the increment magnitude certifies divergence:
+    |d_n - d_{n-1}| >= eps 2^((n-1)/2) whenever |f_n(s_n)| >= eps, which
+    contradicts convergence of the quotients.
+    """
+    t = float(t)
+    if not 0.0 <= t < 1.0:
+        raise DomainError("t must lie in [0, 1); t = 1 reduces to t = 0 by symmetry")
+    n_max = _check_count(n_max, "n_max")
+    if not 1 <= n_max <= coeffs.depth:
+        raise DomainError(f"n_max must lie in [1, depth={coeffs.depth}]")
+    if eps is None:
+        eps = max(1e-12, 0.5 * abs(float(_finite(DomainError, f"f_inf({t}) is not finite",
+                                                 fseq.limit, t))))
+    eps = float(eps)
+
+    path = synthesize(coeffs, coeffs.depth)
+    v = path.values
+
+    d = np.empty(n_max + 1)
+    for n in range(n_max + 1):
+        k = int(np.floor(t * 2**n))
+        stride = 2 ** (path.level - n)
+        d[n] = 2**n * (v[(k + 1) * stride] - v[k * stride])
+
+    ns = np.arange(1, n_max + 1)
+    k_fine = np.floor(t * 2.0**ns).astype(np.int64)
+    k_coarse = np.floor(t * 2.0 ** (ns - 1)).astype(np.int64)
+    sign = np.where(k_fine % 2 == 0, 1.0, -1.0)
+    theta_at = np.array([coeffs.row(n - 1)[k] for n, k in zip(ns, k_coarse)])
+    predicted = sign * theta_at * 2.0 ** ((ns - 1) / 2.0)
+    increment = np.diff(d)
+
+    scale = 1.0 + np.max(np.abs(predicted))
+    defect = float(np.max(np.abs(increment - predicted)))
+    if defect > 1e-10 * scale:
+        raise NumericalError(
+            f"difference-quotient recursion violated by {defect:.3e}"
+        )
+
+    s_fine = k_fine * 2.0 ** (-ns.astype(np.float64))
+    f_at = np.array([float(_finite(DomainError, f"f_{n}({s}) is not finite",
+                                   fseq.term, int(n), np.array([s])).ravel()[0])
+                     for n, s in zip(ns, s_fine)])
+    unoriented_increment = f_at * 2.0 ** ((ns - 1) / 2.0)
+    hypothesis = np.abs(f_at) >= eps
+    diverging = np.abs(increment) >= eps * 2.0 ** ((ns - 1) / 2.0)
+    return NondiffReport(
+        t=t, d=d, increment=increment, predicted_increment=predicted,
+        unoriented_increment=unoriented_increment, sign=sign, hypothesis_met=hypothesis,
+        diverging=diverging, eps=eps, recursion_defect=defect,
+    )

@@ -31,17 +31,23 @@ the resulting discrete fixed-point system:
   by more than 1e-3 of its largest move (a loose sweep's noise over a
   tiny move is no slope), each slope is clipped to min(1/2, 8 x the
   cell's driver mass), and a step that is not finite falls back to the
-  Picard step.  With a closed-form flow a sweep runs in blocks of 8192
-  cells, read from slices of the problem's own paths, so that only the
-  Picard state lives at full grid size (a level-16 solve holds about
-  nine grid arrays at once); a DP45 flow takes the whole grid as one
-  batch, since its step control is shared across a batch;
+  Picard step;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
   produces the same discrete solution as Picard and serves as an
   independent uniqueness probe; coarser lags demonstrate the convergence
   of the delayed approximations themselves.
+
+Every solve walks the grid in the same blocks of 8192 cells
+(``_spans``), read from slices of the problem's own paths: a Picard
+sweep, the Tonelli scheme's final flow values and the pathwise-integral
+defect alike, for a closed-form and a DP45 flow.  Cell j reads the flow
+only at its own left point, so a sweep is pointwise along the grid and
+only the solve's state lives at full grid size (a level-16 solve holds
+about nine grid arrays at once with a closed-form flow, ten with DP45).  The blocks depend on the level alone,
+so a DP45 solve, whose step control is shared across a batch, still
+gives the same bits on every run; grids up to level 13 are one block.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import numpy as np
 
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_count, _check_level
 from .errors import DomainError, NumericalError, _finite
-from .flow import RTOL, flow_with_derivatives
+from .flow import RTOL, flow, flow_with_derivatives
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
@@ -60,10 +66,10 @@ MAX_PICARD_ITER = 200
 _FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
 _SLOPE_CAP = 8.0  # largest trusted slope of a cell per unit of its driver mass
 _PRODUCT_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
-# Cells per block of a closed-form sweep: a block array of 8192 floats is
-# 64 KiB, under glibc's default 128 KiB mmap threshold, so the blocks'
-# temporaries are reused from the heap instead of being mapped afresh and
-# page-faulted in every sweep.  Grids up to level 13 are one block.
+# Cells per block of every solve: a block array of 8192 floats is 64 KiB,
+# under glibc's default 128 KiB mmap threshold, so the blocks' temporaries
+# are reused from the heap instead of being mapped afresh and page-faulted
+# in every sweep.  Grids up to level 13 are one block.
 _SWEEP_BLOCK = 8192
 
 
@@ -153,13 +159,11 @@ def _paths(problem, level):
                  for p in (problem.x, problem.driver_A, problem.qv_x))
 
 
-def _spans(problem, level):
+def _spans(level):
     """(a, b) point ranges that cover the grid points 0..2^level with
-    blocks of _SWEEP_BLOCK cells for a field with a closed-form flow, and
-    with one block otherwise (see ``_solve_picard``); the last also holds
-    the point t = 1, which starts no cell."""
-    n = 2**level
-    size = _SWEEP_BLOCK if getattr(problem.field, "exact_flow", None) is not None else n
+    blocks of _SWEEP_BLOCK cells; the last also holds the point t = 1,
+    which starts no cell."""
+    n, size = 2**level, _SWEEP_BLOCK
     return [(a, min(a + size, n) + (a + size >= n)) for a in range(0, n, size)]
 
 
@@ -169,17 +173,18 @@ def _block(problem, level, paths, a, b, y, cells, rtol=RTOL):
     left-point contributions of the cells starting there (all but t = 1)
     to ``cells`` from index a.  The times k 2^-level are exact, ds is the
     constant 2^-level, and each cell takes b/phi_xi dA - phi_tau/phi_xi ds
-    - 1/2 phi_tt/phi_xi d<x> in that order.  Raises NumericalError when
-    the drift is not finite at the flow values."""
+    - 1/2 phi_tt/phi_xi d<x> in that order.  The drift is read at the
+    cells' left points only, and NumericalError raised when it is not
+    finite there."""
     h = 2.0 ** -level
     t = np.arange(a, b, dtype=np.float64) * h
     xv, Av, Qv = paths
     phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, t, y, xv[a:b], rtol)
-    bvals = _finite(NumericalError, "drift b is not finite at the flow values",
-                    problem.drift, t, phi)
     c = min(b, Av.shape[0] - 1)
     m = c - a
-    out = np.multiply(np.divide(bvals, dxi)[:m], _increments(Av, a, c), out=cells[a:c])
+    bvals = _finite(NumericalError, "drift b is not finite at the flow values",
+                    problem.drift, t[:m], phi[:m])
+    out = np.multiply(np.divide(bvals, dxi[:m]), _increments(Av, a, c), out=cells[a:c])
     term = np.negative(dtau[:m])
     term /= dxi[:m]
     term *= h
@@ -200,12 +205,10 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
     """Sweeps from z0 or ``initial`` on the grid of ``level``, reading the
     problem through ``_paths``; returns the arrays (B, phi) and the defect.
 
-    A sweep with a closed-form flow runs in blocks of _SWEEP_BLOCK cells:
-    cell j reads the flow only at its own left point, so the sweep is
-    pointwise along the grid, and only the Picard state (B, the previous
-    B and cells, S, phi) lives at full grid size.  A DP45 flow solves the
-    whole grid as one batch, because its step control is shared across a
-    batch, so its values would depend on the blocks.
+    A sweep runs in the blocks of ``_spans``: cell j reads the flow only
+    at its own left point, so the sweep is pointwise along the grid, and
+    only the Picard state (B, the previous B and cells, S, phi) lives at
+    full grid size.
 
     Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
     with F = _FORCING (inexact Newton; the flow scales its absolute
@@ -234,7 +237,7 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
         if not np.all(np.isfinite(B)):
             raise DomainError("initial iterate must be finite")
     exact = getattr(problem.field, "exact_flow", None) is not None
-    spans = _spans(problem, level)
+    spans = _spans(level)
     trace, defect = [], np.inf
     B_prev = cells_prev = cap = None
     for _ in range(sweeps):
@@ -356,8 +359,8 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
 def _solve_tonelli(problem, level, paths, tonelli_n):
     """The delayed iterate with lag 1/tonelli_n, built block by block on
     the grid of ``level``; returns (B, phi, 0.0) like ``_solve_picard``,
-    with phi from one full-grid flow solve at B (the delayed equation has
-    no defect)."""
+    with phi the flow value alone at B, solved in the blocks of ``_spans``
+    (the delayed equation has no defect)."""
     tonelli_n = _check_count(tonelli_n, "tonelli_n")
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
@@ -378,7 +381,10 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
         prefix[sl] += running
         running = prefix[j1 - lag - 1]
         B[j0:j1] = problem.z0 + prefix[sl]
-    phi, _, _, _ = flow_with_derivatives(problem.field, grid_points(level), B, paths[0])
+    phi, h = np.empty(npts), 2.0 ** -level
+    for a, b in _spans(level):
+        t = np.arange(a, b, dtype=np.float64) * h
+        phi[a:b] = flow(problem.field, t, B[a:b], paths[0][a:b])
     return B, phi, 0.0
 
 
@@ -387,10 +393,10 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     """Solve the pathwise Ito equation for B and assemble z = phi(t, B, x).
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
-    must divide 2^level).  The "picard" scheme makes one flow solve per
-    sweep, or per block of a closed-form sweep: a Picard step first, then
-    causal Newton steps whose slopes are secants of the last two sweeps
-    (see the module docstring).  It stops
+    must divide 2^level).  Both schemes solve the flow in blocks of 8192
+    cells.  The "picard" scheme makes one flow solve per block of each
+    sweep: a Picard step first, then causal Newton steps whose slopes are
+    secants of the last two sweeps (see the module docstring).  It stops
     at a fixed-point defect (sup over grid points) <= PICARD_TOL and
     raises NumericalError with the defect trace if it stalls or has made
     ``max_iter`` + 1 sweeps; ``max_iter`` must be an integer >= 0.
@@ -431,7 +437,7 @@ def _follmer_defect(problem, level, paths, z):
     h = 2.0 ** -level
     n = z.shape[0] - 1
     running, gaps = 0.0, [abs(z[0] - problem.z0)]
-    for a, b in _spans(problem, level):
+    for a, b in _spans(level):
         c = min(b, n)
         t, zl = np.arange(a, c, dtype=np.float64) * h, z[a:c]
         sig = _finite(NumericalError, "sigma is not finite at the solution", problem.field.sigma, t, zl)

@@ -300,7 +300,8 @@ def test_file_that_is_not_json_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("z0", "abc"), ("z0", None), ("A", True),
-                                        ("sigma", 1.5), ("x", ["preset:one"])])
+                                        ("sigma", 1.5), ("x", ["preset:one"]),
+                                        ("z0", True)])
 def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
@@ -445,6 +446,8 @@ loaded("import")
 run("--version")
 loaded("--version")
 print("presets built", len(pathqv.construct._built_presets))
+run("diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6")
+loaded("diagnose")
 run("cov", "--in", sys.argv[1], "--in2", sys.argv[1], "--levels", "6")
 loaded("cov")
 run("flow-check", "--sigma", "sqrt1p")
@@ -469,6 +472,7 @@ def test_a_cold_command_loads_only_the_modules_it_uses(tmp_path):
         "package": package,
         "import": parser,
         "--version": parser,
+        "diagnose": parser,
         "cov": parser | {"pathqv.quadvar"},
         "flow-check": parser | {"pathqv.quadvar", "pathqv.expr"},
     }

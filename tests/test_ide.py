@@ -31,7 +31,7 @@ from pathqv import (
     verify_local_qv,
 )
 from pathqv.flow import RTOL
-from pathqv.ide import _newton_step
+from pathqv.ide import PICARD_TOL, _newton_step
 
 LEVEL = 12
 
@@ -591,6 +591,18 @@ def test_tonelli_defect_refuses_a_drift_that_is_not_finite_at_an_unread_cell(x12
         solve_ide(prob, 2)
 
 
+def test_picard_reads_no_drift_at_t_1():
+    # t = 1 starts no cell, so no sum reads the drift there, and a drift
+    # that blows up at t = 1 leaves Picard with lag-1 Tonelli's bits
+    level = 8
+    prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 0.1 / (1.0 - t) + 0.0 * xi,
+                             build_x(preset("one"), level), 0.3, level)
+    picard = solve_ide(prob, level)
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level)
+    assert picard.B.values.tobytes() == tonelli.B.values.tobytes()
+    assert picard.follmer_defect <= 1e-12
+
+
 @pytest.mark.parametrize("tonelli_n", [2.0, "4", None])
 def test_tonelli_rejects_a_count_that_is_not_an_integer(x12, tonelli_n):
     prob = geometric_problem(x12.restrict(8))
@@ -640,23 +652,62 @@ def test_blocked_sweeps_give_the_bits_of_one_batch(monkeypatch):
             assert sol.z.values.tobytes() == z.tobytes()
 
 
-def test_level_16_picard_solve_stays_within_eleven_grid_arrays():
-    # one level-16 float array is 0.5 MiB; the solve held 17 at once when
-    # every sweep took full-grid temporaries
-    def solve():
-        prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, X16, 1.0, 16)
-        return solve_ide(prob, 16)
+def test_blocked_dp45_sweeps_meet_the_tolerance_of_one_batch(monkeypatch):
+    # a DP45 batch shares one adaptive step, so blocks move its values in
+    # the last digits only, and the blocked solve still meets PICARD_TOL
+    ide = sys.modules["pathqv.ide"]
+    drift = lambda t, xi: 0.3 * np.cos(xi) - 0.5 * xi + np.sin(5 * t)
+    for level in (14, 16):
+        prob = linear_qv_problem(EXPRESSION, drift, X16.restrict(level), 0.7, level)
+        Bs = []
+        for block in (ide._SWEEP_BLOCK, 2**level):
+            monkeypatch.setattr(ide, "_SWEEP_BLOCK", block)
+            sol = solve_ide(prob, level)
+            assert sol.residual_report <= PICARD_TOL
+            Bs.append(sol.B.values)
+        assert np.max(np.abs(Bs[0] - Bs[1])) <= 1e-9, level
 
-    solve()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
+
+def test_no_flow_call_of_a_solve_exceeds_one_block(monkeypatch):
+    # at level 14 the grid holds two blocks, closed form and DP45 alike
+    ide = sys.modules["pathqv.ide"]
+    sizes = []
+    for name in ("flow", "flow_with_derivatives"):
+        fn = getattr(ide, name)
+        monkeypatch.setattr(ide, name, lambda field, tau, xi, t, *rest, fn=fn: (
+            sizes.append(np.broadcast(tau, xi, t).size) or fn(field, tau, xi, t, *rest)))
+    level = 14
+    for field in (GEOMETRIC, EXPRESSION):
+        prob = linear_qv_problem(field, lambda t, xi: 0.3 * np.cos(xi), X16.restrict(level),
+                                 0.7, level)
+        for scheme in ("picard", "tonelli"):
+            sizes.clear()
+            solve_ide(prob, level, scheme=scheme, tonelli_n=64)
+            assert sizes and max(sizes) <= ide._SWEEP_BLOCK + 1, (field.name, scheme)
+
+
+def test_level_16_picard_solve_stays_within_eleven_grid_arrays():
+    # one level-16 float array is 0.5 MiB.  With its IDEProblem, a
+    # closed-form solve held 17 at once when every sweep took full-grid
+    # temporaries, and a DP45 solve 26 (Tonelli: 22) when it took the
+    # whole grid as one batch
+    def problem(field):
+        return linear_qv_problem(field, lambda t, xi: -0.5 * xi, X16, 1.0, 16)
+
+    solves = (lambda: solve_ide(problem(constant_field(1.0)), 16),
+              lambda: solve_ide(problem(EXPRESSION), 16),
+              lambda: solve_ide(problem(EXPRESSION), 16, scheme="tonelli", tonelli_n=64))
+    for solve in solves:
         solve()
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert peak <= 11 * 8 * (2**16 + 1)
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            solve()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 11 * 8 * (2**16 + 1)
