@@ -252,7 +252,7 @@ def _diff(node, var):
         base, expo = node[1], node[2]
         if not _is_const(expo):
             raise DomainError("cannot differentiate a power with non-constant exponent")
-        c = _eval(expo, {})
+        c = _exponent(expo)
         return _mul(_mul(_num(c), ("pow", base, _num(c - 1.0))), _diff(base, var))
     if tag == "call":
         fname, arg = node[1], node[2]
@@ -270,6 +270,21 @@ def _diff(node, var):
             cosh = _div(_add(("call", "exp", arg), ("call", "exp", ("neg", arg))), _num(2.0))
             return _mul(cosh, da)
     raise AssertionError(f"bad node {node!r}")
+
+
+def _exponent(node):
+    """The value of a constant exponent, evaluated through ``_finite`` so
+    that numpy's warnings stay off.  A NaN exponent, as from (0-1)^0.5, is a
+    DomainError.  An infinite one, as from a zero divisor, is kept: the
+    derivative then evaluates to inf or NaN, which its callers refuse."""
+    value = []
+
+    def finite_unless_nan():
+        value.append(_eval(node, {}))
+        return 0.0 if np.isinf(value[0]) else value[0]
+
+    _finite(DomainError, "a constant exponent is not a number", finite_unless_nan)
+    return value[0]
 
 
 class Expression:

@@ -16,12 +16,13 @@ grid against the three drivers A(s), s and <x>_s, matching the
 non-anticipative convention of the pathwise integral.  Two schemes solve
 the resulting discrete fixed-point system:
 
-* ``picard``  sweeps from the constant z0 with one vectorized flow solve
-  per sweep (per block, see below), loose while the defect is large and
-  at full tolerance before it may stop (a closed-form flow is always at
-  full accuracy); the flow values of that last sweep are phi(t, B(t),
-  x(t)) and assemble z without a further solve.  The first sweep takes
-  the Picard step B -> z0 + S(B); every later one a causal Newton step.
+* ``picard``  solves the grid window by window (below).  Each window
+  sweeps from a constant, or a warm start, with one vectorized flow solve
+  per sweep, loose while the defect is large and at full tolerance before
+  it may stop (a closed-form flow is always at full accuracy); the flow
+  values of that last sweep are phi(t, B(t), x(t)) and assemble z without
+  a further solve.  The first sweep takes the Picard step B -> z0 + S(B);
+  every later one a causal Newton step.
   Cell j of S reads B only at its left point, so the Jacobian of S is
   strictly lower triangular and the Newton step solves a first-order
   recurrence in O(n), with one cumulative product and one cumulative
@@ -40,14 +41,21 @@ the resulting discrete fixed-point system:
   of the delayed approximations themselves.
 
 Every solve walks the grid in the same blocks of 8192 cells
-(``_spans``), read from slices of the problem's own paths: a Picard
-sweep, the Tonelli scheme's final flow values and the pathwise-integral
+(``_spans``), read from slices of the problem's own paths: the Picard
+windows, the Tonelli scheme's final flow values and the pathwise-integral
 defect alike, for a closed-form and a DP45 flow.  Cell j reads the flow
-only at its own left point, so a sweep is pointwise along the grid and
-only the solve's state lives at full grid size (a level-16 solve holds
-about nine grid arrays at once with a closed-form flow, ten with DP45).  The blocks depend on the level alone,
-so a DP45 solve, whose step control is shared across a batch, still
-gives the same bits on every run; grids up to level 13 are one block.
+only at its own left point, so the B-equation is causal, and the Picard
+scheme solves its windows one after another (windowed waveform
+relaxation): a window starts from B at its first point, fixed by the
+converged windows before it, and sweeps to a defect <= PICARD_TOL before
+the next one starts.  The sums continue from window to window in the
+order of one cumulative sum over the grid, so the largest window defect
+is the full-grid defect.  Only B and phi live at grid size (a level-16
+solve holds about six grid arrays at once, its problem's included, with
+a closed-form flow, seven with DP45).  The blocks depend on the level
+alone, so a DP45 solve, whose step control is shared across a batch,
+still gives the same bits on every run; grids up to level 13 are one
+block, and so one window.
 """
 
 from __future__ import annotations
@@ -66,10 +74,11 @@ MAX_PICARD_ITER = 200
 _FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
 _SLOPE_CAP = 8.0  # largest trusted slope of a cell per unit of its driver mass
 _PRODUCT_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
-# Cells per block of every solve: a block array of 8192 floats is 64 KiB,
-# under glibc's default 128 KiB mmap threshold, so the blocks' temporaries
-# are reused from the heap instead of being mapped afresh and page-faulted
-# in every sweep.  Grids up to level 13 are one block.
+# Cells per block of every solve, and per Picard window: a block array of
+# 8192 floats is 64 KiB, under glibc's default 128 KiB mmap threshold, so
+# the blocks' temporaries and a window's state are reused from the heap
+# instead of being mapped afresh and page-faulted in every sweep.  Grids
+# up to level 13 are one block.
 _SWEEP_BLOCK = 8192
 
 
@@ -171,11 +180,11 @@ def _block(problem, level, paths, a, b, y, cells, rtol=RTOL):
     """The flow at grid points a..b-1 of ``level``, at (t, y, x(t)), from
     one vectorized flow solve at relative tolerance rtol; writes the
     left-point contributions of the cells starting there (all but t = 1)
-    to ``cells`` from index a.  The times k 2^-level are exact, ds is the
-    constant 2^-level, and each cell takes b/phi_xi dA - phi_tau/phi_xi ds
-    - 1/2 phi_tt/phi_xi d<x> in that order.  The drift is read at the
-    cells' left points only, and NumericalError raised when it is not
-    finite there."""
+    to ``cells``, which holds one entry per cell.  The times k 2^-level
+    are exact, ds is the constant 2^-level, and each cell takes
+    b/phi_xi dA - phi_tau/phi_xi ds - 1/2 phi_tt/phi_xi d<x> in that order.
+    The drift is read at the cells' left points only, and NumericalError
+    raised when it is not finite there."""
     h = 2.0 ** -level
     t = np.arange(a, b, dtype=np.float64) * h
     xv, Av, Qv = paths
@@ -184,7 +193,8 @@ def _block(problem, level, paths, a, b, y, cells, rtol=RTOL):
     m = c - a
     bvals = _finite(NumericalError, "drift b is not finite at the flow values",
                     problem.drift, t[:m], phi[:m])
-    out = np.multiply(np.divide(bvals, dxi[:m]), _increments(Av, a, c), out=cells[a:c])
+    out = np.divide(bvals, dxi[:m], out=cells)
+    out *= _increments(Av, a, c)
     term = np.negative(dtau[:m])
     term /= dxi[:m]
     term *= h
@@ -205,90 +215,133 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
     """Sweeps from z0 or ``initial`` on the grid of ``level``, reading the
     problem through ``_paths``; returns the arrays (B, phi) and the defect.
 
-    A sweep runs in the blocks of ``_spans``: cell j reads the flow only
-    at its own left point, so the sweep is pointwise along the grid, and
-    only the Picard state (B, the previous B and cells, S, phi) lives at
-    full grid size.
-
-    Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
-    with F = _FORCING (inexact Newton; the flow scales its absolute
-    tolerance alike), so the first sweep runs at F.  Only a sweep at full
-    tolerance may stop, so B has a full-accuracy defect <= PICARD_TOL;
-    that sweep's flow values phi(t, B(t), x(t)) and its defect are
-    returned for reuse.  A field with a closed-form flow ignores the
-    tolerance, so there every sweep is at full accuracy and any sweep may
-    stop.  The first sweep moves B to the Picard iterate z0 + S(B), every
-    later one to the Newton iterate of ``_newton_step``, built from this
-    sweep's cells and the previous one's.  The solve stalls when a sweep
-    from the eighth on leaves the defect no lower than both of the two
-    before it: a Newton step may raise the defect once, and the first
-    full-tolerance sweep after loose ones may read a larger defect.
+    The blocks of ``_spans`` are windows, solved one after another: cell j
+    reads B only at its left point, so window w, which covers the cells
+    a..c-1, depends on the windows before it only through B at its first
+    point a.  That value is fixed at z0 + S_a from the converged cells of
+    the windows before, and ``_solve_window`` sweeps the window to a
+    defect <= PICARD_TOL from the constant B_a, or from ``initial``
+    shifted by a constant to start there (the first window takes
+    ``initial`` as it is).  S carries the running sum from window to
+    window in the order of one cumulative sum over the grid, so each
+    window's defect is the full-grid defect on its points, and the
+    returned defect, their maximum, is the full-grid defect.  Only B and
+    phi live at grid size; a grid up to level 13 is one window, whose
+    arrays are returned as they are.  ``max_iter`` bounds the sweeps of
+    each window.
     """
     sweeps = _check_count(max_iter, "max_iter") + 1
     if sweeps < 1:
         raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     n = 2**level
-    B = np.full(n + 1, problem.z0)
     if initial is not None:
-        # a copy, since the sweeps write to it
-        B = np.array(getattr(initial, "values", initial), dtype=np.float64)
-        if B.shape != (n + 1,):
+        initial = np.asarray(getattr(initial, "values", initial), dtype=np.float64)
+        if initial.shape != (n + 1,):
             raise DomainError("initial iterate must live on the working grid")
-        if not np.all(np.isfinite(B)):
+        if not np.all(np.isfinite(initial)):
             raise DomainError("initial iterate must be finite")
     exact = getattr(problem.field, "exact_flow", None) is not None
     spans = _spans(level)
-    trace, defect = [], np.inf
+    trace, defect = [], 0.0
+    B = np.empty(n + 1)  # each window's first iterate, then the solution
+    phi = np.empty(n + 1) if len(spans) > 1 else None
+    start, running = problem.z0, 0.0  # B and S at the window's first point
+    for a, b in spans:
+        c = min(b, n)
+        Bw = B[a:c + 1]
+        if initial is None:
+            Bw.fill(start)
+        else:
+            Bw[:] = initial[a:c + 1]
+            if a:
+                Bw -= initial[a]
+                Bw += start
+        Bw, phiw, S, d = _solve_window(problem, level, paths, a, b, Bw, running,
+                                       sweeps, exact, trace)
+        defect = max(defect, d)
+        if phi is None:
+            return Bw, phiw, defect
+        B[a:b], phi[a:b] = Bw[:b - a], phiw
+        running = S[-1]
+        start = running + problem.z0  # the Picard iterate at point c: defect 0 there
+        Bw = phiw = S = None  # freed before the next window allocates its own
+    return B, phi, defect
+
+
+def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace):
+    """Sweep the window of cells a..c-1, c = min(b, 2^level), from its
+    first iterate B at the points a..c, with ``running`` = S_a, so that
+    every sweep's iterate starts at z0 + S_a; returns (B, phi, S, defect)
+    of the sweep that stops, with phi at the points a..b-1 and S at a..c.
+    Each sweep appends its defect over the points a..b-1 (point c, if b
+    excludes it, is the next window's fixed start) to ``trace``.
+
+    Sweep k solves the flow at rtol = min(F, max(RTOL, F defect_{k-1}))
+    with F = _FORCING (inexact Newton; the flow scales its absolute
+    tolerance alike), so the window's first sweep runs at F.  Only a sweep
+    at full tolerance may stop, so B has a full-accuracy defect <=
+    PICARD_TOL; that sweep's flow values phi(t, B(t), x(t)) and its defect
+    are returned for reuse.  A field with a closed-form flow ignores the
+    tolerance, so there every sweep is at full accuracy and any sweep may
+    stop.  The first sweep moves B to the Picard iterate z0 + S(B), every
+    later one to the Newton iterate of ``_newton_step``, built from this
+    sweep's cells and the previous one's.  The window stalls when a sweep
+    from its eighth on leaves the defect no lower than both of the two
+    before it: a Newton step may raise the defect once, and the first
+    full-tolerance sweep after loose ones may read a larger defect.  The
+    window may make ``sweeps`` sweeps.
+    """
+    z0, m, p = problem.z0, B.shape[0] - 1, b - a
+    first, defect = len(trace), np.inf
+    where = "" if p == 2**level + 1 else f" in the window of cells {a}..{a + m - 1}"
     B_prev = cells_prev = cap = None
     for _ in range(sweeps):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
-        phi, cells = np.empty(n + 1), np.empty(n)
-        for a, b in spans:
-            phi[a:b] = _block(problem, level, paths, a, b, B[a:b], cells, rtol)
-        S = np.empty(n + 1)
-        S[0] = 0.0
-        np.cumsum(cells, out=S[1:])
-        defect = _sup_gap(B, problem.z0, S, spans)
+        run_cells = np.empty(m + 1)  # S_a, then the window's cells
+        run_cells[0] = running
+        cells = run_cells[1:]
+        phi = _block(problem, level, paths, a, b, B[:p], cells, rtol)
+        S = np.cumsum(run_cells)
+        defect = _sup_gap(B[:p], z0, S[:p])
         trace.append(defect)
         if defect <= PICARD_TOL and (exact or rtol == RTOL):
-            return B, phi, defect
-        if len(trace) >= 8 and defect >= 0.9999 * max(trace[-3], trace[-2]):
+            return B, phi, S, defect
+        if len(trace) - first >= 8 and defect >= 0.9999 * max(trace[-3], trace[-2]):
             raise NumericalError(
-                f"Picard iteration stalled at defect {defect:.3e} "
+                f"Picard iteration stalled at defect {defect:.3e}{where} "
                 f"(tol {PICARD_TOL:.1e})",
                 trace=trace,
             )
         phi = None  # not needed unless the sweep stops: free it before the next solve
-        S += problem.z0  # the Picard iterate z0 + S(B), in place
+        S += z0  # the Picard iterate z0 + S(B), in place
         if B_prev is not None:
             if cap is None:
-                cap = _slope_cap(paths, level, spans)
+                cap = _slope_cap(paths, level, a, a + m)
             _newton_step(S, B, B_prev, cells, cells_prev, cap)
         B, B_prev, cells_prev = S, B, cells
+    k = len(trace) - first
     raise NumericalError(
-        f"Picard did not reach defect {PICARD_TOL:.1e} in {len(trace)} "
-        f"sweep{'s' * (len(trace) > 1)} (last defect {trace[-1]:.3e})",
+        f"Picard did not reach defect {PICARD_TOL:.1e} in {k} "
+        f"sweep{'s' * (k > 1)}{where} (last defect {trace[-1]:.3e})",
         trace=trace,
     )
 
 
-def _sup_gap(u, z0, v, spans):
-    """max |u - z0 - v| over the points of ``spans``, a block at a time;
-    NaN when any term is."""
-    return float(np.max([np.max(np.abs(u[a:b] - z0 - v[a:b])) for a, b in spans]))
+def _sup_gap(u, z0, v):
+    """max |u - z0 - v|, with one temporary; NaN when any term is."""
+    gap = np.subtract(u, z0)
+    gap -= v
+    return float(np.max(np.abs(gap, out=gap)))
 
 
-def _slope_cap(paths, level, spans):
-    """Each cell's bound min(1/2, _SLOPE_CAP m_j) on its Newton slope, with
-    the driver mass m_j = |dA_j| + ds + |dQ_j| (see ``_newton_step``)."""
+def _slope_cap(paths, level, a, c):
+    """The bound min(1/2, _SLOPE_CAP m_j) on the Newton slope of each cell
+    j = a..c-1, with the driver mass m_j = |dA_j| + ds + |dQ_j| (see
+    ``_newton_step``)."""
     _, Av, Qv = paths
-    n = Av.shape[0] - 1
-    cap = np.empty(n)
-    for a, b in spans:
-        c = min(b, n)
-        mass = np.abs(_increments(Av, a, c), out=cap[a:c])
-        mass += 2.0 ** -level
-        mass += np.abs(_increments(Qv, a, c))
+    cap = np.abs(_increments(Av, a, c))
+    cap += 2.0 ** -level
+    cap += np.abs(_increments(Qv, a, c))
     cap *= _SLOPE_CAP
     return np.minimum(cap, 0.5, out=cap)
 
@@ -376,7 +429,7 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
         # B[j0:j1] reads cells [j0-lag, j1-lag), which use only B values of earlier blocks
         j1 = min(j0 + lag, npts)
         sl = slice(j0 - lag, j1 - lag)
-        _block(problem, level, paths, sl.start, sl.stop, B[sl], prefix)
+        _block(problem, level, paths, sl.start, sl.stop, B[sl], prefix[sl])
         np.cumsum(prefix[sl], out=prefix[sl])
         prefix[sl] += running
         running = prefix[j1 - lag - 1]
@@ -394,18 +447,24 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
     must divide 2^level).  Both schemes solve the flow in blocks of 8192
-    cells.  The "picard" scheme makes one flow solve per block of each
-    sweep: a Picard step first, then causal Newton steps whose slopes are
-    secants of the last two sweeps (see the module docstring).  It stops
-    at a fixed-point defect (sup over grid points) <= PICARD_TOL and
-    raises NumericalError with the defect trace if it stalls or has made
-    ``max_iter`` + 1 sweeps; ``max_iter`` must be an integer >= 0.
+    cells.  The "picard" scheme solves those blocks as windows, one after
+    another, each from the end value of the windows before; it makes one
+    flow solve per sweep of a window: a Picard step first, then causal
+    Newton steps whose slopes are secants of the last two sweeps (see the
+    module docstring).  A window stops at a fixed-point defect (sup over
+    its grid points) <= PICARD_TOL.  The solve raises NumericalError if a
+    window stalls or has made ``max_iter`` + 1 sweeps; ``max_iter`` must be
+    an integer >= 0, and it bounds each window's sweeps.  The error's
+    ``trace`` lists every sweep's defect, window after window.
     ``initial``, finite and on the working grid, warm-starts it (e.g. with
-    the B for nearby parameters), which, the fixed point being unique,
-    only affects the sweep count.  The Tonelli scheme is defect-free by
-    construction for its own delayed equation.
+    the B for nearby parameters; each window after the first takes it
+    shifted by a constant to start at that window's first value), which,
+    the fixed point being unique, only affects the sweep count.  The
+    Tonelli scheme is defect-free by construction for its own delayed
+    equation.
 
-    ``residual_report`` carries the fixed-point defect of the B-solve;
+    ``residual_report`` carries the fixed-point defect of the B-solve over
+    the whole grid, the largest of its windows';
     ``follmer_defect`` is the sup over the grid of
 
         |z(t) - z0 - sum sigma(s, z) dx - sum b(s, z) dA|,
@@ -422,8 +481,9 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
         B, phi, resid = _solve_tonelli(problem, level, paths, tonelli_n)
     else:
         raise DomainError(f"scheme must be 'picard' or 'tonelli', got {scheme!r}")
-    B, z = SampledPath(level, B), SampledPath(level, phi)
-    phi = None  # z holds a copy
+    B = SampledPath(level, B)  # a copy: the raw B is freed before z is copied
+    z = SampledPath(level, phi)
+    phi = None
     follmer_defect = _follmer_defect(problem, level, paths, z.values)
     return IDESolution(B=B, z=z, residual_report=resid, follmer_defect=follmer_defect)
 

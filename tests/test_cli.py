@@ -193,6 +193,15 @@ def test_ito_check_non_finite_F_exit_2(capsys):
     assert_one_line_error(capsys)
 
 
+def test_ito_check_nan_exponent_exit_2(capsys):
+    # differentiating F evaluates its constant exponent, here (0-1)^0.5 = NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["ito-check", "--x", "preset:one", "--F", "xi^((0-1)^0.5)", "--levels", "6",
+                    "--level", "6"]) == 2
+    assert_one_line_error(capsys)
+
+
 def test_ito_check_command(capsys):
     assert run(["ito-check", "--x", "preset:fig1-left", "--F", "xi^2",
                 "--levels", "8,10", "--level", "10"]) == 0

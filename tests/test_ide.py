@@ -259,12 +259,16 @@ def test_picard_nonconvergence_reports_trace(x12):
     assert len(err.value.trace) == 3  # one defect per sweep: max_iter + 1 sweeps
 
 
-def full_tolerance_defect(prob, B):
-    """sup |B - z0 - S(B)| with every flow quantity at the default tolerance."""
+def full_tolerance_defect(prob, B, block=None):
+    """sup |B - z0 - S(B)| with every flow quantity at the default tolerance,
+    in one flow batch, or in batches of ``block`` points (the last also
+    holding t = 1), as windows of ``block`` cells batch a DP45 flow."""
     level = B.level
     t = grid_points(level)
-    phi, dxi, dtau, dtt = flow_with_derivatives(prob.field, t, B.values,
-                                                prob.x.restrict(level).values)
+    cuts = list(range(block, 2**level, block)) if block else []
+    parts = [flow_with_derivatives(prob.field, *batch) for batch in
+             zip(*(np.split(v, cuts) for v in (t, B.values, prob.x.restrict(level).values)))]
+    phi, dxi, dtau, dtt = (np.concatenate(p) for p in zip(*parts))
     b = np.asarray(prob.drift(t, phi), dtype=np.float64)
     dA = np.diff(prob.driver_A.restrict(level).values)
     dQ = np.diff(prob.qv_x.restrict(level).values)
@@ -622,9 +626,11 @@ def test_tonelli_takes_a_numpy_integer_count(x12):
 X16 = build_x(preset("one"), 16)
 
 
-def test_blocked_sweeps_give_the_bits_of_one_batch(monkeypatch):
-    # a closed-form sweep runs in blocks of _SWEEP_BLOCK cells from level 14
-    # on; one block over the whole grid is the batch the solve would make
+def test_windowed_sweeps_meet_the_tolerance_of_one_window(monkeypatch):
+    # from level 14 on, a solve sweeps windows of _SWEEP_BLOCK cells one
+    # after another, each from the end value of the one before; one window
+    # over the whole grid sweeps the whole grid at once.  The two solve the
+    # same fixed point to PICARD_TOL, so B differs in the last digits only
     ide = sys.modules["pathqv.ide"]
     sup_gap, defects = ide._sup_gap, []
     monkeypatch.setattr(ide, "_sup_gap",
@@ -635,7 +641,7 @@ def test_blocked_sweeps_give_the_bits_of_one_batch(monkeypatch):
         for field in (constant_field(1.0), GEOMETRIC, sqrt1p_field()):
             prob = linear_qv_problem(field, drift, x, 0.7, level)
             warm = 0.7 + 0.1 * np.sin(3 * x.times())
-            runs = []
+            runs, Bs = [], []
             for block in (ide._SWEEP_BLOCK, 2**level):
                 monkeypatch.setattr(ide, "_SWEEP_BLOCK", block)
                 for initial in (None, warm):
@@ -643,13 +649,77 @@ def test_blocked_sweeps_give_the_bits_of_one_batch(monkeypatch):
                     sol = solve_ide(prob, level, initial=initial)
                     runs.append((sol.B.values.tobytes(), sol.z.values.tobytes(),
                                  sol.residual_report, sol.follmer_defect, list(defects)))
+                    Bs.append(sol.B.values)
                     assert sol.residual_report <= 1e-10 and len(defects) >= 2
-            blocked, whole = runs[:2], runs[2:]
-            assert blocked == whole, (level, field.name)
-            assert blocked[0] != blocked[1]  # the warm start took its own sweeps
-            # every point, t = 1 too, holds the flow at (t, B(t), x(t))
-            z = flow_with_derivatives(field, grid_points(level), sol.B.values, x.values)[0]
-            assert sol.z.values.tobytes() == z.tobytes()
+                    # the windows' defects make up the full-grid defect
+                    assert abs(sol.residual_report - full_tolerance_defect(prob, sol.B)) <= 1e-15
+                    # every point, t = 1 too, holds the flow at (t, B(t), x(t))
+                    z = flow_with_derivatives(field, grid_points(level), sol.B.values, x.values)[0]
+                    assert sol.z.values.tobytes() == z.tobytes()
+            windowed = runs[:2]
+            for B, whole in zip(Bs[:2], Bs[2:]):
+                assert np.max(np.abs(B - whole)) <= 1e-9, (level, field.name)
+            assert windowed[0] != windowed[1]  # the warm start took its own sweeps
+
+
+@pytest.mark.parametrize("block", [64, 256])
+def test_windows_solve_the_discrete_fixed_point(monkeypatch, block):
+    # 16 and 4 windows at level 10: each window starts from the exact end
+    # value of the one before, so the solution is lag-1 Tonelli's, and the
+    # largest window defect is the full-grid defect
+    ide = sys.modules["pathqv.ide"]
+    monkeypatch.setattr(ide, "_SWEEP_BLOCK", block)
+    level = 10
+    x = X16.restrict(level)
+    cases = [(GEOMETRIC, lambda t, xi: 3.0 * np.cos(xi), None),
+             (EXPRESSION, lambda t, xi: 0.2 - 0.5 * xi, block),
+             (constant_field(1.0), lambda t, xi: 0.3 * np.cos(xi) - 0.5 * xi + np.sin(5 * t), None)]
+    for field, drift, batch in cases:
+        prob = linear_qv_problem(field, drift, x, 0.3, level)
+        tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
+        for initial in (None, 0.3 + 0.1 * np.sin(3 * x.times())):
+            sol = solve_ide(prob, level, initial=initial)
+            assert sol.residual_report <= PICARD_TOL, field.name
+            assert abs(sol.residual_report - full_tolerance_defect(prob, sol.B, batch)) <= 1e-15
+            assert np.max(np.abs(sol.B.values - tonelli.values)) <= 1e-9, field.name
+
+
+def test_a_window_starts_at_the_exact_end_of_the_windows_before(monkeypatch):
+    # the drift vanishes from t = 1/4 on, and with it every cell of the
+    # constant field, so each window from the fifth on holds a constant B:
+    # started at z0 + S of its first point, it lands at its first sweep.
+    # So does every window after the first when the warm start is the
+    # solution moved by a constant, which each window shifts back
+    ide = sys.modules["pathqv.ide"]
+    monkeypatch.setattr(ide, "_SWEEP_BLOCK", 64)
+    starts = []
+    monkeypatch.setattr(ide, "flow_with_derivatives", lambda field, tau, xi, t, *rest: (
+        starts.append(tau[0]) or flow_with_derivatives(field, tau, xi, t, *rest)))
+    level = 10
+    prob = linear_qv_problem(constant_field(1.0),
+                             lambda t, xi: np.where(t < 0.25, 3.0 * np.cos(xi), 0.0),
+                             X16.restrict(level), 0.3, level)
+    cold = solve_ide(prob, level)
+    assert sum(t >= 0.25 for t in starts) == 12
+    starts.clear()
+    warm = solve_ide(prob, level, initial=cold.B.values + 0.5)
+    assert sum(t > 0.0 for t in starts) == 15 and len(starts) > 16
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
+    for sol in (cold, warm):
+        assert sol.residual_report <= PICARD_TOL
+        assert np.max(np.abs(sol.B.values - tonelli.values)) <= 1e-9
+
+
+def test_level_16_langevin_solve_makes_three_sweeps_per_window(monkeypatch):
+    # 8 windows of 3 sweeps, one flow call each; sweeping the whole grid at
+    # once took 4 sweeps of 8 calls
+    ide = sys.modules["pathqv.ide"]
+    sizes = []
+    monkeypatch.setattr(ide, "flow_with_derivatives", lambda field, tau, xi, t, *rest: (
+        sizes.append(np.size(xi)) or flow_with_derivatives(field, tau, xi, t, *rest)))
+    prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, X16, 1.0, 16)
+    assert solve_ide(prob, 16).residual_report <= PICARD_TOL
+    assert len(sizes) == 24 and max(sizes) <= ide._SWEEP_BLOCK + 1
 
 
 def test_blocked_dp45_sweeps_meet_the_tolerance_of_one_batch(monkeypatch):
@@ -686,11 +756,12 @@ def test_no_flow_call_of_a_solve_exceeds_one_block(monkeypatch):
             assert sizes and max(sizes) <= ide._SWEEP_BLOCK + 1, (field.name, scheme)
 
 
-def test_level_16_picard_solve_stays_within_eleven_grid_arrays():
+def test_level_16_picard_solve_stays_within_eight_grid_arrays():
     # one level-16 float array is 0.5 MiB.  With its IDEProblem, a
     # closed-form solve held 17 at once when every sweep took full-grid
     # temporaries, and a DP45 solve 26 (Tonelli: 22) when it took the
-    # whole grid as one batch
+    # whole grid as one batch; 9.3 and 10.3 when sweeps held their state
+    # at grid size, where windows hold only B and phi
     def problem(field):
         return linear_qv_problem(field, lambda t, xi: -0.5 * xi, X16, 1.0, 16)
 
@@ -710,4 +781,4 @@ def test_level_16_picard_solve_stays_within_eleven_grid_arrays():
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert peak <= 11 * 8 * (2**16 + 1)
+        assert peak <= 8 * 8 * (2**16 + 1)
