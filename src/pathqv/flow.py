@@ -33,10 +33,20 @@ a point alone has the bits of its copies in a batch of copies.  Step
 control uses the max norm over the batch, so a DP45 value can shift in
 its last digits (up to ~3e-12) with the other points of its batch;
 closed-form values are bit-identical alone and in any batch.  The
-tests cross-check the closed forms against DP45.  Both entry points
-pass through one guard (``_integrate``): a non-finite tau, xi or t, or
-an overflow anywhere in the solve, raises FlowIntegrationError with
-numpy's warnings off.
+tests cross-check the closed forms against DP45.
+
+Every value comes from one inner solve (``_integrate``), closed form and
+DP45 alike.  It takes points that are already checked, floats or 1-D
+arrays of one shape, and checks each output once: a phi, d_xi, d_tau or
+d_tt that is not finite, d_xi <= 0, or an overflow anywhere in the
+solve raises FlowIntegrationError with numpy's warnings off.  A value
+that is one number for a whole batch (a closed form's d_xi = 1, a
+time-free field's d_tau = 0) stays a float there.  The two entry points
+put one guard (``_checked``) around it: they check tau, xi and t for
+finiteness, broadcast them, and hand out fresh arrays of the inputs'
+shape.  A pathwise solve (``ide``) calls the inner solve through
+``flow_derivatives``, which checks no input, once per block, having
+checked its own inputs once per solve.
 
 ``flow_identity_defects`` checks a field's flow against the semigroup,
 reverse-time and second-order identities and d_xi against finite
@@ -211,73 +221,106 @@ def _require_close(got, want, tol, *messages):
         raise DomainError(messages[int(np.argmax(failed))])
 
 
-def _exact(exact_flow, tau, xi, t):
-    """exact_flow's (phi, d_xi, d_tau): plain floats for one point given as
-    floats, else fresh float arrays of the inputs' shape (``_points`` gives
-    floats for all three inputs or 1-D float64 arrays of one shape); raises
-    FlowIntegrationError on any non-finite value.  An output is copied
-    only when it is not already such an array: a float64 array of that
-    shape that owns its data and is none of the inputs and no earlier
-    output, which a Picard block's 1-D batch passes as it is.  Callers turn
-    numpy's warnings off."""
-    values = exact_flow(tau, xi, t)
-    if isinstance(tau, float):
-        out = tuple(float(v) for v in values)
-        finite = all(map(math.isfinite, out))
-    else:
-        out = []
-        for v in values:
-            fresh = _fresh(v, tau.shape, (tau, xi, t, *out))
-            out.append(v if fresh else np.full(tau.shape, v, dtype=np.float64))
-        out = tuple(out)
-        finite = all(_all_finite(v) for v in out)
-    if not finite:
-        raise FlowIntegrationError("non-finite value from the closed-form flow")
-    return out
-
-
 def _fresh(v, shape, others):
     """Whether v is a float64 array of ``shape`` that owns its data and is
-    none of ``others``: a closed form's own result, safe to hand out."""
+    none of ``others``: a solve's own result, safe to hand out."""
     return (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
             and v.flags.owndata and v.flags.writeable and not any(v is w for w in others))
 
 
 def _all_finite(values):
-    """Whether every value of an array is finite."""
+    """Whether every value of an array, or a float, is finite."""
+    if isinstance(values, float):
+        return math.isfinite(values)
     return bool(np.isfinite(values).all())
 
 
-def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):
-    """(phi, d_xi, d_tau, d_tt) with the broadcast shape of the inputs, or
-    (phi,) alone unless ``derivatives``: the one path of ``flow`` and
-    ``flow_with_derivatives``, closed form and DP45 alike.  ``_points``
-    turns the inputs into floats or 1-D arrays, each checked once here, as
-    is d_tt, and ``_solve``'s values are reshaped to the inputs' shape.
+def _all_positive(values):
+    """Whether every value of an array, or a float, is > 0."""
+    if isinstance(values, float):
+        return values > 0.0
+    return bool((values > 0.0).all())
 
-    Raises FlowIntegrationError when tau, xi or t is not finite, and when
-    the solve overflows: numpy warnings are off and an inf or NaN trips
-    ``_exact``'s and ``_dp45``'s guards, a field callable on Python floats
-    may raise OverflowError itself (as math.exp does), and d_tt is checked
-    last.
+
+def _batch_value(v, shape):
+    """A value of a batch solve as a float, when it is one number for the
+    whole batch (such as a closed form's d_xi = 1), else as a float64 array
+    of the batch's ``shape``, padded when a callable returned less."""
+    if type(v) is np.ndarray and v.shape == shape and v.dtype == np.float64:
+        return v
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 0:
+        return float(v)
+    return v if v.shape == shape else np.broadcast_to(v, shape)
+
+
+def _checked(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):
+    """``_integrate`` behind the checks of the public entry points, ``flow``
+    and ``flow_with_derivatives``.  ``_points`` turns the inputs into
+    floats or 1-D arrays, each checked once here for finiteness, and the
+    values come back as fresh, writeable arrays of the inputs' broadcast
+    shape (numpy scalars when the inputs are all scalars): a constant is
+    padded, and a value that is not the solve's own array is copied.
+
+    Raises FlowIntegrationError when tau, xi or t is not finite, and
+    whenever ``_integrate`` does.
     """
     tau, xi, horizon, shape, one = _points(tau, xi, horizon)
-    finite = math.isfinite if one else _all_finite
-    if not (finite(tau) and finite(xi) and finite(horizon)):
+    if not (_all_finite(tau) and _all_finite(xi) and _all_finite(horizon)):
         raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
+    out = _integrate(field, tau, xi, horizon, rtol, max_steps, derivatives)
+    if one:
+        return tuple(np.asarray(v).reshape(shape)[()] for v in out)
+    full = []
+    for v in out:
+        fresh = _fresh(v, xi.shape, (tau, xi, horizon, *full))
+        full.append(v if fresh else np.full(xi.shape, v, dtype=np.float64))
+    return tuple(full) if shape is None else tuple(v.reshape(shape) for v in full)
+
+
+def _integrate(field, tau, xi, horizon, rtol=RTOL, max_steps=_MAX_STEPS, derivatives=True):
+    """(phi, d_xi, d_tau, d_tt), or (phi,) alone unless ``derivatives``, at
+    points that are already checked: the inner solve of the flow, closed
+    form and DP45 alike, which ``_checked`` and ``flow_derivatives``
+    call.  tau, xi and horizon are finite floats (one point: the
+    values are floats) or finite 1-D float64 arrays of one shape (a
+    batch: each value is an array of that shape, or a float when it is one
+    number for the whole batch, such as a closed form's d_xi = 1, which
+    numpy broadcasting absorbs; the arrays may be the closed form's own
+    or read-only views).
+
+    Raises FlowIntegrationError when a value is not finite, each checked
+    once, and unless d_xi > 0, as it is exactly: the variational solution
+    is an exponential, and sigma(tau, phi) has the sign of sigma(tau, xi),
+    since no flow crosses a rest point.  numpy's warnings are off, so an
+    overflow anywhere in the solve ends in one of these checks or in
+    ``_dp45``'s guard; a field callable on Python floats may raise
+    OverflowError itself (as math.exp does), which becomes a
+    FlowIntegrationError too.
+    """
+    one = isinstance(xi, float)
     with np.errstate(all="ignore"):
         try:
             out = _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives)
         except OverflowError as exc:
             raise FlowIntegrationError("overflow during flow integration") from exc
-    if derivatives and not finite(out[3]):  # even a zero horizon can overflow it
-        raise FlowIntegrationError("d_tt = sigma_xi sigma is not finite at the flow value")
-    return out if shape is None else tuple(np.asarray(c).reshape(shape)[()] for c in out)
+    if not one:
+        out = tuple(_batch_value(v, xi.shape) for v in out)
+    for v, what in zip(out, _OUTPUTS):  # even a zero horizon can overflow d_tt
+        if not _all_finite(v):
+            raise FlowIntegrationError(f"{what} is not finite at the flow value")
+    if derivatives and not _all_positive(out[1]):
+        raise FlowIntegrationError("computed d_xi <= 0; integration not trustworthy")
+    return out
+
+
+_OUTPUTS = ("phi", "d_xi", "d_tau", "d_tt = sigma_xi sigma")
 
 
 def _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives):
-    """``_integrate``'s values at the points of ``_points``, unguarded:
-    floats when ``one``, else 1-D arrays of their shape.
+    """``_integrate``'s values, unchecked: floats when ``one``, else each a
+    1-D array of the points' shape or a value that broadcasts to it (a
+    closed form's values as it returns them).
 
     A field's ``exact_flow`` is used when present.  Otherwise ``_dp45``
     integrates the row u, u' = sigma(tau, u), and the sensitivities cost
@@ -305,16 +348,15 @@ def _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives):
     def at(fn, u):  # fn(tau, u): a float for one point, else a float64 array
         return float(fn(tau, u)) if one else np.asarray(fn(tau, u), dtype=np.float64)
 
-    def full(v):  # a value computed from ``at``'s, padded to a fresh batch array
-        return v if one or v.shape == xi.shape else np.broadcast_to(v, xi.shape).copy()
-
     ops = _FLOATS if one else _ARRAYS
     exact_flow = getattr(field, "exact_flow", None)
     if exact_flow is not None:
-        out = _exact(exact_flow, tau, xi, horizon)
+        out = exact_flow(tau, xi, horizon)
+        if one:
+            out = tuple(map(float, out))
         if not derivatives:
             return out[:1]
-        return (*out, full(at(field.sigma_xi, out[0]) * at(field.sigma, out[0])))
+        return (*out, at(field.sigma_xi, out[0]) * at(field.sigma, out[0]))
     if not derivatives:
         return (_dp45_rows(field, tau, xi, horizon, "u", ops, rtol, max_steps)[0],)
     sig0 = at(field.sigma, xi)
@@ -325,9 +367,9 @@ def _solve(field, tau, xi, horizon, one, rtol, max_steps, derivatives):
     y = _dp45_rows(field, tau, xi, horizon, rows, ops, rtol, max_steps)
     phi = y[0]
     sig_phi = at(field.sigma, phi)
-    d_xi = y[1] if keep_v else full(sig_phi / sig0)
-    d_tau = y[-1] if keep_w else np.zeros(np.shape(phi))
-    return phi, d_xi, d_tau, full(at(field.sigma_xi, phi) * sig_phi)
+    d_xi = y[1] if keep_v else sig_phi / sig0
+    d_tau = y[-1] if keep_w else 0.0
+    return phi, d_xi, d_tau, at(field.sigma_xi, phi) * sig_phi
 
 
 def _points(tau, xi, horizon):
@@ -468,20 +510,27 @@ _ARRAYS = (lambda x: np.asarray(x, dtype=np.float64),
 def flow(field, tau, xi, t, rtol=RTOL):
     """phi(tau, xi, t): the flow value alone (broadcasts over arrays); a
     field without ``exact_flow`` integrates u alone."""
-    phi = _integrate(field, tau, xi, t, rtol, derivatives=False)[0]
+    phi = _checked(field, tau, xi, t, rtol, derivatives=False)[0]
     return float(phi) if np.ndim(phi) == 0 else phi
 
 
 def flow_with_derivatives(field, tau, xi, t, rtol=RTOL):
     """(phi, d_xi, d_tau, d_tt), each with the broadcast shape of the inputs
     (numpy scalars when they are all scalars).  Raises FlowIntegrationError
-    unless d_xi > 0, as it is exactly: the variational solution is an
-    exponential, and sigma(tau, phi) has the sign of sigma(tau, xi), since
-    no flow crosses a rest point."""
-    phi, d_xi, d_tau, d_tt = _integrate(field, tau, xi, t, rtol=rtol)
-    if (d_xi <= 0.0).any():
-        raise FlowIntegrationError("computed d_xi <= 0; integration not trustworthy")
-    return phi, d_xi, d_tau, d_tt
+    when an input or a value is not finite and unless d_xi > 0 (see
+    ``_integrate``)."""
+    return _checked(field, tau, xi, t, rtol)
+
+
+def flow_derivatives(field, tau, xi, t, rtol=RTOL, derivatives=True):
+    """``_integrate``'s values at points the caller has checked: finite
+    floats, or finite 1-D float64 arrays of one shape.  Each value is
+    checked, but the inputs are not, no constant is padded and no array
+    copied.  The blocks of a pathwise solve (``ide``) call it, having
+    checked their inputs once per solve; it is not exported from the
+    package, whose flow entry points are ``flow`` and
+    ``flow_with_derivatives``."""
+    return _integrate(field, tau, xi, t, rtol, derivatives=derivatives)
 
 
 #: The identity suite's checks and their tolerances, in report order.

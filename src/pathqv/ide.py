@@ -56,17 +56,30 @@ a closed-form flow, seven with DP45).  The blocks depend on the level
 alone, so a DP45 solve, whose step control is shared across a batch,
 still gives the same bits on every run; grids up to level 13 are one
 block, and so one window.
+
+A block calls the flow's inner solve through ``flow.flow_derivatives``,
+not the checked ``flow_with_derivatives``, so the flow's inputs are
+checked once per solve where they can be: x is a SampledPath's, finite
+and read-only, and the times are exact grid points.  Per block of a
+sweep, the block of B is checked for finiteness, the inner solve checks
+each flow value and d_xi > 0, and ``errors._finite`` checks the drift.
+A closed form's constants (d_xi = 1, d_tau = 0) stay single numbers in
+the cell arithmetic, which writes into the window's cell array with one
+window-sized scratch array that every sweep reuses.  Lag-1 Tonelli's
+one-cell blocks run the same arithmetic on plain floats, the flow's
+float path; the drift still sees 1-element arrays there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_count, _check_level
-from .errors import DomainError, NumericalError, _finite
-from .flow import RTOL, flow, flow_with_derivatives
+from .errors import DomainError, FlowIntegrationError, NumericalError, _finite
+from .flow import RTOL, _all_finite, flow_derivatives
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
@@ -163,7 +176,9 @@ class IDESolution:
 
 def _paths(problem, level):
     """x, A and <x> at the grid points of ``level``: strided views of the
-    problem's own values, so restriction copies nothing."""
+    problem's own values, so restriction copies nothing.  Their values are
+    finite and read-only, as every SampledPath's are, so the blocks hand x
+    to the flow unchecked."""
     return tuple(p.values[::2 ** (p.level - level)]
                  for p in (problem.x, problem.driver_A, problem.qv_x))
 
@@ -176,34 +191,78 @@ def _spans(level):
     return [(a, min(a + size, n) + (a + size >= n)) for a in range(0, n, size)]
 
 
-def _block(problem, level, paths, a, b, y, cells, rtol=RTOL):
-    """The flow at grid points a..b-1 of ``level``, at (t, y, x(t)), from
-    one vectorized flow solve at relative tolerance rtol; writes the
-    left-point contributions of the cells starting there (all but t = 1)
-    to ``cells``, which holds one entry per cell.  The times k 2^-level
-    are exact, ds is the constant 2^-level, and each cell takes
-    b/phi_xi dA - phi_tau/phi_xi ds - 1/2 phi_tt/phi_xi d<x> in that order.
-    The drift is read at the cells' left points only, and NumericalError
-    raised when it is not finite there."""
-    h = 2.0 ** -level
-    t = np.arange(a, b, dtype=np.float64) * h
-    xv, Av, Qv = paths
-    phi, dxi, dtau, dtt = flow_with_derivatives(problem.field, t, y, xv[a:b], rtol)
+def _flow_at(problem, level, paths, a, b, y, rtol=RTOL, derivatives=True):
+    """(t, values): the times of the grid points a..b-1 of ``level`` and
+    the flow there, at (t, y, x(t)), from one call of
+    ``flow_derivatives`` at relative tolerance rtol.  One point (a cell
+    of lag-1 Tonelli) goes as plain floats, the flow's float path, a block
+    as arrays.  The times k 2^-level are exact and x is a SampledPath's
+    (``_paths``), so y, the block of B, is the one input checked here."""
+    ds = 2.0 ** -level
+    if b - a == 1:
+        t, y, x = a * ds, float(y[0]), float(paths[0][a])
+    else:
+        t, x = np.arange(a, b, dtype=np.float64) * ds, paths[0][a:b]
+    if not _all_finite(y):
+        raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
+    return t, flow_derivatives(problem.field, t, y, x, rtol, derivatives)
+
+
+def _block(problem, level, paths, a, b, y, cells, term, rtol=RTOL):
+    """(phi, cells): the flow at the grid points a..b-1 of ``level``, at
+    (t, y, x(t)) (``_flow_at``), and the left-point contributions of the
+    cells starting there (all but t = 1).  A block of several cells writes
+    them to ``cells``, with ``term`` as scratch, both holding one entry
+    per cell; one cell (lag-1 Tonelli) takes floats, and its contribution
+    is a float.  ds is the constant 2^-level, and each cell takes b/phi_xi
+    dA - phi_tau/phi_xi ds - 1/2 phi_tt/phi_xi d<x> in that order.  The
+    drift is read at the cells' left points only, always on arrays (one
+    cell's as 1-element arrays), and NumericalError raised when it is not
+    finite there."""
+    t, (phi, dxi, dtau, dtt) = _flow_at(problem, level, paths, a, b, y, rtol)
+    _, Av, Qv = paths
+    ds = 2.0 ** -level
+    if b - a == 1:  # the cell a..a+1, which every grid point but t = 1 starts
+        bv = _finite(NumericalError, _DRIFT_NOT_FINITE, problem.drift,
+                     np.full(1, t), np.full(1, phi)).item()
+        dA, dQ = float(Av[a + 1] - Av[a]), float(Qv[a + 1] - Qv[a])
+        return phi, _cell_terms(bv, dxi, dtau, dtt, dA, dQ, ds, None, None)
     c = min(b, Av.shape[0] - 1)
-    m = c - a
-    bvals = _finite(NumericalError, "drift b is not finite at the flow values",
-                    problem.drift, t[:m], phi[:m])
-    out = np.divide(bvals, dxi[:m], out=cells)
-    out *= _increments(Av, a, c)
-    term = np.negative(dtau[:m])
-    term /= dxi[:m]
-    term *= h
-    out += term
-    np.multiply(dtt[:m], -0.5, out=term)
-    term /= dxi[:m]
-    term *= _increments(Qv, a, c)
-    out += term
-    return phi
+    m = c - a  # the values at the cells' left points; a float stays as it is
+    dxi, dtau, dtt = (v if isinstance(v, float) else v[:m] for v in (dxi, dtau, dtt))
+    bvals = _finite(NumericalError, _DRIFT_NOT_FINITE, problem.drift, t[:m], phi[:m])
+    return phi, _cell_terms(bvals, dxi, dtau, dtt, _increments(Av, a, c),
+                            _increments(Qv, a, c), ds, cells, term)
+
+
+_DRIFT_NOT_FINITE = "drift b is not finite at the flow values"
+
+
+def _cell_terms(bv, dxi, dtau, dtt, dA, dQ, ds, cells, term):
+    """b/phi_xi dA - phi_tau/phi_xi ds - 1/2 phi_tt/phi_xi d<x>, per cell,
+    in that order: written to ``cells``, with ``term`` as scratch, for
+    arrays, or a float when both are None and every input is a float.  A
+    time-free flow's d_tau is the float +0.0, whose term -0.0 adds nothing
+    (x + -0.0 is x), so it is left out."""
+    div, neg, mul = _FLOAT_OPS if cells is None else _ARRAY_OPS
+    out = div(bv, dxi, cells)
+    out *= dA
+    if not (isinstance(dtau, float) and dtau == 0.0 and math.copysign(1.0, dtau) > 0.0):
+        part = neg(dtau, term)
+        part /= dxi
+        part *= ds
+        out += part
+    part = mul(dtt, -0.5, term)
+    part /= dxi
+    part *= dQ
+    out += part
+    return out
+
+
+# _cell_terms' operations that make a new value, into the array given last,
+# or on plain floats (which ignore it)
+_ARRAY_OPS = (np.divide, np.negative, np.multiply)
+_FLOAT_OPS = (lambda a, b, _: a / b, lambda a, _: -a, lambda a, b, _: a * b)
 
 
 def _increments(values, a, c):
@@ -295,14 +354,15 @@ def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace)
     first, defect = len(trace), np.inf
     where = "" if p == 2**level + 1 else f" in the window of cells {a}..{a + m - 1}"
     B_prev = cells_prev = cap = None
+    term = np.empty(m + 1)  # scratch for every sweep's cell terms and defect
     for _ in range(sweeps):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
         run_cells = np.empty(m + 1)  # S_a, then the window's cells
         run_cells[0] = running
         cells = run_cells[1:]
-        phi = _block(problem, level, paths, a, b, B[:p], cells, rtol)
+        phi, _ = _block(problem, level, paths, a, b, B[:p], cells, term[:m], rtol)
         S = np.cumsum(run_cells)
-        defect = _sup_gap(B[:p], z0, S[:p])
+        defect = _sup_gap(B[:p], z0, S[:p], term[:p])
         trace.append(defect)
         if defect <= PICARD_TOL and (exact or rtol == RTOL):
             return B, phi, S, defect
@@ -327,9 +387,10 @@ def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace)
     )
 
 
-def _sup_gap(u, z0, v):
-    """max |u - z0 - v|, with one temporary; NaN when any term is."""
-    gap = np.subtract(u, z0)
+def _sup_gap(u, z0, v, gap):
+    """max |u - z0 - v|, computed in the scratch array ``gap``; NaN when
+    any term is."""
+    np.subtract(u, z0, out=gap)
     gap -= v
     return float(np.max(np.abs(gap, out=gap)))
 
@@ -423,21 +484,24 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
     lag = 2**level // tonelli_n  # delay in grid steps
     npts = 2**level + 1
     B = np.full(npts, problem.z0)
-    prefix = np.zeros(npts - 1)  # prefix[c] = sum of cell contributions 0..c
-    running = 0.0
+    cells, term = np.empty(lag), np.empty(lag)
+    running = 0.0  # the sum of the cells before the block
     for j0 in range(lag, npts, lag):
         # B[j0:j1] reads cells [j0-lag, j1-lag), which use only B values of earlier blocks
         j1 = min(j0 + lag, npts)
-        sl = slice(j0 - lag, j1 - lag)
-        _block(problem, level, paths, sl.start, sl.stop, B[sl], prefix[sl])
-        np.cumsum(prefix[sl], out=prefix[sl])
-        prefix[sl] += running
-        running = prefix[j1 - lag - 1]
-        B[j0:j1] = problem.z0 + prefix[sl]
-    phi, h = np.empty(npts), 2.0 ** -level
+        a, k = j0 - lag, j1 - j0
+        if k == 1:  # a float, on the flow's float path
+            running += _block(problem, level, paths, a, a + 1, B[a:a + 1], None, None)[1]
+            B[j0] = problem.z0 + running
+            continue
+        S = _block(problem, level, paths, a, a + k, B[a:a + k], cells[:k], term[:k])[1]
+        np.cumsum(S, out=S)
+        S += running
+        running = S[-1]
+        B[j0:j1] = problem.z0 + S
+    phi = np.empty(npts)
     for a, b in _spans(level):
-        t = np.arange(a, b, dtype=np.float64) * h
-        phi[a:b] = flow(problem.field, t, B[a:b], paths[0][a:b])
+        phi[a:b] = _flow_at(problem, level, paths, a, b, B[a:b], derivatives=False)[1][0]
     return B, phi, 0.0
 
 

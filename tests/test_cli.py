@@ -763,3 +763,40 @@ def test_expression_nested_300_deep_exit_2(tmp_path, capsys, src):
     pfile.write_text(json.dumps({**GOOD_PROBLEM, "b": src}))
     assert run(["solve", "--problem", str(pfile)]) == 2
     assert len(assert_one_line_error(capsys)) <= 120
+
+
+@pytest.mark.parametrize("scheme", [["--scheme", "picard"],
+                                    ["--scheme", "tonelli", "--tonelli-n", "64"]],
+                         ids=["picard", "tonelli-lag-1"])
+@pytest.mark.parametrize("problem, culprit", [
+    # the drift b = 100 carries B beyond 50 after t = 1/2
+    ({"sigma": "far:phi-inf", "b": "100", "z0": 0}, "phi is not finite"),
+    ({"sigma": "far:phi-nan", "b": "100", "z0": 0}, "phi is not finite"),
+    ({"sigma": "far:d_xi-zero", "b": "100", "z0": 0}, "d_xi <= 0"),
+    # sqrt1p at 1e200: phi and d_xi are finite, sigma_xi sigma is not
+    ({"sigma": "sqrt1p", "b": "0", "z0": 1e200}, "d_tt"),
+], ids=["closed-form-inf", "closed-form-nan", "d_xi-zero", "d_tt-overflow"])
+def test_solve_flow_failure_in_a_block_exit_3_in_one_line(tmp_path, monkeypatch, capsys,
+                                                           far_breaking_field, problem,
+                                                           culprit, scheme):
+    resolve = cli._resolve_field
+    monkeypatch.setattr(cli, "_resolve_field", lambda spec: (
+        far_breaking_field(spec[4:]) if spec.startswith("far:") else resolve(spec)))
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["solve", "--problem", str(pfile), *scheme]) == 3
+    assert culprit in assert_one_line_error(capsys, "numerical failure: ")
+
+
+def test_solve_non_finite_b_in_a_tonelli_cell_exit_3_in_one_line(tmp_path, capsys):
+    # lag-1 Tonelli sums its cells in Python floats, which overflow to inf
+    # without a warning; the next cell's flow refuses that B
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "sigma": "1", "b": "1e308", "z0": 1e308}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        assert run(["solve", "--problem", str(pfile), "--scheme", "tonelli",
+                    "--tonelli-n", "64"]) == 3
+    assert "flow inputs" in assert_one_line_error(capsys, "numerical failure: ")

@@ -19,7 +19,7 @@ from pathqv import (
     scalar_linear_field,
     sqrt1p_field,
 )
-from pathqv.flow import FLOW_CHECKS, _exact, _integrate, sample_box_values
+from pathqv.flow import FLOW_CHECKS, _checked, _integrate, sample_box_values
 
 
 def bs_field():
@@ -269,9 +269,9 @@ def test_integrator_raises_on_nan():
 def test_step_budget_guard():
     field = dp45(sqrt1p_field())
     with pytest.raises(FlowIntegrationError):
-        _integrate(field, 0.0, 1.0, 1.0, max_steps=3)
+        _checked(field, 0.0, 1.0, 1.0, max_steps=3)
     with pytest.raises(FlowIntegrationError):
-        _integrate(field, np.zeros(4), np.ones(4), np.ones(4), max_steps=3)
+        _checked(field, np.zeros(4), np.ones(4), np.ones(4), max_steps=3)
 
 
 # -- rest points: d_xi from the variational row or from sigma(phi) / sigma(xi) --
@@ -319,12 +319,12 @@ def test_time_dependent_field_at_its_rest_point():
     field = bs_field()
     tau, t = np.array([0.0, 0.4, 1.0, 0.7]), np.array([-0.8, 0.5, 1.0, 0.0])
     for xi in (np.zeros(4), np.array([0.0, 1.5, -0.3, 2.0])):
-        exact = _integrate(field, tau, xi, t)
-        numeric = _integrate(dp45(field), tau, xi, t)
+        exact = _checked(field, tau, xi, t)
+        numeric = _checked(dp45(field), tau, xi, t)
         for a, b in zip(exact, numeric):
             assert np.max(np.abs(a - b)) <= 1e-9
         for i in range(4):
-            alone = _integrate(dp45(field), tau[i], xi[i], t[i])
+            alone = _checked(dp45(field), tau[i], xi[i], t[i])
             assert all(abs(a - b[i]) <= 1e-9 for a, b in zip(alone, exact))
         assert np.all(numeric[1] > 0.0)
 
@@ -374,9 +374,9 @@ def test_guards_raise_near_rest_points():
             with pytest.raises(FlowIntegrationError, match=match):
                 flow_with_derivatives(field, np.zeros(2), np.array([xi, 0.5]), np.array([t, t]))
     with pytest.raises(FlowIntegrationError, match="steps"):
-        _integrate(sin, 0.0, 1e-6, 1.0, max_steps=3)
+        _checked(sin, 0.0, 1e-6, 1.0, max_steps=3)
     with pytest.raises(FlowIntegrationError, match="steps"):
-        _integrate(sin, np.zeros(2), np.array([0.0, 1.0]), np.ones(2), max_steps=3)
+        _checked(sin, np.zeros(2), np.array([0.0, 1.0]), np.ones(2), max_steps=3)
 
 
 def dp45_fields():
@@ -388,7 +388,9 @@ def test_closed_form_results_are_handed_out_uncopied_unless_shared():
     # or a result it returns twice, is, so every output is a fresh array
     tau, xi, t = np.zeros(5), np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
     e = np.exp(xi)
-    phi, d_xi, d_tau = _exact(lambda tau, xi, t: (e, e, xi), tau, xi, t)
+    shared = SimpleNamespace(exact_flow=lambda tau, xi, t: (e, e, xi),
+                             sigma=lambda t, xi: 0.0, sigma_xi=lambda t, xi: 0.0)
+    phi, d_xi, d_tau, _ = _checked(shared, tau, xi, t)
     assert phi is e and d_xi is not e and d_tau is not xi
     assert np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
     # a 1-D batch reaches exact_flow as the caller's own arrays
@@ -454,9 +456,9 @@ def test_non_finite_input_of_a_one_dimensional_batch_is_refused():
 def test_one_point_gives_the_same_bits_in_any_shape():
     point = (0.3, 0.7, -0.8)
     for field in dp45_fields():
-        scalar = _integrate(field, *point)
+        scalar = _checked(field, *point)
         for shape in ((), (1,), (1, 1)):
-            out = _integrate(field, *(np.full(shape, v) for v in point))
+            out = _checked(field, *(np.full(shape, v) for v in point))
             assert all(np.shape(v) == shape for v in out)
             assert [bits(v) for v in out] == [bits(v) for v in scalar]
 
@@ -465,7 +467,7 @@ def test_zero_horizons_in_a_batch_are_identities():
     xi = np.array([-1.2, 0.4, 0.9, 2.5, -0.3])
     t = np.array([0.0, 0.6, 0.0, -0.7, 0.0])
     for field in dp45_fields():
-        phi, d_xi, d_tau, _ = _integrate(field, np.full(5, 0.4), xi, t)
+        phi, d_xi, d_tau, _ = _checked(field, np.full(5, 0.4), xi, t)
         still = t == 0.0
         assert np.array_equal(phi[still], xi[still])
         assert np.all(d_xi[still] == 1.0) and np.all(d_tau[still] == 0.0)
@@ -594,8 +596,8 @@ def columns(pts):
 def test_exact_flow_agrees_with_dp45(kind, p, q, pts):
     field = make_field(kind, p, q)
     tau, xi, t = columns(pts)
-    exact = _integrate(field, tau, xi, t)
-    numeric = _integrate(dp45(field), tau, xi, t)
+    exact = _checked(field, tau, xi, t)
+    numeric = _checked(dp45(field), tau, xi, t)
     for a, b in zip(exact, numeric):
         assert np.max(np.abs(a - b)) <= 1e-9
 
@@ -609,8 +611,8 @@ def bits(v):
 def test_exact_flow_is_batch_invariant(kind, p, q, pts, data):
     field = make_field(kind, p, q)
     i = data.draw(st.integers(0, len(pts) - 1))
-    batch = _integrate(field, *columns(pts))
-    alone = _integrate(field, *pts[i])
+    batch = _checked(field, *columns(pts))
+    alone = _checked(field, *pts[i])
     assert [bits(v) for v in alone] == [bits(v[i]) for v in batch]
     assert all(np.ndim(v) == 0 for v in alone)
 
@@ -763,8 +765,8 @@ def test_dp45_one_point_agrees_with_its_batch(pts, copies, data):
     for name, make in ONE_POINT_FIELDS.items():
         field = make()
         near = [(tau, 1e-3 * xi, t) for tau, xi, t in pts] if name == "rest-point" else pts
-        batch = _integrate(field, *columns(near))
-        alone = _integrate(field, *near[i])
+        batch = _checked(field, *columns(near))
+        alone = _checked(field, *near[i])
         for a, b in zip(alone, batch):
             assert abs(a - b[i]) <= 1e-11
         same = [np.full(copies, v) for v in near[i]]
@@ -824,3 +826,58 @@ def test_scalar_linear_field_refuses_a_pole_without_a_warning():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         with pytest.raises(DomainError, match="finite on"):
             scalar_linear_field(lambda t: 1 / (t - 0.5), lambda t: -1 / (t - 0.5) ** 2)
+
+
+# -- the inner solve: what the blocks of a pathwise solve call -----------------
+
+INNER_FIELDS = {"const": constant_field(0.7), "linear": bs_field(), "sqrt1p": sqrt1p_field(),
+                "dp45": field_from_expression("1+0.3*sin(xi)"),
+                "dp45-w-row": field_from_expression("(0.2+0.1*t)*xi")}
+
+
+@pytest.mark.parametrize("name", INNER_FIELDS)
+def test_inner_solve_gives_the_bits_of_flow_with_derivatives(name):
+    # on a 1-D block and on single points as floats; a value that is one
+    # number for the whole block stays a float, and the public entry
+    # points pad it to the block's shape
+    field = INNER_FIELDS[name]
+    tau, xi, t = batch(33)
+    public = flow_with_derivatives(field, tau, xi, t)
+    inner = _integrate(field, tau, xi, t)
+    for got, want in zip(inner, public):
+        assert isinstance(got, float) or got.shape == want.shape
+        assert bits(np.broadcast_to(got, want.shape)) == bits(want)
+    assert bits(_integrate(field, tau, xi, t, derivatives=False)[0]) == bits(flow(field, tau, xi, t))
+    for i in (0, 11, 32):
+        point = (float(tau[i]), float(xi[i]), float(t[i]))
+        inner = _integrate(field, *point)
+        assert all(type(v) is float for v in inner)
+        assert [bits(v) for v in inner] == [bits(v) for v in flow_with_derivatives(field, *point)]
+        assert _integrate(field, *point, derivatives=False) == (flow(field, *point),)
+
+
+def test_inner_solve_leaves_closed_form_constants_unpadded():
+    tau, xi, t = batch(9)
+    _, d_xi, d_tau, d_tt = _integrate(constant_field(0.7), tau, xi, t)
+    assert (d_xi, d_tau, d_tt) == (1.0, 0.0, 0.0)
+    assert all(type(v) is float for v in (d_xi, d_tau, d_tt))
+    assert type(_integrate(sqrt1p_field(), tau, xi, t)[2]) is float
+    # a time-free DP45 field has no w row: its d_tau is the float 0.0 too
+    assert _integrate(INNER_FIELDS["dp45"], tau, xi, t)[2] == 0.0
+
+
+@pytest.mark.parametrize("kind", ["phi-nan", "phi-inf", "d_xi-zero"])
+def test_inner_solve_refuses_a_broken_closed_form(kind, far_breaking_field):
+    field = far_breaking_field(kind)
+    xi = np.array([0.5, 60.0, -1.0])
+    for points in ((np.zeros(3), xi, np.full(3, 0.5)), (0.0, 60.0, 0.5)):
+        raises_quietly(_integrate, field, *points)
+        raises_quietly(flow_with_derivatives, field, *points)
+    # within |xi| <= 50 it is the straight line
+    assert bits(_integrate(field, np.zeros(2), xi[[0, 2]], np.full(2, 0.5))[0]) == bits(xi[[0, 2]] + 0.5)
+
+
+def test_inner_solve_refuses_an_overflowing_d_tt():
+    # sqrt1p at 1e200: phi and d_xi are finite, sigma_xi sigma is not
+    for points in ((np.zeros(2), np.array([0.5, 1e200]), np.ones(2)), (0.0, 1e200, 1.0)):
+        raises_quietly(_integrate, sqrt1p_field(), *points)

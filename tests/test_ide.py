@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from pathqv import (
     BVDriver,
     DomainError,
+    FlowIntegrationError,
     IDEProblem,
     NumericalError,
     QVCurve,
@@ -30,7 +32,7 @@ from pathqv import (
     sqrt1p_field,
     verify_local_qv,
 )
-from pathqv.flow import RTOL
+from pathqv.flow import RTOL, flow_derivatives
 from pathqv.ide import PICARD_TOL, _newton_step
 
 LEVEL = 12
@@ -303,11 +305,11 @@ def count_flow_solves(monkeypatch):
     ide = sys.modules["pathqv.ide"]
     rtols = []
 
-    def counting(field, tau, xi, t, rtol=RTOL):
+    def counting(field, tau, xi, t, rtol=RTOL, *rest):
         rtols.append(rtol)
-        return flow_with_derivatives(field, tau, xi, t, rtol)
+        return flow_derivatives(field, tau, xi, t, rtol, *rest)
 
-    monkeypatch.setattr(ide, "flow_with_derivatives", counting)
+    monkeypatch.setattr(ide, "flow_derivatives", counting)
     return rtols
 
 
@@ -693,8 +695,8 @@ def test_a_window_starts_at_the_exact_end_of_the_windows_before(monkeypatch):
     ide = sys.modules["pathqv.ide"]
     monkeypatch.setattr(ide, "_SWEEP_BLOCK", 64)
     starts = []
-    monkeypatch.setattr(ide, "flow_with_derivatives", lambda field, tau, xi, t, *rest: (
-        starts.append(tau[0]) or flow_with_derivatives(field, tau, xi, t, *rest)))
+    monkeypatch.setattr(ide, "flow_derivatives", lambda field, tau, xi, t, *rest: (
+        starts.append(np.ravel(tau)[0]) or flow_derivatives(field, tau, xi, t, *rest)))
     level = 10
     prob = linear_qv_problem(constant_field(1.0),
                              lambda t, xi: np.where(t < 0.25, 3.0 * np.cos(xi), 0.0),
@@ -715,8 +717,8 @@ def test_level_16_langevin_solve_makes_three_sweeps_per_window(monkeypatch):
     # once took 4 sweeps of 8 calls
     ide = sys.modules["pathqv.ide"]
     sizes = []
-    monkeypatch.setattr(ide, "flow_with_derivatives", lambda field, tau, xi, t, *rest: (
-        sizes.append(np.size(xi)) or flow_with_derivatives(field, tau, xi, t, *rest)))
+    monkeypatch.setattr(ide, "flow_derivatives", lambda field, tau, xi, t, *rest: (
+        sizes.append(np.size(xi)) or flow_derivatives(field, tau, xi, t, *rest)))
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, X16, 1.0, 16)
     assert solve_ide(prob, 16).residual_report <= PICARD_TOL
     assert len(sizes) == 24 and max(sizes) <= ide._SWEEP_BLOCK + 1
@@ -742,10 +744,8 @@ def test_no_flow_call_of_a_solve_exceeds_one_block(monkeypatch):
     # at level 14 the grid holds two blocks, closed form and DP45 alike
     ide = sys.modules["pathqv.ide"]
     sizes = []
-    for name in ("flow", "flow_with_derivatives"):
-        fn = getattr(ide, name)
-        monkeypatch.setattr(ide, name, lambda field, tau, xi, t, *rest, fn=fn: (
-            sizes.append(np.broadcast(tau, xi, t).size) or fn(field, tau, xi, t, *rest)))
+    monkeypatch.setattr(ide, "flow_derivatives", lambda field, tau, xi, t, *rest: (
+        sizes.append(np.broadcast(tau, xi, t).size) or flow_derivatives(field, tau, xi, t, *rest)))
     level = 14
     for field in (GEOMETRIC, EXPRESSION):
         prob = linear_qv_problem(field, lambda t, xi: 0.3 * np.cos(xi), X16.restrict(level),
@@ -782,3 +782,62 @@ def test_level_16_picard_solve_stays_within_eight_grid_arrays():
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 8 * 8 * (2**16 + 1)
+
+
+# -- the blocks call the inner flow solve: its checks, once per block ----------
+
+def solve_quietly(prob, level, **kw):
+    """solve_ide(prob, level, **kw) raises FlowIntegrationError and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(FlowIntegrationError) as err:
+            solve_ide(prob, level, **kw)
+    return str(err.value)
+
+
+SCHEMES = [{}, {"scheme": "tonelli", "tonelli_n": 16}, {"scheme": "tonelli", "tonelli_n": 64}]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=["picard", "tonelli-lag-4", "tonelli-lag-1"])
+@pytest.mark.parametrize("kind, message", [("phi-nan", "phi"), ("phi-inf", "phi"),
+                                           ("d_xi-zero", "d_xi <= 0")])
+def test_a_closed_form_that_breaks_on_the_way_ends_the_solve(kind, message, scheme,
+                                                             far_breaking_field):
+    # the drift b = 100 carries B beyond 50 after t = 1/2
+    prob = linear_qv_problem(far_breaking_field(kind), lambda t, xi: 100.0,
+                             X16.restrict(6), 0.0, 6)
+    assert message in solve_quietly(prob, 6, **scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=["picard", "tonelli-lag-4", "tonelli-lag-1"])
+def test_an_overflowing_drift_ends_the_solve_in_a_numerical_error(scheme):
+    # (1e103)**3 overflows; a one-cell block passes the drift arrays too,
+    # so the power is numpy's and gives inf quietly, not OverflowError
+    prob = linear_qv_problem(constant_field(1.0), lambda t, xi: xi**3, X16.restrict(6), 1e103, 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        with pytest.raises(NumericalError, match="drift b is not finite"):
+            solve_ide(prob, 6, **scheme)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=["picard", "tonelli-lag-4", "tonelli-lag-1"])
+def test_an_overflowing_d_tt_ends_the_solve(scheme):
+    # sqrt1p at B = 1e200: phi and d_xi are finite, sigma_xi sigma is not
+    prob = linear_qv_problem(sqrt1p_field(), lambda t, xi: 0.0, X16.restrict(6), 1e200, 6)
+    assert "d_tt" in solve_quietly(prob, 6, **scheme)
+
+
+def test_a_block_of_b_that_is_not_finite_is_refused():
+    # lag-1 Tonelli sums its cells in Python floats, which overflow to inf
+    # without a warning; the next cell's flow refuses that B
+    prob = linear_qv_problem(field_from_expression("1"), lambda t, xi: 1e308,
+                             X16.restrict(6), 1e308, 6)
+    assert "must be finite" in solve_quietly(prob, 6, scheme="tonelli", tonelli_n=64)
+    # a block of several points, as a window or a Tonelli block passes it
+    ide = sys.modules["pathqv.ide"]
+    paths = ide._paths(prob, 6)
+    for bad in (np.nan, np.inf):
+        y = np.full(5, 0.3)
+        y[3] = bad
+        with pytest.raises(FlowIntegrationError, match="must be finite"):
+            ide._block(prob, 6, paths, 8, 13, y, np.empty(5), np.empty(5))

@@ -149,8 +149,7 @@ def test_shoot_makes_no_flow_solve_beyond_its_sweeps(x10, monkeypatch):
     flow_module = sys.modules["pathqv.flow"]  # the package's `flow` is the function
     solves, sweeps = [], []
     monkeypatch.setattr(flow_module, "_integrate", counting(solves, flow_module._integrate))
-    monkeypatch.setattr(ide, "flow_with_derivatives",
-                        counting(sweeps, ide.flow_with_derivatives))
+    monkeypatch.setattr(ide, "flow_derivatives", counting(sweeps, ide.flow_derivatives))
     for field in (field_from_expression("1+0.3*sin(xi)"), sqrt1p_field()):
         solves.clear()
         sweeps.clear()
