@@ -40,7 +40,7 @@ _HOME = {
         ("ide", "IDEProblem IDESolution langevin_closed_form linear_closed_form "
                 "solve_ide sqrt1p_closed_form verify_local_qv"),
         ("support", "drift_from_path match_path shoot_constant_b"),
-        ("expr", "Expression evaluate_constant field_from_expression scalar_function"),
+        ("expr", "Expression evaluate_constant field_from_expression"),
     )
     for name in names.split()
 }

@@ -57,9 +57,9 @@ def _resolve_fseq(args):
         return preset(args.preset)
     if getattr(args, "f", None):
         from .errors import _finite
-        from .expr import scalar_function
+        from .expr import Expression
 
-        fn = scalar_function(args.f, "t")
+        fn = Expression(args.f, ("t",))
         values = _finite(DomainError, f"--f {args.f!r} is not finite on [0, 1]", fn, SPOT_GRID)
         return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
     raise DomainError("need --preset or --f")

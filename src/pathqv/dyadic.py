@@ -239,11 +239,6 @@ class BVDriver(SampledPath):
         """The driver A(t) = t."""
         return cls(level, grid_points(level))
 
-    @property
-    def total_variation(self):
-        """The sum of absolute increments at the path's own level."""
-        return float(np.sum(np.abs(self.increments())))
-
 
 @dataclass(frozen=True, eq=False)
 class QVCurve(SampledPath):

@@ -104,9 +104,6 @@ class IDEProblem:
     ``drift`` takes (t, xi) and, like the field's callables, may return
     anything that broadcasts against the joint shape of its arguments, e.g.
     a scalar for a constant drift, which numpy broadcasting absorbs.
-
-    ``drift_growth`` declares a constant c with |b(t, xi)| <= c (1 + |xi|);
-    it feeds the a-priori Gronwall bound and is not otherwise enforced.
     """
 
     field: object
@@ -115,7 +112,6 @@ class IDEProblem:
     x: SampledPath
     qv_x: QVCurve
     z0: float
-    drift_growth: float = None
 
     def __post_init__(self):
         if self.x.values[0] != 0.0:
@@ -134,32 +130,6 @@ class IDEProblem:
                 f"level {level} exceeds the coarsest component level {cap}"
             )
         return level
-
-    def gronwall_bound(self):
-        """A-priori sup bound (m + cV) e^(cV) on any solution iterate.
-
-        Kernel growth constants are assembled from the declared field
-        bounds and drift growth; deliberately conservative.  DomainError
-        if sigma(t, 0) is not finite for some t in [0, 1].
-        """
-        if self.drift_growth is None:
-            raise DomainError("gronwall_bound needs a declared drift_growth")
-        L = float(self.field.sup_sigma_xi)
-        T0 = float(self.field.sup_sigma_t)
-        X = float(np.max(np.abs(self.x.values)))
-        taus = np.linspace(0.0, 1.0, 201)
-        S0 = float(np.max(np.abs(_finite(DomainError, "sigma(t, 0) is not finite for t in [0, 1]",
-                                         self.field.sigma, taus, np.zeros_like(taus)))))
-        E = float(np.exp(L * X))
-        eps = 1.0 / E
-        G = (E - 1.0) / L if L > 0 else X
-        cb = float(self.drift_growth)
-        c1 = cb * (1.0 + S0 * G + E) / eps
-        c2 = T0 * G / eps
-        c3 = 0.5 * L * (S0 * (1.0 + L * G) + L * E) / eps
-        c = max(c1, c2, c3)
-        V = self.driver_A.total_variation + 1.0 + float(self.qv_x.values[-1])
-        return (abs(self.z0) + c * V) * float(np.exp(c * V))
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,6 +206,7 @@ def _block(problem, level, paths, a, b, y, cells, term, rtol=RTOL):
 
 
 _DRIFT_NOT_FINITE = "drift b is not finite at the flow values"
+_SUM_NOT_FINITE = "z0 + S(B) is not finite: the sums for B overflow"
 
 
 def _cell_terms(bv, dxi, dtau, dtt, dA, dQ, ds, cells, term):
@@ -270,7 +241,7 @@ def _increments(values, a, c):
     return np.subtract(values[a + 1:c + 1], values[a:c])
 
 
-def _solve_picard(problem, level, paths, max_iter, initial=None):
+def _solve_picard(problem, level, paths, initial=None):
     """Sweeps from z0 or ``initial`` on the grid of ``level``, reading the
     problem through ``_paths``; returns the arrays (B, phi) and the defect.
 
@@ -286,12 +257,9 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
     window's defect is the full-grid defect on its points, and the
     returned defect, their maximum, is the full-grid defect.  Only B and
     phi live at grid size; a grid up to level 13 is one window, whose
-    arrays are returned as they are.  ``max_iter`` bounds the sweeps of
-    each window.
+    arrays are returned as they are.  Each window makes at most
+    MAX_PICARD_ITER + 1 sweeps.
     """
-    sweeps = _check_count(max_iter, "max_iter") + 1
-    if sweeps < 1:
-        raise DomainError(f"max_iter must be >= 0, got {max_iter}")
     n = 2**level
     if initial is not None:
         initial = np.asarray(getattr(initial, "values", initial), dtype=np.float64)
@@ -315,8 +283,7 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
             if a:
                 Bw -= initial[a]
                 Bw += start
-        Bw, phiw, S, d = _solve_window(problem, level, paths, a, b, Bw, running,
-                                       sweeps, exact, trace)
+        Bw, phiw, S, d = _solve_window(problem, level, paths, a, b, Bw, running, exact, trace)
         defect = max(defect, d)
         if phi is None:
             return Bw, phiw, defect
@@ -327,7 +294,7 @@ def _solve_picard(problem, level, paths, max_iter, initial=None):
     return B, phi, defect
 
 
-def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace):
+def _solve_window(problem, level, paths, a, b, B, running, exact, trace):
     """Sweep the window of cells a..c-1, c = min(b, 2^level), from its
     first iterate B at the points a..c, with ``running`` = S_a, so that
     every sweep's iterate starts at z0 + S_a; returns (B, phi, S, defect)
@@ -348,14 +315,15 @@ def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace)
     from its eighth on leaves the defect no lower than both of the two
     before it: a Newton step may raise the defect once, and the first
     full-tolerance sweep after loose ones may read a larger defect.  The
-    window may make ``sweeps`` sweeps.
+    window may make MAX_PICARD_ITER + 1 sweeps, and the Picard iterate
+    must stay finite (NumericalError).
     """
     z0, m, p = problem.z0, B.shape[0] - 1, b - a
     first, defect = len(trace), np.inf
     where = "" if p == 2**level + 1 else f" in the window of cells {a}..{a + m - 1}"
     B_prev = cells_prev = cap = None
     term = np.empty(m + 1)  # scratch for every sweep's cell terms and defect
-    for _ in range(sweeps):
+    for _ in range(MAX_PICARD_ITER + 1):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
         run_cells = np.empty(m + 1)  # S_a, then the window's cells
         run_cells[0] = running
@@ -373,7 +341,7 @@ def _solve_window(problem, level, paths, a, b, B, running, sweeps, exact, trace)
                 trace=trace,
             )
         phi = None  # not needed unless the sweep stops: free it before the next solve
-        S += z0  # the Picard iterate z0 + S(B), in place
+        _finite(NumericalError, _SUM_NOT_FINITE, np.add, S, z0, S)  # z0 + S(B), in place
         if B_prev is not None:
             if cap is None:
                 cap = _slope_cap(paths, level, a, a + m)
@@ -498,15 +466,14 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
         np.cumsum(S, out=S)
         S += running
         running = S[-1]
-        B[j0:j1] = problem.z0 + S
+        _finite(NumericalError, _SUM_NOT_FINITE, np.add, S, problem.z0, B[j0:j1])
     phi = np.empty(npts)
     for a, b in _spans(level):
         phi[a:b] = _flow_at(problem, level, paths, a, b, B[a:b], derivatives=False)[1][0]
     return B, phi, 0.0
 
 
-def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
-              tonelli_n=64, initial=None):
+def solve_ide(problem, level=None, *, scheme="picard", tonelli_n=64, initial=None):
     """Solve the pathwise Ito equation for B and assemble z = phi(t, B, x).
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
@@ -517,9 +484,9 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     Newton steps whose slopes are secants of the last two sweeps (see the
     module docstring).  A window stops at a fixed-point defect (sup over
     its grid points) <= PICARD_TOL.  The solve raises NumericalError if a
-    window stalls or has made ``max_iter`` + 1 sweeps; ``max_iter`` must be
-    an integer >= 0, and it bounds each window's sweeps.  The error's
-    ``trace`` lists every sweep's defect, window after window.
+    window stalls or has made MAX_PICARD_ITER + 1 sweeps (the error's
+    ``trace`` lists every sweep's defect, window after window), or when
+    z0 + S(B) overflows.
     ``initial``, finite and on the working grid, warm-starts it (e.g. with
     the B for nearby parameters; each window after the first takes it
     shifted by a constant to start at that window's first value), which,
@@ -540,7 +507,7 @@ def solve_ide(problem, level=None, *, scheme="picard", max_iter=MAX_PICARD_ITER,
     level = problem.working_level(level)
     paths = _paths(problem, level)
     if scheme == "picard":
-        B, phi, resid = _solve_picard(problem, level, paths, max_iter, initial)
+        B, phi, resid = _solve_picard(problem, level, paths, initial)
     elif scheme == "tonelli":
         B, phi, resid = _solve_tonelli(problem, level, paths, tonelli_n)
     else:

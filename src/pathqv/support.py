@@ -5,9 +5,9 @@ equation  dz = sigma(t, z) dx + b dt  (for a driver with linear quadratic
 variation) from z0 to a prescribed z1 at time t0: the hit value is
 continuous and monotone in b and sweeps all of R, so bracket doubling
 followed by Illinois regula falsi always lands.  The refiner reuses the
-bracket's hit values and stops at the first b within tol of the target,
-so no Picard solve is repeated, and no flow solve is added to the
-sweeps.  ``match_path`` goes the other way: given a smooth
+bracket's hit values and stops at the first b within SHOOT_TOL of the
+target, so no Picard solve is repeated, and no flow solve is added to
+the sweeps.  ``match_path`` goes the other way: given a smooth
 bounded-variation component B it reads off the time-dependent drift
 
     b(t) = phi_xi B'(t) + phi_tau + phi_tt / 2      (at (t, B(t), x(t)))
@@ -40,20 +40,19 @@ def _linear_qv_problem(field, x, z0, drift, level):
     )
 
 
-def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
-                     max_b=MAX_B, trace=None):
-    """Constant drift b with |z_b(t0) - z1| <= tol, for <x>_t = t.
+def shoot_constant_b(field, x, z0, z1, t0, level, *, trace=None):
+    """Constant drift b with |z_b(t0) - z1| <= SHOOT_TOL, for <x>_t = t.
 
     The map b -> z_b(t0) is increasing and sweeps all of R (comparison
     bounds), so walking out from b = -1 (down by doubling, or up through
     +1 by doubling) brackets the target; the last two probes are the
     bracket.  Illinois regula falsi then refines it, starting from the end
     points' hit values already in hand.  Every probe is one Picard solve
-    and the search stops at the first probe within ``tol``, which is the
+    and the search stops at the first probe within SHOOT_TOL, which is the
     b returned.  ``trace``, if given, collects (b, z_b(t0)) per probe.
     Raises DomainError on a non-finite z1 (the problem and the grid check
     z0 and t0), and NumericalError when no bracket exists within
-    |b| <= ``max_b`` or no probe lands within MAX_REFINE refinement steps.
+    |b| <= MAX_B or no probe lands within MAX_REFINE refinement steps.
     """
     if not np.isfinite(z1):
         raise DomainError(f"z1 must be finite, got {z1}")
@@ -77,7 +76,7 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     b = -1.0
     while True:
         f = hit(b)
-        if abs(f) <= tol:
+        if abs(f) <= SHOOT_TOL:
             return b
         if f < 0.0:
             lo = (b, f)
@@ -86,8 +85,8 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
         if lo is not None and hi is not None:
             break
         b = 2.0 * b if lo is None or b > 0.0 else 1.0
-        if abs(b) > max_b:
-            side, edge = ("below", -max_b) if lo is None else ("above", max_b)
+        if abs(b) > MAX_B:
+            side, edge = ("below", -MAX_B) if lo is None else ("above", MAX_B)
             raise NumericalError(f"no bracket {side} b = {edge:g}; hypotheses violated?")
 
     # Illinois regula falsi: halve the stale end's value when the same end
@@ -97,7 +96,7 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
     for _ in range(MAX_REFINE):
         b = a - fa * (c - a) / (fc - fa)
         f = hit(b)
-        if abs(f) <= tol:
+        if abs(f) <= SHOOT_TOL:
             return b
         if f < 0.0:
             a, fa = b, f
@@ -110,7 +109,7 @@ def shoot_constant_b(field, x, z0, z1, t0, level, *, tol=SHOOT_TOL,
                 fa *= 0.5
             moved = 1
     raise NumericalError(f"shooting landed {abs(f):.3e} away from the target after "
-                         f"{MAX_REFINE} refinement steps (tol {tol:g})")
+                         f"{MAX_REFINE} refinement steps (tol {SHOOT_TOL:g})")
 
 
 def _derivative_on_grid(values, h):

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +13,22 @@ import pytest
 import pathqv
 from pathqv.errors import DomainError, NumericalError, _finite
 
-REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral", "CovCurve")
+REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral", "CovCurve",
+           "scalar_function")
+
+# What a caller sets.  A value that only tests change is a module constant
+# (flow._MAX_STEPS, ide.MAX_PICARD_ITER, support.SHOOT_TOL and MAX_B), not
+# a parameter or a field.
+PARAMETERS = {
+    "flow": ["field", "tau", "xi", "t"],
+    "flow_with_derivatives": ["field", "tau", "xi", "t"],
+    "solve_ide": ["problem", "level", "scheme", "tonelli_n", "initial"],
+    "shoot_constant_b": ["field", "x", "z0", "z1", "t0", "level", "trace"],
+}
+FIELDS = {
+    "VolatilityField": ["sigma", "sigma_t", "sigma_xi", "sup_sigma_t", "name", "exact_flow"],
+    "IDEProblem": ["field", "drift", "driver_A", "x", "qv_x", "z0"],
+}
 
 
 def test_every_exported_name_resolves():
@@ -27,6 +44,15 @@ def test_removed_names_are_gone():
     for name in REMOVED:
         assert name not in pathqv.__all__
         assert not hasattr(pathqv, name), name
+
+
+def test_only_what_a_caller_sets_is_a_parameter_or_a_field():
+    for name, params in PARAMETERS.items():
+        assert list(inspect.signature(getattr(pathqv, name)).parameters) == params, name
+    for name, fields in FIELDS.items():
+        assert [f.name for f in dataclasses.fields(getattr(pathqv, name))] == fields, name
+    assert not hasattr(pathqv.IDEProblem, "gronwall_bound")
+    assert not hasattr(pathqv.BVDriver, "total_variation")
 
 
 # -- one rule for user code: where numpy's warnings may be turned off ----------

@@ -344,8 +344,11 @@ def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     ({"sigma": "xi^10", "b": "0", "z0": 3}, "flow"),
     # a negative base to a fractional power is NaN for a point as for a batch
     ({"sigma": "(xi+10)^0.5", "b": "0", "z0": -11}, "flow"),
+    # z0 + S(B) overflows: Picard's iterate, then at level 8 lag-4 Tonelli's array blocks
+    ({"sigma": "1", "b": "1e308", "z0": 1e308}, "finite"),
+    ({"sigma": "1", "b": "1e308", "z0": 1e308, "level": 8}, "z0 + S(B) is not finite"),
 ], ids=["drift-closed-form", "drift-dp45", "drift-pole", "field-overflow", "field-inf-at-start",
-        "float-power", "negative-base-power"])
+        "float-power", "negative-base-power", "sum-overflow", "sum-overflow-blocks"])
 def test_solve_overflow_exit_3_in_one_line(tmp_path, capsys, problem, culprit, scheme):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))

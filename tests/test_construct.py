@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from pathqv import (
     DomainError,
+    Expression,
     FunctionSequence,
     IrrationalShift,
     build_x,
@@ -19,7 +20,6 @@ from pathqv import (
     predicted_qv,
     preset,
     qv_level,
-    scalar_function,
 )
 import pathqv.construct as construct
 from pathqv.construct import PRESETS, _frac_loop
@@ -248,7 +248,7 @@ def test_spot_check_refuses_a_pole_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         with pytest.raises(DomainError, match="finite"):
-            FunctionSequence.constant_in_n(scalar_function("1/(t-0.5)"), 1.0)
+            FunctionSequence.constant_in_n(Expression("1/(t-0.5)", ("t",)), 1.0)
 
 
 @pytest.mark.parametrize("what, term, limit", [
@@ -270,7 +270,7 @@ def test_spot_check_refuses_a_limit_or_f_64_that_is_not_finite(what, term, limit
 ], ids=["x", "y"])
 def test_rows_beyond_the_declared_bound_are_refused(build):
     # the bound is right on the spot grid, but the rows sample nearer the pole
-    f = scalar_function("1/(t-0.3)")
+    f = Expression("1/(t-0.3)", ("t",))
     fseq = FunctionSequence.constant_in_n(f, float(np.max(np.abs(f(grid_points(10))))))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

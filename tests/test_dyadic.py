@@ -114,7 +114,9 @@ def test_stieltjes_bounded_by_variation():
     c = 3.7
     g = SampledPath(9, np.full(2**9 + 1, c))
     val = follmer_integral(g, x, 9, 1.0)
-    assert abs(val) <= abs(c) * driver.total_variation + 1e-12
+    assert np.array_equal(driver.increments(), np.diff(x.values))
+    variation = float(np.sum(np.abs(driver.increments())))
+    assert abs(val) <= abs(c) * variation + 1e-12
 
 
 def test_stieltjes_additive_over_intervals():
@@ -136,12 +138,6 @@ def test_stieltjes_level_mismatch():
         follmer_integral(g, g, 3, 0.3)  # t off the grid
 
 
-def test_bv_driver_total_variation():
-    p = SampledPath(2, [0.0, 1.0, -1.0, 0.5, 0.5])
-    assert BVDriver(p.level, p.values).total_variation == pytest.approx(1 + 2 + 1.5 + 0)
-    assert BVDriver.identity(5).total_variation == pytest.approx(1.0)
-
-
 @pytest.mark.parametrize("cls", [QVCurve, BVDriver, SampledPath])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_grid_functions_refuse_non_finite_values(cls, bad):
@@ -157,13 +153,6 @@ def test_restrict_keeps_the_type(cls):
     r = p.restrict(2)
     assert type(r) is cls and r.level == 2
     assert np.array_equal(r.values, p.values[::4])
-
-
-def test_bv_driver_total_variation_is_the_sum_of_increments():
-    x = build_x(preset("fig2-left"), 9)
-    driver = BVDriver(x.level, x.values)
-    assert driver.total_variation == float(np.sum(np.abs(np.diff(x.values))))
-    assert np.array_equal(driver.increments(), np.diff(x.values))
 
 
 def test_qv_curve_reads_steps_and_a_path_interpolates():

@@ -1,3 +1,4 @@
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -195,18 +196,16 @@ def test_field_validation_catches_wrong_derivative():
             sigma_t=lambda t, xi: 0.0 * np.asarray(t) + 0.0 * xi,
             sigma_xi=lambda t, xi: np.cos(xi) + 1.0 + 0.0 * np.asarray(t),  # off by 1
             sup_sigma_t=0.0,
-            sup_sigma_xi=2.5,
         )
 
 
 def test_field_validation_catches_bound_violation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"declared sup\|sigma_t\| violated"):
         VolatilityField(
-            sigma=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
-            sigma_t=lambda t, xi: 0.0 * np.asarray(t) + 0.0 * xi,
-            sigma_xi=lambda t, xi: np.cos(xi) + 0.0 * np.asarray(t),
-            sup_sigma_t=0.0,
-            sup_sigma_xi=0.5,  # true sup is 1
+            sigma=lambda t, xi: 1.0 + np.asarray(t) * np.sin(xi),
+            sigma_t=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
+            sigma_xi=lambda t, xi: np.asarray(t) * np.cos(xi),
+            sup_sigma_t=0.5,  # true sup is 1
         )
 
 
@@ -225,12 +224,10 @@ def test_field_validation_rejects_non_finite():
             field_from_expression("sqrt(xi)")  # sigma_xi is NaN for xi < 0
         with pytest.raises(DomainError):
             field_from_expression("1e999")  # sigma itself is inf
-    for bounds in ({"sup_sigma_t": 0.0, "sup_sigma_xi": float("nan")},
-                   {"sup_sigma_t": float("nan"), "sup_sigma_xi": 1.0},
-                   {"sup_sigma_t": 0.0, "sup_sigma_xi": float("inf")}):
+    for bound in (float("nan"), float("inf")):
         with pytest.raises(DomainError):
-            sin_field(**bounds)
-    assert sin_field(sup_sigma_t=0.0, sup_sigma_xi=1.0).sup_sigma_xi == 1.0
+            sin_field(sup_sigma_t=bound)
+    assert sin_field(sup_sigma_t=1.0).sup_sigma_t == 1.0
 
 
 def test_field_validation_refuses_a_nan_central_difference():
@@ -241,7 +238,7 @@ def test_field_validation_refuses_a_nan_central_difference():
             VolatilityField(sigma=lambda t, xi: np.power(xi + 5.0, 1.5),
                             sigma_t=lambda t, xi: 0.0,
                             sigma_xi=lambda t, xi: 1.5 * np.power(xi + 5.0, 0.5),
-                            sup_sigma_t=0.0, sup_sigma_xi=5.0)
+                            sup_sigma_t=0.0)
 
 
 def test_integrator_raises_on_nan():
@@ -255,7 +252,6 @@ def test_integrator_raises_on_nan():
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
         sup_sigma_t=0.0,
-        sup_sigma_xi=0.5,
     )
     with np.errstate(invalid="ignore", divide="ignore"):
         for field, xi, t in ((bare, -1.0, 0.5), (leaves, -5.9, -1.0)):
@@ -266,12 +262,13 @@ def test_integrator_raises_on_nan():
     assert np.isfinite(flow(leaves, 0.0, -5.9, 0.5))
 
 
-def test_step_budget_guard():
+def test_step_budget_guard(monkeypatch):
     field = dp45(sqrt1p_field())
+    monkeypatch.setattr(sys.modules["pathqv.flow"], "_MAX_STEPS", 3)
     with pytest.raises(FlowIntegrationError):
-        _checked(field, 0.0, 1.0, 1.0, max_steps=3)
+        _checked(field, 0.0, 1.0, 1.0)
     with pytest.raises(FlowIntegrationError):
-        _checked(field, np.zeros(4), np.ones(4), np.ones(4), max_steps=3)
+        _checked(field, np.zeros(4), np.ones(4), np.ones(4))
 
 
 # -- rest points: d_xi from the variational row or from sigma(phi) / sigma(xi) --
@@ -354,7 +351,7 @@ def test_d_xi_keeps_its_relative_accuracy_near_rest_points(case):
         assert abs(d_xi / want(d, 1.0) - 1.0) <= 5e-11, d
 
 
-def test_guards_raise_near_rest_points():
+def test_guards_raise_near_rest_points(monkeypatch):
     # xi = 1 is a rest point of (xi-1) xi^2, and the flow from just above
     # it blows up: the step size underflows
     cubic = field_from_expression("(xi-1)*xi^2")
@@ -363,7 +360,6 @@ def test_guards_raise_near_rest_points():
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
         sup_sigma_t=0.0,
-        sup_sigma_xi=0.5,
     )
     sin = field_from_expression("sin(xi)")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -373,10 +369,11 @@ def test_guards_raise_near_rest_points():
                 flow_with_derivatives(field, 0.0, xi, t)
             with pytest.raises(FlowIntegrationError, match=match):
                 flow_with_derivatives(field, np.zeros(2), np.array([xi, 0.5]), np.array([t, t]))
+    monkeypatch.setattr(sys.modules["pathqv.flow"], "_MAX_STEPS", 3)
     with pytest.raises(FlowIntegrationError, match="steps"):
-        _checked(sin, 0.0, 1e-6, 1.0, max_steps=3)
+        _checked(sin, 0.0, 1e-6, 1.0)
     with pytest.raises(FlowIntegrationError, match="steps"):
-        _checked(sin, np.zeros(2), np.array([0.0, 1.0]), np.ones(2), max_steps=3)
+        _checked(sin, np.zeros(2), np.array([0.0, 1.0]), np.ones(2))
 
 
 def dp45_fields():
@@ -395,7 +392,7 @@ def test_closed_form_results_are_handed_out_uncopied_unless_shared():
     assert np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
     # a 1-D batch reaches exact_flow as the caller's own arrays
     still = VolatilityField(sigma=lambda t, xi: 0.0, sigma_t=lambda t, xi: 0.0,
-                            sigma_xi=lambda t, xi: 0.0, sup_sigma_t=0.0, sup_sigma_xi=0.0,
+                            sigma_xi=lambda t, xi: 0.0, sup_sigma_t=0.0,
                             exact_flow=lambda tau, xi, t: (xi, 1.0, 0.0))
     tau, xi, t = np.zeros(5), np.arange(5.0), np.full(5, 0.5)
     phi = flow_with_derivatives(still, tau, xi, t)[0]

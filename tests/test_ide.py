@@ -43,7 +43,7 @@ def both_paths(field):
     return (field, replace(field, exact_flow=None))
 
 
-def linear_qv_problem(field, drift, x, z0, level, drift_growth=None):
+def linear_qv_problem(field, drift, x, z0, level):
     return IDEProblem(
         field=field,
         drift=drift,
@@ -51,7 +51,6 @@ def linear_qv_problem(field, drift, x, z0, level, drift_growth=None):
         x=x,
         qv_x=QVCurve.from_function(lambda t: t, level),
         z0=z0,
-        drift_growth=drift_growth,
     )
 
 
@@ -99,9 +98,7 @@ def test_langevin_closed_form_oracle_is_independent(x12):
 def test_langevin_solver_matches_closed_form(x12):
     oracle = langevin_closed_form(x12, 1.0, -0.5, 1.0)
     for field in both_paths(constant_field(1.0)):
-        prob = linear_qv_problem(
-            field, lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL, drift_growth=0.5,
-        )
+        prob = linear_qv_problem(field, lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL)
         sol = solve_ide(prob, LEVEL)
         assert np.max(np.abs(sol.z.values - oracle.values)) <= 1e-4
         assert sol.residual_report <= 1e-8
@@ -237,28 +234,17 @@ def test_classical_ode_reduction():
     assert np.max(np.abs(sol.B.values - sol.z.values)) <= 1e-12  # z = B when x = 0
 
 
-def test_gronwall_bound_holds(x12):
-    prob = linear_qv_problem(
-        sqrt1p_field(), lambda t, xi: 0.5 * xi, x12, 0.4, LEVEL, drift_growth=0.5
-    )
-    bound = prob.gronwall_bound()
-    B = solve_ide(prob, LEVEL).B
-    assert np.max(np.abs(B.values)) <= bound
-    prob2 = linear_qv_problem(
-        constant_field(1.0), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL, drift_growth=0.5
-    )
-    assert np.max(np.abs(solve_ide(prob2, LEVEL).B.values)) <= prob2.gronwall_bound()
-    with pytest.raises(DomainError):
-        linear_qv_problem(
-            constant_field(1.0), lambda t, xi: xi, x12, 1.0, LEVEL
-        ).gronwall_bound()
+def set_max_picard_iter(monkeypatch, max_iter):
+    """Let each Picard window make at most max_iter + 1 sweeps."""
+    monkeypatch.setattr(sys.modules["pathqv.ide"], "MAX_PICARD_ITER", max_iter)
 
 
-def test_picard_nonconvergence_reports_trace(x12):
+def test_picard_nonconvergence_reports_trace(x12, monkeypatch):
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 5.0 * xi, x12, 1.0, LEVEL)
+    set_max_picard_iter(monkeypatch, 2)
     with pytest.raises(NumericalError) as err:
-        solve_ide(prob, LEVEL, max_iter=2)
-    assert len(err.value.trace) == 3  # one defect per sweep: max_iter + 1 sweeps
+        solve_ide(prob, LEVEL)
+    assert len(err.value.trace) == 3  # one defect per sweep: MAX_PICARD_ITER + 1 sweeps
 
 
 def full_tolerance_defect(prob, B, block=None):
@@ -321,8 +307,10 @@ def test_picard_makes_one_flow_solve_per_sweep(x12, monkeypatch):
         solve_ide(prob, 10)
         sweeps = len(rtols)
         # one sweep fewer fails, so every flow solve was a sweep the solve needed
-        with pytest.raises(NumericalError) as err:
-            solve_ide(prob, 10, max_iter=sweeps - 2)
+        with monkeypatch.context() as patch:
+            set_max_picard_iter(patch, sweeps - 2)
+            with pytest.raises(NumericalError) as err:
+                solve_ide(prob, 10)
         assert len(err.value.trace) == sweeps - 1
         assert err.value.trace[-1] > 1e-10
 
@@ -419,7 +407,7 @@ def test_newton_sweeps_with_a_driver_of_large_variation(x12):
 def test_stall_detector_ends_a_diverging_solve(x12):
     # with A = 50 sin(40 pi t) the discrete solution reaches 7.6e6 and a
     # change of B grows by up to e^18.8 from cell to cell: no iterate gets
-    # near a defect of 1e-10, and the solve stops long before max_iter
+    # near a defect of 1e-10, and the solve stops long before MAX_PICARD_ITER
     level = 10
     A = BVDriver(level, 50.0 * np.sin(40.0 * np.pi * grid_points(level)))
     prob = IDEProblem(field=constant_field(1.0), drift=lambda t, xi: 0.3 * xi, driver_A=A,
@@ -479,17 +467,11 @@ def test_picard_is_bit_reproducible(x12):
         assert a.z.values.tobytes() == b.z.values.tobytes()
 
 
-@pytest.mark.parametrize("max_iter", [-1, 2.5, "3", None])
-def test_picard_rejects_a_bad_max_iter(x12, max_iter):
-    prob = geometric_problem(x12.restrict(8))
-    with pytest.raises(DomainError, match="max_iter"):
-        solve_ide(prob, 8, max_iter=max_iter)
-
-
-def test_picard_reports_the_sweeps_it_made(x12):
+def test_picard_reports_the_sweeps_it_made(x12, monkeypatch):
     prob = linear_qv_problem(constant_field(1.0), lambda t, xi: 5.0 * xi, x12, 1.0, LEVEL)
+    set_max_picard_iter(monkeypatch, 0)
     with pytest.raises(NumericalError, match="in 1 sweep ") as err:
-        solve_ide(prob, LEVEL, max_iter=0)
+        solve_ide(prob, LEVEL)
     assert len(err.value.trace) == 1
 
 
@@ -554,7 +536,7 @@ def test_scalar_drift_gives_the_bits_of_a_padded_drift():
 @pytest.mark.parametrize("src, c", [("2", 2.0), ("1+t*0", 1.0)])
 def test_expression_field_gives_the_bits_of_padded_lambdas(src, c):
     lambdas = VolatilityField(sigma=padded(c), sigma_t=padded(0.0), sigma_xi=padded(0.0),
-                              sup_sigma_t=0.0, sup_sigma_xi=0.0)
+                              sup_sigma_t=0.0)
     drift = lambda t, xi: -0.5 * xi
     assert_same_solutions(linear_qv_problem(field_from_expression(src), drift, X8, 0.3, 8),
                           linear_qv_problem(lambdas, drift, X8, 0.3, 8))
@@ -569,15 +551,7 @@ def window_nan_field():
         return 1.0 + 0.0 * np.exp(1e6 * (t - 0.6) * (0.7 - t)) + 0.0 * xi
 
     zero = lambda t, xi: 0.0
-    return VolatilityField(sigma=sigma, sigma_t=zero, sigma_xi=zero,
-                           sup_sigma_t=0.0, sup_sigma_xi=0.0)
-
-
-def test_gronwall_bound_refuses_a_sigma_that_is_not_finite_at_xi_0(x12):
-    prob = linear_qv_problem(window_nan_field(), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL,
-                             drift_growth=0.5)
-    with pytest.raises(DomainError, match=r"sigma\(t, 0\) is not finite"):
-        prob.gronwall_bound()
+    return VolatilityField(sigma=sigma, sigma_t=zero, sigma_xi=zero, sup_sigma_t=0.0)
 
 
 def test_verify_local_qv_refuses_a_sigma_that_is_not_finite_on_z(x12):

@@ -104,10 +104,11 @@ def test_shoot_envelope_bounds(x10):
     assert B_end <= z0 + (b * c_g_hi + m_hi) * t0 + 1e-6
 
 
-def test_shoot_bracket_failure(x10):
+def test_shoot_bracket_failure(x10, monkeypatch):
     field = constant_field(1.0)
+    monkeypatch.setattr(support, "MAX_B", 4.0)
     with pytest.raises(NumericalError):
-        shoot_constant_b(field, x10, 0.0, 50.0, 1.0, 8, max_b=4.0)
+        shoot_constant_b(field, x10, 0.0, 50.0, 1.0, 8)
 
 
 def test_shoot_trace_has_no_repeats_and_ends_at_b(x10):
@@ -183,9 +184,10 @@ def test_shoot_trace_is_the_flow_at_each_probe(x10, monkeypatch):
 
 def test_shoot_refiner_cap_raises(x10, monkeypatch):
     monkeypatch.setattr(support, "MAX_REFINE", 2)
+    monkeypatch.setattr(support, "SHOOT_TOL", 1e-14)
     trace = []
     with pytest.raises(NumericalError, match="after 2 refinement steps"):
-        shoot_constant_b(sqrt1p_field(), x10, 0.0, 2.0, 1.0, 8, tol=1e-14, trace=trace)
+        shoot_constant_b(sqrt1p_field(), x10, 0.0, 2.0, 1.0, 8, trace=trace)
     assert len(trace) == 5 + 2  # b = -1, 1, 2, 4, 8 bracket the target, then the cap
 
 
