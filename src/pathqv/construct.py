@@ -326,13 +326,14 @@ class NondiffReport:
         return float(np.max(np.abs(self.d)))
 
 
-def nondiff_quotients(coeffs, fseq, t, n_max, *, eps=None):
+def nondiff_quotients(coeffs, fseq, t, n_max):
     """Difference quotients of the truncated wedge series at t in [0, 1).
 
     Verifies the exact recursion (raises NumericalError beyond 1e-10) and
     flags levels where the increment magnitude certifies divergence:
     |d_n - d_{n-1}| >= eps 2^((n-1)/2) whenever |f_n(s_n)| >= eps, which
-    contradicts convergence of the quotients.
+    contradicts convergence of the quotients.  eps is max(1e-12,
+    |f_inf(t)| / 2); DomainError if f_inf(t) is not finite.
     """
     t = float(t)
     if not 0.0 <= t < 1.0:
@@ -340,10 +341,8 @@ def nondiff_quotients(coeffs, fseq, t, n_max, *, eps=None):
     n_max = _check_count(n_max, "n_max")
     if not 1 <= n_max <= coeffs.depth:
         raise DomainError(f"n_max must lie in [1, depth={coeffs.depth}]")
-    if eps is None:
-        eps = max(1e-12, 0.5 * abs(float(_finite(DomainError, f"f_inf({t}) is not finite",
-                                                 fseq.limit, t))))
-    eps = float(eps)
+    eps = max(1e-12, 0.5 * abs(float(_finite(DomainError, f"f_inf({t}) is not finite",
+                                             fseq.limit, t))))
 
     path = synthesize(coeffs, coeffs.depth)
     v = path.values

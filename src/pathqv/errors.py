@@ -25,8 +25,9 @@ class NumericalError(PathQVError, RuntimeError):
 
 
 class FlowIntegrationError(NumericalError):
-    """The adaptive ODE integrator underflowed its step size or exceeded
-    its step budget."""
+    """A flow solve failed: a flow input or output is not finite, d_xi <= 0,
+    or the adaptive integrator underflowed its step size or exceeded its
+    step budget."""
 
 
 def _finite(error, message, fn, *args):

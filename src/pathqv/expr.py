@@ -33,7 +33,6 @@ from __future__ import annotations
 import ast
 import math
 import re
-import sys
 
 import numpy as np
 
@@ -325,12 +324,10 @@ def field_from_expression(src):
 
     The partial derivatives come from symbolic differentiation of the
     parsed tree (so they satisfy the field's finite-difference check by
-    construction), and both are sampled on the box [0, 1] x [-8, 8],
-    where the declared sup|sigma_t| is taken; DomainError if a derivative
-    is not finite there.  The field is declared time-free
-    (``sup_sigma_t = 0``, so that the flow skips d/dtau) only when the
-    t-derivative folds to the constant 0; any other declares a positive
-    bound, even if it samples as 0.
+    construction), and both are sampled on the box [0, 1] x [-8, 8];
+    DomainError if a derivative is not finite there.  The field is
+    declared ``time_free`` (so that the flow skips d/dtau) only when the
+    t-derivative folds to the constant 0, not when it merely samples as 0.
     """
     from .flow import VolatilityField
 
@@ -340,7 +337,7 @@ def field_from_expression(src):
     tt, xx = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(-8.0, 8.0, 65))
     message = (f"field {src!r} has a derivative that is not finite on the box "
                "t in [0, 1], xi in [-8, 8]")
-    sup_t = float(np.max(np.abs(_finite(DomainError, message, d_t, tt, xx))))
+    _finite(DomainError, message, d_t, tt, xx)
     _finite(DomainError, message, d_xi, tt, xx)
-    sup_t = 0.0 if d_t.ast == _num(0.0) else max(sup_t, sys.float_info.min)
-    return VolatilityField(sigma=sigma, sigma_t=d_t, sigma_xi=d_xi, sup_sigma_t=sup_t, name=src)
+    return VolatilityField(sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,
+                           time_free=d_t.ast == _num(0.0), name=src)

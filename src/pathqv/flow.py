@@ -21,7 +21,7 @@ time-rescaled system du/ds = t * sigma(tau, u) over s in [0, 1] so that
 a whole batch of points with different horizons (including negative
 ones: that is the reversed equation) shares one vectorized solve.  It
 integrates only the rows it needs: u alone for ``flow`` and for a
-time-free field (one declaring ``sup_sigma_t == 0``), whose d/dxi is
+time-free field (one declaring ``time_free``), whose d/dxi is
 the quotient above; (u, w) for any other field; and v as well when a
 point of the batch starts so near a rest point of sigma that the
 quotient would lose accuracy (see ``_solve``).  One step controller
@@ -48,7 +48,8 @@ that is one number for a whole batch (a closed form's d_xi = 1, a
 time-free field's d_tau = 0) stays a float there.  The two entry points
 put one guard (``_checked``) around it: they check tau, xi and t for
 finiteness, broadcast them, and hand out fresh arrays of the inputs'
-shape.  A pathwise solve (``ide``) calls the inner solve through
+shape, never sharing memory with an input or with each other.  A
+pathwise solve (``ide``) calls the inner solve through
 ``flow_derivatives``, which checks no input, once per block, having
 checked its own inputs once per solve.
 
@@ -129,8 +130,8 @@ _XI_SHIFTS, _T_SHIFTS, _FLOW_SLABS, _AT_ZERO = _construction_slabs()
 
 @dataclass(frozen=True)
 class VolatilityField:
-    """sigma(t, xi) together with its first partial derivatives and a
-    declared bound ``sup_sigma_t`` on |sigma_t|.
+    """sigma(t, xi) together with its first partial derivatives, and
+    whether it is declared ``time_free`` (sigma_t = 0).
 
     ``sigma``, ``sigma_t`` and ``sigma_xi`` take (t, xi), numbers or numpy
     arrays, and may return anything that broadcasts against the joint
@@ -138,12 +139,11 @@ class VolatilityField:
     argument: numpy broadcasting absorbs it in all arithmetic, and code
     that needs a full-shape array pads with ``eval_on``.  Construction
     cross-checks each derivative against a central difference (h = 1e-5,
-    tolerance 1e-4 relative to 1 + |derivative|) and sigma_t against
-    ``sup_sigma_t`` on a fixed sample box, where all three must be finite,
-    and sigma also at the difference points.  A field whose sigma_t grows
-    beyond the box (e.g. sigma(t, xi) = s(t) xi) should declare a bound
-    valid on it.  The bound must be finite; the flow reads only whether it
-    is 0, which makes the field time-free: d/dtau = 0 is not integrated.
+    tolerance 1e-4 relative to 1 + |derivative|) on a fixed sample box,
+    where all three must be finite, and sigma also at the difference
+    points.  A field that declares ``time_free`` must have |sigma_t| <=
+    1e-9 on the box; the flow then takes d/dtau = 0 and does not
+    integrate it.
 
     ``exact_flow(tau, xi, t)``, optional, returns the flow in closed form
     as (phi, d_xi, d_tau): phi(tau, xi, t), its derivative in xi and its
@@ -166,7 +166,7 @@ class VolatilityField:
     sigma: callable
     sigma_t: callable
     sigma_xi: callable
-    sup_sigma_t: float
+    time_free: bool = False
     name: str = ""
     exact_flow: callable = None
 
@@ -176,16 +176,12 @@ class VolatilityField:
         sample_box_values(self.sigma, "sigma")
         d_xi = sample_box_values(self.sigma_xi, "sigma_xi")
         d_t = sample_box_values(self.sigma_t, "sigma_t")
-        object.__setattr__(self, "sup_sigma_t", float(self.sup_sigma_t))
-        if not math.isfinite(self.sup_sigma_t):
-            raise DomainError("declared sup|sigma_t| must be finite")
         for name, d, shifts in (("sigma_xi", d_xi, _XI_SHIFTS), ("sigma_t", d_t, _T_SHIFTS)):
             message = f"{name} disagrees with finite differences of sigma"  # or is not finite
             up, dn = _pair(_finite(DomainError, message, self.sigma, *shifts))
             _require_close((up - dn) / (2 * _H), d, tol, message)
-        slack = 1e-9
-        if np.max(np.abs(d_t)) > self.sup_sigma_t + slack:
-            raise DomainError("declared sup|sigma_t| violated at sampled points")
+        if self.time_free and np.max(np.abs(d_t)) > 1e-9:
+            raise DomainError("a field declared time_free has sigma_t != 0 at sampled points")
         if self.exact_flow is not None:
             self._check_exact_flow(tol)
 
@@ -223,13 +219,6 @@ def _require_close(got, want, tol, *messages):
         raise DomainError(messages[int(np.argmax(failed))])
 
 
-def _fresh(v, shape, others):
-    """Whether v is a float64 array of ``shape`` that owns its data and is
-    none of ``others``: a solve's own result, safe to hand out."""
-    return (type(v) is np.ndarray and v.dtype == np.float64 and v.shape == shape
-            and v.flags.owndata and v.flags.writeable and not any(v is w for w in others))
-
-
 def _all_finite(values):
     """Whether every value of an array, or a float, is finite."""
     if isinstance(values, float):
@@ -261,8 +250,9 @@ def _checked(field, tau, xi, horizon, derivatives=True):
     and ``flow_with_derivatives``.  ``_points`` turns the inputs into
     floats or 1-D arrays, each checked once here for finiteness, and the
     values come back as fresh, writeable arrays of the inputs' broadcast
-    shape (numpy scalars when the inputs are all scalars): a constant is
-    padded, and a value that is not the solve's own array is copied.
+    shape (numpy scalars when the inputs are all scalars): each value is
+    copied, a constant padded, so no output shares memory with an input
+    or with another output.
 
     Raises FlowIntegrationError when tau, xi or t is not finite, and
     whenever ``_integrate`` does.
@@ -273,11 +263,7 @@ def _checked(field, tau, xi, horizon, derivatives=True):
     out = _integrate(field, tau, xi, horizon, RTOL, derivatives)
     if one:
         return tuple(np.asarray(v).reshape(shape)[()] for v in out)
-    full = []
-    for v in out:
-        fresh = _fresh(v, xi.shape, (tau, xi, horizon, *full))
-        full.append(v if fresh else np.full(xi.shape, v, dtype=np.float64))
-    return tuple(full) if shape is None else tuple(v.reshape(shape) for v in full)
+    return tuple(np.full(xi.shape, v, dtype=np.float64).reshape(shape) for v in out)
 
 
 def _integrate(field, tau, xi, horizon, rtol=RTOL, derivatives=True):
@@ -339,7 +325,8 @@ def _solve(field, tau, xi, horizon, one, rtol, derivatives):
       v' = sigma_xi(tau, u) v, v(0) = 1.
     * d_tau is the row w, w' = sigma_t(tau, u) + sigma_xi(tau, u) w,
       w(0) = 0, except for a time-free field: one that declares
-      ``sup_sigma_t == 0`` has d_tau = 0.
+      ``time_free`` has d_tau = 0 (a duck-typed field without the
+      attribute integrates w).
     * d_tt = sigma_xi(tau, phi) sigma(tau, phi), reusing the quotient's
       sigma(tau, phi).
 
@@ -364,7 +351,7 @@ def _solve(field, tau, xi, horizon, one, rtol, derivatives):
     sig0 = at(field.sigma, xi)
     error_scale = abs(at(field.sigma_xi, xi)) * (abs(xi) + ATOL / RTOL)
     keep_v = not np.all(abs(sig0) > error_scale)
-    keep_w = bool(getattr(field, "sup_sigma_t", None) != 0)
+    keep_w = not getattr(field, "time_free", False)
     rows = "u" + "v" * keep_v + "w" * keep_w
     y = _dp45_rows(field, tau, xi, horizon, rows, ops, rtol)
     phi = y[0]
@@ -378,14 +365,7 @@ def _points(tau, xi, horizon):
     """(tau, xi, horizon, shape, one): the points broadcast to ``shape``
     and flattened, or, when the inputs hold one point (any shapes of size
     1, ``one``), plain floats, which skip numpy's per-call overhead in the
-    strictly sequential solvers (lag-1 Tonelli).  Inputs that are already
-    1-D float64 arrays of one shape (not of size 1), as a Picard block
-    passes them, come back as they are with ``shape`` None: no broadcast,
-    copy or reshape."""
-    if (type(tau) is type(xi) is type(horizon) is np.ndarray
-            and tau.dtype == xi.dtype == horizon.dtype == np.float64
-            and tau.ndim == 1 and tau.shape == xi.shape == horizon.shape and tau.size != 1):
-        return tau, xi, horizon, None, False
+    strictly sequential solvers (lag-1 Tonelli)."""
     points = [np.asarray(v, dtype=np.float64) for v in (tau, xi, horizon)]
     if all(p.size == 1 for p in points):
         return (*(float(p.flat[0]) for p in points), (1,) * max(p.ndim for p in points), True)
@@ -614,7 +594,7 @@ def constant_field(c):
         sigma=lambda t, xi: c,
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: 0.0,
-        sup_sigma_t=0.0,
+        time_free=True,
         name=f"const({c:g})",
         exact_flow=lambda tau, xi, t: (xi + c * t, 1.0, 0.0),
     )
@@ -623,13 +603,13 @@ def constant_field(c):
 def scalar_linear_field(sig, dsig, name="linear"):
     """sigma(t, xi) = sig(t) * xi, the geometric (Black-Scholes-type) field.
 
-    ``dsig`` is the derivative of sig; both must be finite on [0, 1].
-    sigma_t = sig'(t) xi grows linearly in xi, so the declared
-    sup|sigma_t| is taken over the validation box [0, 1] x [-5, 5].
+    ``dsig`` is the derivative of sig; both must be finite on 201 evenly
+    spaced points of [0, 1].  The field is time-free when dsig is 0 at all
+    of them.
     """
     tt = np.linspace(0.0, 1.0, 201)
     message = f"{name}: sig and dsig must be finite on [0, 1]"
-    sup_t = float(np.max(np.abs(_finite(DomainError, message, dsig, tt)))) * 5.0
+    time_free = not np.any(_finite(DomainError, message, dsig, tt))
     _finite(DomainError, message, sig, tt)
 
     def exact_flow(tau, xi, t):  # xi e^{sig(tau) t}
@@ -640,7 +620,7 @@ def scalar_linear_field(sig, dsig, name="linear"):
         sigma=lambda t, xi: sig(t) * xi,
         sigma_t=lambda t, xi: dsig(t) * xi,
         sigma_xi=lambda t, xi: sig(t) + 0.0 * xi,
-        sup_sigma_t=sup_t,
+        time_free=time_free,
         name=name,
         exact_flow=exact_flow,
     )
@@ -652,7 +632,7 @@ def sqrt1p_field():
         sigma=lambda t, xi: np.sqrt(1.0 + xi * xi),
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: xi / np.sqrt(1.0 + xi * xi),
-        sup_sigma_t=0.0,
+        time_free=True,
         name="sqrt1p",
         exact_flow=_sqrt1p_flow,
     )

@@ -62,7 +62,8 @@ not the checked ``flow_with_derivatives``, so the flow's inputs are
 checked once per solve where they can be: x is a SampledPath's, finite
 and read-only, and the times are exact grid points.  Per block of a
 sweep, the block of B is checked for finiteness, the inner solve checks
-each flow value and d_xi > 0, and ``errors._finite`` checks the drift.
+each flow value and d_xi > 0, and ``errors._finite`` checks the drift,
+the cells and their sums, computing each with numpy's warnings off.
 A closed form's constants (d_xi = 1, d_tau = 0) stay single numbers in
 the cell arithmetic, which writes into the window's cell array with one
 window-sized scratch array that every sweep reuses.  Lag-1 Tonelli's
@@ -188,7 +189,7 @@ def _block(problem, level, paths, a, b, y, cells, term, rtol=RTOL):
     dA - phi_tau/phi_xi ds - 1/2 phi_tt/phi_xi d<x> in that order.  The
     drift is read at the cells' left points only, always on arrays (one
     cell's as 1-element arrays), and NumericalError raised when it is not
-    finite there."""
+    finite there or, in a block of several cells, when a cell is not."""
     t, (phi, dxi, dtau, dtt) = _flow_at(problem, level, paths, a, b, y, rtol)
     _, Av, Qv = paths
     ds = 2.0 ** -level
@@ -201,8 +202,8 @@ def _block(problem, level, paths, a, b, y, cells, term, rtol=RTOL):
     m = c - a  # the values at the cells' left points; a float stays as it is
     dxi, dtau, dtt = (v if isinstance(v, float) else v[:m] for v in (dxi, dtau, dtt))
     bvals = _finite(NumericalError, _DRIFT_NOT_FINITE, problem.drift, t[:m], phi[:m])
-    return phi, _cell_terms(bvals, dxi, dtau, dtt, _increments(Av, a, c),
-                            _increments(Qv, a, c), ds, cells, term)
+    return phi, _finite(NumericalError, _SUM_NOT_FINITE, _cell_terms, bvals, dxi, dtau, dtt,
+                        _increments(Av, a, c), _increments(Qv, a, c), ds, cells, term)
 
 
 _DRIFT_NOT_FINITE = "drift b is not finite at the flow values"
@@ -329,7 +330,7 @@ def _solve_window(problem, level, paths, a, b, B, running, exact, trace):
         run_cells[0] = running
         cells = run_cells[1:]
         phi, _ = _block(problem, level, paths, a, b, B[:p], cells, term[:m], rtol)
-        S = np.cumsum(run_cells)
+        S = _finite(NumericalError, _SUM_NOT_FINITE, np.cumsum, run_cells)
         defect = _sup_gap(B[:p], z0, S[:p], term[:p])
         trace.append(defect)
         if defect <= PICARD_TOL and (exact or rtol == RTOL):
@@ -463,14 +464,21 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
             B[j0] = problem.z0 + running
             continue
         S = _block(problem, level, paths, a, a + k, B[a:a + k], cells[:k], term[:k])[1]
-        np.cumsum(S, out=S)
-        S += running
+        _finite(NumericalError, _SUM_NOT_FINITE, _block_sums, S, running, problem.z0, B[j0:j1])
         running = S[-1]
-        _finite(NumericalError, _SUM_NOT_FINITE, np.add, S, problem.z0, B[j0:j1])
     phi = np.empty(npts)
     for a, b in _spans(level):
         phi[a:b] = _flow_at(problem, level, paths, a, b, B[a:b], derivatives=False)[1][0]
     return B, phi, 0.0
+
+
+def _block_sums(cells, running, z0, out):
+    """z0 + (running + the cumulative sums of ``cells``), written to
+    ``out``; ``cells`` keeps running + its cumulative sums.  ``out`` is
+    finite only if they are."""
+    np.cumsum(cells, out=cells)
+    cells += running
+    return np.add(cells, z0, out=out)
 
 
 def solve_ide(problem, level=None, *, scheme="picard", tonelli_n=64, initial=None):

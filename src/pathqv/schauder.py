@@ -71,24 +71,19 @@ class FSCoefficients:
         return self.theta[m]
 
 
-def analyze(path, depth=None):
-    """Read the wedge coefficients off a sampled path.
+def analyze(path):
+    """Read the wedge coefficients off a sampled path: one row per level.
 
-    Row m needs the midpoints of the level-m cells, so the analysis depth
-    is capped by the path level (default: equal to it).
+    Row m needs the midpoints of the level-m cells, so a level-L path
+    yields rows 0..L-1.
     """
     if path.level < 1:
         raise DomainError("analysis needs path level >= 1")
-    depth = path.level if depth is None else _check_count(depth, "analysis depth")
-    if not (1 <= depth <= path.level):
-        raise DomainError(
-            f"analysis depth {depth} must lie in [1, path level {path.level}]"
-        )
     v = path.values
     anchor = float(v[0])
     slope = float(v[-1] - v[0])
     theta = []
-    for m in range(depth):
+    for m in range(path.level):
         stride = 2 ** (path.level - m)
         left = v[::stride]
         mid = v[stride // 2 :: stride]

@@ -126,26 +126,19 @@ def _derivative_on_grid(values, h):
     return d
 
 
-def match_path(target_B, field, x, level=None, *, derivative=None):
+def match_path(target_B, field, x, level=None):
     """Drift path b(t) whose solution reproduces phi(t, B(t), x(t)).
 
-    ``target_B`` must be continuously differentiable; pass its derivative
-    as a SampledPath (or same-length array) or let fourth-order central
-    differences supply it.  Returns b sampled on the working grid.
+    ``target_B`` must be continuously differentiable: its derivative comes
+    from fourth-order finite differences on the working grid.  Returns b
+    sampled on that grid.
     """
     if level is None:
         level = min(target_B.level, x.level)
     B = target_B.restrict(level)
     xs = x.restrict(level)
     h = 2.0 ** (-level)
-    if derivative is None:
-        dB = _derivative_on_grid(B.values, h)
-    elif isinstance(derivative, SampledPath):
-        dB = derivative.restrict(level).values
-    else:
-        dB = np.asarray(derivative, dtype=np.float64)
-        if dB.shape != B.values.shape:
-            raise DomainError("derivative must match the working grid")
+    dB = _derivative_on_grid(B.values, h)
     _, dxi, dtau, dtt = flow_with_derivatives(field, B.times(), B.values, xs.values)
     bvals = dxi * dB + dtau + 0.5 * dtt
     return SampledPath(level, bvals)

@@ -14,7 +14,7 @@ def _far_breaking_field(kind):
         return np.where(far, np.nan if kind == "phi-nan" else np.inf, xi + t), 1.0, 0.0
 
     return VolatilityField(sigma=lambda t, xi: 1.0, sigma_t=lambda t, xi: 0.0,
-                           sigma_xi=lambda t, xi: 0.0, sup_sigma_t=0.0,
+                           sigma_xi=lambda t, xi: 0.0, time_free=True,
                            exact_flow=exact_flow)
 
 

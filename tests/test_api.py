@@ -16,18 +16,62 @@ from pathqv.errors import DomainError, NumericalError, _finite
 REMOVED = ("solve_B", "flow_derivatives", "FlowPoint", "stieltjes_integral", "CovCurve",
            "scalar_function")
 
-# What a caller sets.  A value that only tests change is a module constant
-# (flow._MAX_STEPS, ide.MAX_PICARD_ITER, support.SHOOT_TOL and MAX_B), not
-# a parameter or a field.
+# What a caller sets: every public function's parameters and every public
+# dataclass's fields, so none is added or brought back unnoticed.  A value
+# that only tests change is a module constant (flow._MAX_STEPS,
+# ide.MAX_PICARD_ITER, support.SHOOT_TOL and MAX_B), not a parameter or a
+# field.
 PARAMETERS = {
+    "grid_points": ["n"],
+    "successor": ["s", "n"],
+    "analyze": ["path"],
+    "basis_eval": ["m", "k", "t"],
+    "synthesize": ["coeffs", "level"],
+    "build_x": ["fseq", "level"],
+    "build_y": ["fseq", "shift", "level"],
+    "coefficients_x": ["fseq", "depth"],
+    "coefficients_y": ["fseq", "shift", "depth"],
+    "nondiff_quotients": ["coeffs", "fseq", "t", "n_max"],
+    "predicted_qv": ["fseq", "kind", "level"],
+    "preset": ["name"],
+    "coincidence_frequency": ["theta_row", "vartheta_row", "n", "t"],
+    "cov_curve": ["x", "y", "n"],
+    "cov_level": ["x", "y", "n", "t"],
+    "ell1": ["coeffs", "n", "t"],
+    "ell2": ["coeffs", "n", "t"],
+    "qv_curve": ["x", "n"],
+    "qv_level": ["x", "n", "t"],
+    "follmer_integral": ["eta", "x", "n", "t"],
+    "ito_residual": ["F", "dF", "d2F", "x", "n", "t"],
+    "constant_field": ["c"],
     "flow": ["field", "tau", "xi", "t"],
+    "flow_identity_defects": ["field"],
     "flow_with_derivatives": ["field", "tau", "xi", "t"],
+    "scalar_linear_field": ["sig", "dsig", "name"],
+    "sqrt1p_field": [],
+    "langevin_closed_form": ["x", "sigma0", "b0", "z0"],
+    "linear_closed_form": ["x", "sig", "dsig", "b", "z0"],
     "solve_ide": ["problem", "level", "scheme", "tonelli_n", "initial"],
+    "sqrt1p_closed_form": ["x", "z0"],
+    "verify_local_qv": ["z", "field", "qv_x", "n"],
+    "drift_from_path": ["bpath"],
+    "match_path": ["target_B", "field", "x", "level"],
     "shoot_constant_b": ["field", "x", "z0", "z1", "t0", "level", "trace"],
+    "evaluate_constant": ["src"],
+    "field_from_expression": ["src"],
 }
 FIELDS = {
-    "VolatilityField": ["sigma", "sigma_t", "sigma_xi", "sup_sigma_t", "name", "exact_flow"],
+    "BVDriver": ["level", "values"],
+    "QVCurve": ["level", "values"],
+    "SampledPath": ["level", "values"],
+    "FSCoefficients": ["anchor", "slope", "theta"],
+    "FunctionSequence": ["term", "limit", "uniform_bound", "name"],
+    "IrrationalShift": ["alpha"],
+    "NondiffReport": ["t", "d", "increment", "predicted_increment", "unoriented_increment",
+                      "sign", "hypothesis_met", "diverging", "eps", "recursion_defect"],
+    "VolatilityField": ["sigma", "sigma_t", "sigma_xi", "time_free", "name", "exact_flow"],
     "IDEProblem": ["field", "drift", "driver_A", "x", "qv_x", "z0"],
+    "IDESolution": ["B", "z", "residual_report", "follmer_defect"],
 }
 
 
@@ -47,6 +91,9 @@ def test_removed_names_are_gone():
 
 
 def test_only_what_a_caller_sets_is_a_parameter_or_a_field():
+    public = [getattr(pathqv, name) for name in pathqv.__all__]
+    assert list(PARAMETERS) == [v.__name__ for v in public if inspect.isfunction(v)]
+    assert list(FIELDS) == [v.__name__ for v in public if dataclasses.is_dataclass(v)]
     for name, params in PARAMETERS.items():
         assert list(inspect.signature(getattr(pathqv, name)).parameters) == params, name
     for name, fields in FIELDS.items():

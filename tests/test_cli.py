@@ -347,9 +347,19 @@ def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     # z0 + S(B) overflows: Picard's iterate, then at level 8 lag-4 Tonelli's array blocks
     ({"sigma": "1", "b": "1e308", "z0": 1e308}, "finite"),
     ({"sigma": "1", "b": "1e308", "z0": 1e308, "level": 8}, "z0 + S(B) is not finite"),
+    # at level 8 lag-4 Tonelli sums array blocks: b/phi_xi dA overflows in a cell ...
+    ({"sigma": "2+cos(xi)", "b": "1.7e308", "z0": 0, "level": 8}, "z0 + S(B) is not finite"),
+    # ... or the finite cells of A = 2t overflow in their sum
+    ({"sigma": "1", "b": "1.7e308", "z0": 0, "level": 8, "A": 2 * grid_points(8)},
+     "z0 + S(B) is not finite"),
 ], ids=["drift-closed-form", "drift-dp45", "drift-pole", "field-overflow", "field-inf-at-start",
-        "float-power", "negative-base-power", "sum-overflow", "sum-overflow-blocks"])
+        "float-power", "negative-base-power", "sum-overflow", "sum-overflow-blocks",
+        "cell-overflow", "cell-sum-overflow"])
 def test_solve_overflow_exit_3_in_one_line(tmp_path, capsys, problem, culprit, scheme):
+    if not isinstance(problem.get("A", "t"), str):  # the values of a path file for A
+        afile = tmp_path / "A.json"
+        afile.write_text(json.dumps({"level": problem["level"], "values": list(problem["A"])}))
+        problem = {**problem, "A": str(afile)}
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))
     with warnings.catch_warnings():

@@ -120,7 +120,7 @@ def _solves(field):
                                  "-xi", "exp(-xi^2/2)", "1+0.5*exp(-xi)"])
 def test_time_free_field_declares_a_zero_t_bound(src):
     field = field_from_expression(src)
-    assert field.sup_sigma_t == 0.0 and type(field.sup_sigma_t) is float
+    assert field.time_free is True
     assert not np.any(_solves(field)[2])  # d_tau
 
 
@@ -128,22 +128,27 @@ def test_time_free_field_declares_a_zero_t_bound(src):
 def test_only_a_folded_zero_t_derivative_is_time_free(src):
     # xi*(t-t) samples a zero t-derivative, but its tree does not fold to 0
     field = field_from_expression(src)
-    assert field.sup_sigma_t > 0.0 and type(field.sup_sigma_t) is float
+    assert field.time_free is False
     _solves(field)
 
 
 def test_a_field_stores_its_sup_bounds_as_floats():
     from pathqv import VolatilityField
 
-    field = VolatilityField(sigma=lambda t, xi: 1.0 + 0.3 * np.sin(xi), sigma_t=lambda t, xi: 0.0,
-                            sigma_xi=lambda t, xi: 0.3 * np.cos(xi),
-                            sup_sigma_t=np.float64(0.0))
-    assert type(field.sup_sigma_t) is float
-    assert not np.any(_solves(field)[2])
-    # the flow takes any object with the field's attributes
-    duck = SimpleNamespace(**{k: getattr(field, k) for k in ("sigma", "sigma_t", "sigma_xi")},
-                           sup_sigma_t=np.float64(0.0))
-    assert not np.any(_solves(duck)[2])
+    calls = []
+
+    def sigma_t(t, xi):
+        calls.append(1)
+        return 0.0
+
+    field = VolatilityField(sigma=lambda t, xi: 1.0 + 0.3 * np.sin(xi), sigma_t=sigma_t,
+                            sigma_xi=lambda t, xi: 0.3 * np.cos(xi), time_free=True)
+    calls.clear()  # construction samples sigma_t
+    assert not np.any(_solves(field)[2]) and not calls
+    # the flow takes any object with the field's attributes; one without
+    # time_free integrates d_tau
+    duck = SimpleNamespace(**{k: getattr(field, k) for k in ("sigma", "sigma_t", "sigma_xi")})
+    assert not np.any(_solves(duck)[2]) and calls
 
 
 def test_time_dependent_expression_field_d_tau_matches_closed_form():

@@ -195,27 +195,17 @@ def test_field_validation_catches_wrong_derivative():
             sigma=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
             sigma_t=lambda t, xi: 0.0 * np.asarray(t) + 0.0 * xi,
             sigma_xi=lambda t, xi: np.cos(xi) + 1.0 + 0.0 * np.asarray(t),  # off by 1
-            sup_sigma_t=0.0,
+            time_free=True,
         )
 
 
 def test_field_validation_catches_bound_violation():
-    with pytest.raises(DomainError, match=r"declared sup\|sigma_t\| violated"):
-        VolatilityField(
-            sigma=lambda t, xi: 1.0 + np.asarray(t) * np.sin(xi),
-            sigma_t=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
-            sigma_xi=lambda t, xi: np.asarray(t) * np.cos(xi),
-            sup_sigma_t=0.5,  # true sup is 1
-        )
-
-
-def sin_field(**bounds):
-    return VolatilityField(
-        sigma=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
-        sigma_t=lambda t, xi: 0.0 * np.asarray(t) + 0.0 * xi,
-        sigma_xi=lambda t, xi: np.cos(xi) + 0.0 * np.asarray(t),
-        **bounds,
-    )
+    sin_t = dict(sigma=lambda t, xi: 1.0 + np.asarray(t) * np.sin(xi),
+                 sigma_t=lambda t, xi: np.sin(xi) + 0.0 * np.asarray(t),
+                 sigma_xi=lambda t, xi: np.asarray(t) * np.cos(xi))
+    with pytest.raises(DomainError, match="declared time_free has sigma_t != 0"):
+        VolatilityField(**sin_t, time_free=True)  # sigma_t = sin(xi)
+    assert VolatilityField(**sin_t).time_free is False
 
 
 def test_field_validation_rejects_non_finite():
@@ -224,10 +214,6 @@ def test_field_validation_rejects_non_finite():
             field_from_expression("sqrt(xi)")  # sigma_xi is NaN for xi < 0
         with pytest.raises(DomainError):
             field_from_expression("1e999")  # sigma itself is inf
-    for bound in (float("nan"), float("inf")):
-        with pytest.raises(DomainError):
-            sin_field(sup_sigma_t=bound)
-    assert sin_field(sup_sigma_t=1.0).sup_sigma_t == 1.0
 
 
 def test_field_validation_refuses_a_nan_central_difference():
@@ -238,7 +224,7 @@ def test_field_validation_refuses_a_nan_central_difference():
             VolatilityField(sigma=lambda t, xi: np.power(xi + 5.0, 1.5),
                             sigma_t=lambda t, xi: 0.0,
                             sigma_xi=lambda t, xi: 1.5 * np.power(xi + 5.0, 0.5),
-                            sup_sigma_t=0.0)
+                            time_free=True)
 
 
 def test_integrator_raises_on_nan():
@@ -251,7 +237,7 @@ def test_integrator_raises_on_nan():
         sigma=lambda t, xi: np.sqrt(xi + 6.0),
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
-        sup_sigma_t=0.0,
+        time_free=True,
     )
     with np.errstate(invalid="ignore", divide="ignore"):
         for field, xi, t in ((bare, -1.0, 0.5), (leaves, -5.9, -1.0)):
@@ -359,7 +345,7 @@ def test_guards_raise_near_rest_points(monkeypatch):
         sigma=lambda t, xi: np.sqrt(xi + 6.0),
         sigma_t=lambda t, xi: 0.0,
         sigma_xi=lambda t, xi: 0.5 / np.sqrt(xi + 6.0),
-        sup_sigma_t=0.0,
+        time_free=True,
     )
     sin = field_from_expression("sin(xi)")
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -381,18 +367,21 @@ def dp45_fields():
 
 
 def test_closed_form_results_are_handed_out_uncopied_unless_shared():
-    # a closed form's own result is not copied again; an input it returns,
-    # or a result it returns twice, is, so every output is a fresh array
+    # an input a closed form returns, or a result it returns twice, is
+    # handed out as a copy: no output shares memory with an input or with
+    # another output
     tau, xi, t = np.zeros(5), np.linspace(0.0, 1.0, 5), np.full(5, 0.5)
     e = np.exp(xi)
     shared = SimpleNamespace(exact_flow=lambda tau, xi, t: (e, e, xi),
                              sigma=lambda t, xi: 0.0, sigma_xi=lambda t, xi: 0.0)
-    phi, d_xi, d_tau, _ = _checked(shared, tau, xi, t)
-    assert phi is e and d_xi is not e and d_tau is not xi
-    assert np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
-    # a 1-D batch reaches exact_flow as the caller's own arrays
+    out = _checked(shared, tau, xi, t)
+    assert not any(np.shares_memory(v, w) for v in out for w in (tau, xi, t, e, *out)
+                   if v is not w)
+    phi, d_xi, d_tau, _ = out
+    assert np.array_equal(phi, e) and np.array_equal(d_xi, e) and np.array_equal(d_tau, xi)
+    # a closed form that returns its input xi as phi hands out a copy of it
     still = VolatilityField(sigma=lambda t, xi: 0.0, sigma_t=lambda t, xi: 0.0,
-                            sigma_xi=lambda t, xi: 0.0, sup_sigma_t=0.0,
+                            sigma_xi=lambda t, xi: 0.0, time_free=True,
                             exact_flow=lambda tau, xi, t: (xi, 1.0, 0.0))
     tau, xi, t = np.zeros(5), np.arange(5.0), np.full(5, 0.5)
     phi = flow_with_derivatives(still, tau, xi, t)[0]
@@ -414,8 +403,8 @@ def assert_same_bits(got, want):
 
 @pytest.mark.parametrize("n", [2, 17, 8193])
 def test_one_dimensional_batch_has_the_bits_of_its_other_forms(n):
-    # a 1-D batch skips broadcasting and reshaping; a 2-D array, a scalar
-    # tau and one point at a time go the general ways
+    # a 1-D batch, a 2-D array, a scalar tau and one point at a time give
+    # the same bits
     tau, xi, t = batch(n)
     for field in (constant_field(0.7), bs_field(), sqrt1p_field()):
         out = flow_with_derivatives(field, tau, xi, t)

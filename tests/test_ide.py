@@ -536,7 +536,7 @@ def test_scalar_drift_gives_the_bits_of_a_padded_drift():
 @pytest.mark.parametrize("src, c", [("2", 2.0), ("1+t*0", 1.0)])
 def test_expression_field_gives_the_bits_of_padded_lambdas(src, c):
     lambdas = VolatilityField(sigma=padded(c), sigma_t=padded(0.0), sigma_xi=padded(0.0),
-                              sup_sigma_t=0.0)
+                              time_free=True)
     drift = lambda t, xi: -0.5 * xi
     assert_same_solutions(linear_qv_problem(field_from_expression(src), drift, X8, 0.3, 8),
                           linear_qv_problem(lambdas, drift, X8, 0.3, 8))
@@ -551,7 +551,7 @@ def window_nan_field():
         return 1.0 + 0.0 * np.exp(1e6 * (t - 0.6) * (0.7 - t)) + 0.0 * xi
 
     zero = lambda t, xi: 0.0
-    return VolatilityField(sigma=sigma, sigma_t=zero, sigma_xi=zero, sup_sigma_t=0.0)
+    return VolatilityField(sigma=sigma, sigma_t=zero, sigma_xi=zero, time_free=True)
 
 
 def test_verify_local_qv_refuses_a_sigma_that_is_not_finite_on_z(x12):

@@ -96,11 +96,11 @@ def test_round_trip_random_coefficients():
         rows = [rng.uniform(-2.0, 2.0, size=2**m) for m in range(6)]
         anchor, slope = rng.uniform(-1, 1, size=2)
         c = FSCoefficients(anchor, slope, rows)
-        back = analyze(synthesize(c, 10), depth=6)
+        back = analyze(synthesize(c, 10))
         assert back.anchor == pytest.approx(anchor, abs=1e-12)
         assert back.slope == pytest.approx(slope, abs=1e-12)
-        for m in range(6):
-            assert np.allclose(back.theta[m], rows[m], atol=1e-12)
+        for m in range(10):  # the rows beyond the sixth are zero
+            assert np.allclose(back.theta[m], rows[m] if m < 6 else 0.0, atol=1e-12)
 
 
 def test_partial_sums_interpolate():
@@ -128,27 +128,23 @@ def test_synthesis_matches_direct_series():
 
 def test_analysis_depth_capped_by_level():
     p = SampledPath.from_function(lambda t: t * t, 4)
-    with pytest.raises(DomainError):
-        analyze(p, depth=5)
+    assert analyze(p).depth == 4
     with pytest.raises(DomainError):
         analyze(SampledPath.from_function(lambda t: t, 0))
 
 
 @pytest.mark.parametrize("call, what", [
-    (lambda: analyze(SampledPath(3, np.arange(9.0)), 2.5), "analysis depth"),
     (lambda: analyze(SampledPath(3, np.arange(9.0))).row(2.0), "row index"),
     (lambda: basis_eval(2, 0.5, 0.3), "wedge index k"),
-    (lambda: analyze(SampledPath(3, np.arange(9.0)), True), "analysis depth"),
     (lambda: analyze(SampledPath(3, np.arange(9.0))).row(False), "row index"),
     (lambda: basis_eval(2, True, 0.3), "wedge index k"),
-], ids=["analyze-depth", "row", "basis-eval-k", "analyze-depth-bool", "row-bool",
-        "basis-eval-k-bool"])
+], ids=["row", "basis-eval-k", "row-bool", "basis-eval-k-bool"])
 def test_indices_must_be_integers(call, what):
     with pytest.raises(DomainError, match=f"{what} must be an integer"):
         call()
 
 
 def test_indices_of_any_integer_type():
-    coeffs = analyze(SampledPath(3, np.arange(9.0) ** 2), np.int64(2))
-    assert coeffs.depth == 2 and coeffs.row(np.int32(1)) is coeffs.theta[1]
+    coeffs = analyze(SampledPath(3, np.arange(9.0) ** 2))
+    assert coeffs.row(np.int32(1)) is coeffs.theta[1]
     assert basis_eval(2, np.int64(1), 0.375) == basis_eval(2, 1, 0.375)

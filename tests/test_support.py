@@ -28,7 +28,7 @@ from pathqv import (
     solve_ide,
     sqrt1p_field,
 )
-from pathqv.support import SHOOT_TOL
+from pathqv.support import SHOOT_TOL, _derivative_on_grid
 
 
 @pytest.fixture(scope="module")
@@ -215,7 +215,7 @@ def test_match_constant_target_recovers_sqrt_drift(x10):
     z0 = 0.4
     target = SampledPath(level, np.full(2**level + 1, z0))
     field = sqrt1p_field()
-    b = match_path(target, field, x10, level, derivative=np.zeros(2**level + 1))
+    b = match_path(target, field, x10, level)
     z = np.sinh(x10.restrict(level).values + np.arcsinh(z0))
     assert np.max(np.abs(b.values - 0.5 * z)) <= 1e-8
 
@@ -232,7 +232,7 @@ def test_match_round_trip_reproduces_solution(x10):
         x = build_x(preset("one"), level)
         tg = grid_points(level)
         target = SampledPath(level, np.sin(tg))
-        bpath = match_path(target, field, x, level, derivative=np.cos(tg))
+        bpath = match_path(target, field, x, level)
         problem = IDEProblem(
             field=field, drift=drift_from_path(bpath),
             driver_A=BVDriver.identity(level), x=x,
@@ -254,7 +254,7 @@ def test_match_round_trip_meets_contract_at_level_16():
     x = build_x(preset("one"), level)
     tg = grid_points(level)
     target = SampledPath(level, np.sin(tg))
-    bpath = match_path(target, field, x, level, derivative=np.cos(tg))
+    bpath = match_path(target, field, x, level)
     problem = IDEProblem(
         field=field, drift=drift_from_path(bpath),
         driver_A=BVDriver.identity(level), x=x,
@@ -265,14 +265,10 @@ def test_match_round_trip_meets_contract_at_level_16():
     assert float(np.max(np.abs(sol.z.values - phi))) <= 1e-5
 
 
-def test_match_finite_difference_derivative_close_to_exact(x10):
+def test_match_finite_difference_derivative_close_to_exact():
     level = 9
     tg = grid_points(level)
-    target = SampledPath(level, np.sin(tg))
-    field = sqrt1p_field()
-    b_fd = match_path(target, field, x10, level)
-    b_exact = match_path(target, field, x10, level, derivative=np.cos(tg))
-    assert np.max(np.abs(b_fd.values - b_exact.values)) <= 1e-9
+    assert np.max(np.abs(_derivative_on_grid(np.sin(tg), 2.0**-level) - np.cos(tg))) <= 1e-9
 
 
 # -- difference quotients ------------------------------------------------------
@@ -366,11 +362,16 @@ def test_quotients_check_n_max_is_an_integer():
 T_OFF = 1229 / 4096
 
 
-@pytest.mark.parametrize("eps, what", [(None, "f_inf"), (0.5, "f_12")])
-def test_quotients_refuse_f_that_is_not_finite_at_t(eps, what):
+@pytest.mark.parametrize("what", ["f_inf", "f_12"])
+def test_quotients_refuse_f_that_is_not_finite_at_t(what):
     from pathqv import FunctionSequence
 
-    f = FunctionSequence.constant_in_n(lambda t: np.where(t == T_OFF, np.nan, 1.0), 1.0)
+    nan_at_t = lambda t: np.where(t == T_OFF, np.nan, 1.0)
+    if what == "f_inf":  # every term is NaN at T_OFF, and so is the limit
+        f = FunctionSequence.constant_in_n(nan_at_t, 1.0)
+    else:  # only the 12th term is; the limit is 1
+        f = FunctionSequence(lambda n, t: nan_at_t(t) if n == 12 else np.ones_like(t),
+                             np.ones_like, 1.0)
     c = coefficients_x(f, 12)
     with pytest.raises(DomainError, match=rf"^{what}\(0\.300048828125\) is not finite$"):
-        nondiff_quotients(c, f, T_OFF, 12, eps=eps)
+        nondiff_quotients(c, f, T_OFF, 12)
