@@ -28,6 +28,10 @@ from .construct import PRESETS
 from .dyadic import DEFAULT_LEVEL
 from .errors import DomainError, NumericalError
 
+# --f's declared bound over its level-10 maximum, minus 1: a path samples f at
+# other points too, where a smooth f peaks a little higher (2.2e-6 for sin(7t)^2)
+_F_BOUND_MARGIN = 1e-3
+
 
 def _fmt(v):
     return f"{v:.17g}"
@@ -61,7 +65,8 @@ def _resolve_fseq(args):
 
         fn = Expression(args.f, ("t",))
         values = _finite(DomainError, f"--f {args.f!r} is not finite on [0, 1]", fn, SPOT_GRID)
-        return FunctionSequence.constant_in_n(fn, float(np.max(np.abs(values))), name=args.f)
+        bound = float(np.max(np.abs(values))) * (1.0 + _F_BOUND_MARGIN)
+        return FunctionSequence.constant_in_n(fn, bound, name=args.f)
     raise DomainError("need --preset or --f")
 
 

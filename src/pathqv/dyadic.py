@@ -149,7 +149,8 @@ class SampledPath:
     @classmethod
     def from_csv(cls, path):
         t, values = [], []
-        with open(path, "r", encoding="utf-8") as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, which fails the checks below
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             lines = (ln for ln in map(str.strip, fh) if ln)
             if next(lines, "").lower() != "t,value":
                 raise DomainError(f"{path}: expected header 't,value'")
@@ -207,7 +208,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # also bytes that are not UTF-8, deep nesting
             raise DomainError(f"{path}: not valid JSON ({exc})") from exc
 
 

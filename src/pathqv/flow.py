@@ -504,15 +504,13 @@ def flow_with_derivatives(field, tau, xi, t):
     return _checked(field, tau, xi, t)
 
 
-def flow_derivatives(field, tau, xi, t, rtol=RTOL, derivatives=True):
-    """``_integrate``'s values at points the caller has checked: finite
-    floats, or finite 1-D float64 arrays of one shape.  Each value is
-    checked, but the inputs are not, no constant is padded and no array
-    copied.  The blocks of a pathwise solve (``ide``) call it, having
-    checked their inputs once per solve; it is not exported from the
-    package, whose flow entry points are ``flow`` and
-    ``flow_with_derivatives``."""
-    return _integrate(field, tau, xi, t, rtol, derivatives=derivatives)
+def flow_derivatives(field, tau, xi, t, rtol=RTOL):
+    """(phi, d_xi, d_tau, d_tt) at rtol, ``_integrate``'s values at points
+    the caller has checked: finite floats, or finite 1-D float64 arrays of
+    one shape.  Each value is checked, the inputs are not, and no constant
+    is padded or array copied.  Not exported: the blocks of a pathwise
+    solve (``ide``) call it, having checked their inputs once per solve."""
+    return _integrate(field, tau, xi, t, rtol)
 
 
 #: The identity suite's checks and their tolerances, in report order.

@@ -40,11 +40,11 @@ the resulting discrete fixed-point system:
   independent uniqueness probe; coarser lags demonstrate the convergence
   of the delayed approximations themselves.
 
-Every solve walks the grid in the same blocks of 8192 cells
-(``_spans``), read from slices of the problem's own paths: the Picard
-windows, the Tonelli scheme's final flow values and the pathwise-integral
-defect alike, for a closed-form and a DP45 flow.  Cell j reads the flow
-only at its own left point, so the B-equation is causal, and the Picard
+Every solve reads slices of the problem's own paths and hands the flow
+at most 8192 cells at a time, closed form and DP45 alike: the Picard
+windows and the pathwise-integral defect walk the blocks of ``_spans``,
+Tonelli its cells, once (``_solve_tonelli``).  Cell j reads the flow only
+at its own left point, so the B-equation is causal, and the Picard
 scheme solves its windows one after another (windowed waveform
 relaxation): a window starts from B at its first point, fixed by the
 converged windows before it, and sweeps to a defect <= PICARD_TOL before
@@ -53,9 +53,9 @@ order of one cumulative sum over the grid, so the largest window defect
 is the full-grid defect.  Only B and phi live at grid size (a level-16
 solve holds about six grid arrays at once, its problem's included, with
 a closed-form flow, seven with DP45).  The blocks depend on the level
-alone, so a DP45 solve, whose step control is shared across a batch,
-still gives the same bits on every run; grids up to level 13 are one
-block, and so one window.
+(and lag) alone, so a DP45 solve, whose step control is shared across
+a batch, still gives the same bits on every run; grids up to level 13
+are one block, and so one window.
 
 A block calls the flow's inner solve through ``flow.flow_derivatives``,
 not the checked ``flow_with_derivatives``, so the flow's inputs are
@@ -67,7 +67,7 @@ the cells and their sums, computing each with numpy's warnings off.
 A closed form's constants (d_xi = 1, d_tau = 0) stay single numbers in
 the cell arithmetic, which writes into the window's cell array with one
 window-sized scratch array that every sweep reuses.  Lag-1 Tonelli's
-one-cell blocks run the same arithmetic on plain floats, the flow's
+one-cell pieces run the same arithmetic on plain floats, the flow's
 float path; the drift still sees 1-element arrays there.
 """
 
@@ -162,9 +162,9 @@ def _spans(level):
     return [(a, min(a + size, n) + (a + size >= n)) for a in range(0, n, size)]
 
 
-def _flow_at(problem, level, paths, a, b, y, rtol=RTOL, derivatives=True):
+def _flow_at(problem, level, paths, a, b, y, rtol=RTOL):
     """(t, values): the times of the grid points a..b-1 of ``level`` and
-    the flow there, at (t, y, x(t)), from one call of
+    (phi, d_xi, d_tau, d_tt) there, at (t, y, x(t)), from one call of
     ``flow_derivatives`` at relative tolerance rtol.  One point (a cell
     of lag-1 Tonelli) goes as plain floats, the flow's float path, a block
     as arrays.  The times k 2^-level are exact and x is a SampledPath's
@@ -176,7 +176,7 @@ def _flow_at(problem, level, paths, a, b, y, rtol=RTOL, derivatives=True):
         t, x = np.arange(a, b, dtype=np.float64) * ds, paths[0][a:b]
     if not _all_finite(y):
         raise FlowIntegrationError("flow inputs tau, xi and t must be finite")
-    return t, flow_derivatives(problem.field, t, y, x, rtol, derivatives)
+    return t, flow_derivatives(problem.field, t, y, x, rtol)
 
 
 def _block(problem, level, paths, a, b, y, cells, term, rtol=RTOL):
@@ -440,54 +440,49 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
 
 
 def _solve_tonelli(problem, level, paths, tonelli_n):
-    """The delayed iterate with lag 1/tonelli_n, built block by block on
-    the grid of ``level``; returns (B, phi, 0.0) like ``_solve_picard``,
-    with phi the flow value alone at B, solved in the blocks of ``_spans``
-    (the delayed equation has no defect)."""
+    """The delayed iterate with lag m = 2^level / tonelli_n grid steps;
+    returns (B, phi, 0.0) like ``_solve_picard`` (no defect).  B_j is z0
+    plus the cells 0..j-m, walked once in pieces of min(m, _SWEEP_BLOCK)
+    cells whose B the pieces before fixed: a piece keeps phi at its points
+    and writes B one lag on from one cumulative sum over [running, cells],
+    as a Picard window does.  The last m points start no cell that is read
+    and get phi in pieces of at most _SWEEP_BLOCK points."""
     tonelli_n = _check_count(tonelli_n, "tonelli_n")
     if tonelli_n < 1 or 2**level % tonelli_n != 0:
         raise DomainError(
             f"tonelli delay 1/{tonelli_n} must divide the grid: "
             f"need tonelli_n | 2^{level}"
         )
-    lag = 2**level // tonelli_n  # delay in grid steps
-    npts = 2**level + 1
-    B = np.full(npts, problem.z0)
-    cells, term = np.empty(lag), np.empty(lag)
-    running = 0.0  # the sum of the cells before the block
-    for j0 in range(lag, npts, lag):
-        # B[j0:j1] reads cells [j0-lag, j1-lag), which use only B values of earlier blocks
-        j1 = min(j0 + lag, npts)
-        a, k = j0 - lag, j1 - j0
-        if k == 1:  # a float, on the flow's float path
-            running += _block(problem, level, paths, a, a + 1, B[a:a + 1], None, None)[1]
-            B[j0] = problem.z0 + running
+    n, z0 = 2**level, problem.z0
+    lag = n // tonelli_n
+    size, read = min(lag, _SWEEP_BLOCK), n - lag + 1  # the sums read the cells 0..n-lag
+    B, phi, running = np.full(n + 1, z0), np.empty(n + 1), 0.0  # running: sum of cells < a
+    run_cells, term = np.empty(size + 1), np.empty(size)
+    for a in range(0, read, size):
+        b = min(a + size, read)
+        if b - a == 1:  # a float, on the flow's float path
+            phi[a], cell = _block(problem, level, paths, a, b, B[a:b], None, None)
+            running += cell
+            B[a + lag] = z0 + running
             continue
-        S = _block(problem, level, paths, a, a + k, B[a:a + k], cells[:k], term[:k])[1]
-        _finite(NumericalError, _SUM_NOT_FINITE, _block_sums, S, running, problem.z0, B[j0:j1])
+        run_cells[0], k = running, b - a
+        phi[a:b], _ = _block(problem, level, paths, a, b, B[a:b], run_cells[1:k + 1], term[:k])
+        S = _finite(NumericalError, _SUM_NOT_FINITE, np.cumsum, run_cells[:k + 1])
+        _finite(NumericalError, _SUM_NOT_FINITE, np.add, S[1:], z0, B[a + lag:b + lag])
         running = S[-1]
-    phi = np.empty(npts)
-    for a, b in _spans(level):
-        phi[a:b] = _flow_at(problem, level, paths, a, b, B[a:b], derivatives=False)[1][0]
+    for a in range(read, n + 1, _SWEEP_BLOCK):
+        b = min(a + _SWEEP_BLOCK, n + 1)
+        phi[a:b] = _flow_at(problem, level, paths, a, b, B[a:b])[1][0]
     return B, phi, 0.0
-
-
-def _block_sums(cells, running, z0, out):
-    """z0 + (running + the cumulative sums of ``cells``), written to
-    ``out``; ``cells`` keeps running + its cumulative sums.  ``out`` is
-    finite only if they are."""
-    np.cumsum(cells, out=cells)
-    cells += running
-    return np.add(cells, z0, out=out)
 
 
 def solve_ide(problem, level=None, *, scheme="picard", tonelli_n=64, initial=None):
     """Solve the pathwise Ito equation for B and assemble z = phi(t, B, x).
 
     ``scheme`` is "picard" or "tonelli" (with delay 1/``tonelli_n``, which
-    must divide 2^level).  Both schemes solve the flow in blocks of 8192
-    cells.  The "picard" scheme solves those blocks as windows, one after
-    another, each from the end value of the windows before; it makes one
+    must divide 2^level).  Both schemes solve the flow in blocks of at most
+    8192 cells, for any lag.  The "picard" scheme solves blocks as windows,
+    one after another, each from the end value of the windows before; it makes one
     flow solve per sweep of a window: a Picard step first, then causal
     Newton steps whose slopes are secants of the last two sweeps (see the
     module docstring).  A window stops at a fixed-point defect (sup over

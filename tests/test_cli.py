@@ -53,6 +53,10 @@ def test_synth_x_expression(tmp_path, capsys):
     ref = tmp_path / "ref.csv"
     assert run(["synth-x", "--preset", "fig1-left", "--level", "8", "--out", str(ref)]) == 0
     assert out.read_text() == ref.read_text()
+    # fig1-right's f peaks between the level-10 points its bound is taken on
+    assert run(["synth-x", "--f", "sin(7*t)^2", "--level", "12", "--out", str(out)]) == 0
+    assert run(["synth-x", "--preset", "fig1-right", "--level", "12", "--out", str(ref)]) == 0
+    assert out.read_text() == ref.read_text()
     capsys.readouterr()
 
 
@@ -306,6 +310,15 @@ def test_file_that_is_not_json_exit_2(tmp_path, capsys):
     assert_one_line_error(capsys)
     assert run(["solve", "--problem", str(path)]) == 2
     assert_one_line_error(capsys)
+    # nesting deeper than the JSON parser's recursion limit
+    deep = "[" * 100000 + "]" * 100000
+    path.write_text(deep)
+    assert run(["qv", "--in", str(path)]) == 2
+    assert "not valid JSON" in assert_one_line_error(capsys)
+    pfile = tmp_path / "deep.json"
+    pfile.write_text(json.dumps({**GOOD_PROBLEM, "b": 0})[:-1] + ', "b": ' + deep + "}")
+    assert run(["solve", "--problem", str(pfile)]) == 2
+    assert "not valid JSON" in assert_one_line_error(capsys)
 
 
 @pytest.mark.parametrize("key, value", [("z0", "abc"), ("z0", None), ("A", True),
@@ -688,10 +701,11 @@ def test_solve_reads_a_driver_file(tmp_path, capsys, name):
     ("A.csv", "time,value\n0,0\n1,1\n"),
     ("A.csv", "t,value\n0,0\n0.5,nan\n1,1\n"),
     ("A.json", '{"level": 1, "values": [0.0, Infinity, 1.0]}'),
-], ids=["csv-header", "csv-nan", "json-inf"])
+    ("A.csv", b"t,value\n0,0\n1,\xff\xfe\n"),
+], ids=["csv-header", "csv-nan", "json-inf", "csv-not-utf-8"])
 def test_solve_bad_driver_file_exit_2(tmp_path, capsys, name, text):
     afile = tmp_path / name
-    afile.write_text(text)
+    afile.write_bytes(text if isinstance(text, bytes) else text.encode())
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, "A": str(afile)}))
     assert run(["solve", "--problem", str(pfile)]) == 2

@@ -236,6 +236,15 @@ def test_csv_malformed_rejected(tmp_path):
     g.write_text("t,value\n" + "\n".join(f"{i},{i}" for i in range(4)))
     with pytest.raises(DomainError):
         SampledPath.from_csv(g)
+    # bytes that are not UTF-8, in the header or in a row: the first read
+    # decodes the start of the file, a later one a row past it
+    far = "".join(f"{k / 1024!r},0\n" for k in range(1024)).encode()
+    for i, text in enumerate((b"t,\xffvalue\n0,0\n1,0\n", b"t,value\n0,0\n1,\xff\xfe\n",
+                              b"t,value\n" + far + b"1,\xff\n")):
+        h = tmp_path / f"utf{i}.csv"
+        h.write_bytes(text)
+        with pytest.raises(DomainError):
+            SampledPath.from_csv(h)
 
 
 def test_csv_t_column_must_be_the_grid(tmp_path):

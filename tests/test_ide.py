@@ -373,8 +373,12 @@ def test_newton_sweeps_solve_a_strongly_nonlinear_drift():
     B = solve_ide(prob, level).B
     assert np.all(np.isfinite(B.values))
     assert full_tolerance_defect(prob, B) <= 1e-10
-    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level).B
-    assert np.max(np.abs(B.values - tonelli.values)) <= 1e-6
+    tonelli = solve_ide(prob, level, scheme="tonelli", tonelli_n=2**level)
+    assert np.max(np.abs(B.values - tonelli.B.values)) <= 1e-6
+    # lag-1 Tonelli solves each point's flow once, alone, and keeps it as z
+    t, Bt = grid_points(level), tonelli.B.values
+    z = [flow_with_derivatives(EXPRESSION, t[k], Bt[k], x.values[k])[0] for k in range(t.size)]
+    assert tonelli.z.values.tobytes() == np.array(z).tobytes()
 
 
 @pytest.mark.parametrize("c", [3.0, 5.0])
@@ -715,19 +719,26 @@ def test_blocked_dp45_sweeps_meet_the_tolerance_of_one_batch(monkeypatch):
 
 
 def test_no_flow_call_of_a_solve_exceeds_one_block(monkeypatch):
-    # at level 14 the grid holds two blocks, closed form and DP45 alike
+    # at level 14 the grid holds two blocks, closed form and DP45 alike; a
+    # Tonelli lag of 2^13 cells spans 8 blocks of 1024 cells.  A Tonelli
+    # solve solves the flow at each grid point once
     ide = sys.modules["pathqv.ide"]
     sizes = []
     monkeypatch.setattr(ide, "flow_derivatives", lambda field, tau, xi, t, *rest: (
         sizes.append(np.broadcast(tau, xi, t).size) or flow_derivatives(field, tau, xi, t, *rest)))
     level = 14
+    runs = [("picard", 64, ide._SWEEP_BLOCK), ("tonelli", 64, ide._SWEEP_BLOCK),
+            ("tonelli", 2, 1024)]
     for field in (GEOMETRIC, EXPRESSION):
         prob = linear_qv_problem(field, lambda t, xi: 0.3 * np.cos(xi), X16.restrict(level),
                                  0.7, level)
-        for scheme in ("picard", "tonelli"):
+        for scheme, tonelli_n, block in runs:
+            monkeypatch.setattr(ide, "_SWEEP_BLOCK", block)
             sizes.clear()
-            solve_ide(prob, level, scheme=scheme, tonelli_n=64)
-            assert sizes and max(sizes) <= ide._SWEEP_BLOCK + 1, (field.name, scheme)
+            solve_ide(prob, level, scheme=scheme, tonelli_n=tonelli_n)
+            assert sizes and max(sizes) <= block + 1, (field.name, scheme, tonelli_n)
+            if scheme == "tonelli":
+                assert sum(sizes) == 2**level + 1, (field.name, tonelli_n)
 
 
 def test_level_16_picard_solve_stays_within_eight_grid_arrays():
@@ -735,13 +746,16 @@ def test_level_16_picard_solve_stays_within_eight_grid_arrays():
     # closed-form solve held 17 at once when every sweep took full-grid
     # temporaries, and a DP45 solve 26 (Tonelli: 22) when it took the
     # whole grid as one batch; 9.3 and 10.3 when sweeps held their state
-    # at grid size, where windows hold only B and phi
+    # at grid size, where windows hold only B and phi.  Tonelli with a lag
+    # of half the grid held 13.0 when it solved a lag of cells at once,
+    # and 6.6 in pieces of one block
     def problem(field):
         return linear_qv_problem(field, lambda t, xi: -0.5 * xi, X16, 1.0, 16)
 
     solves = (lambda: solve_ide(problem(constant_field(1.0)), 16),
               lambda: solve_ide(problem(EXPRESSION), 16),
-              lambda: solve_ide(problem(EXPRESSION), 16, scheme="tonelli", tonelli_n=64))
+              lambda: solve_ide(problem(EXPRESSION), 16, scheme="tonelli", tonelli_n=64),
+              lambda: solve_ide(problem(EXPRESSION), 16, scheme="tonelli", tonelli_n=2))
     for solve in solves:
         solve()
         tracing = tracemalloc.is_tracing()
