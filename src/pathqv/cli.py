@@ -83,15 +83,9 @@ def _resolve_drift(spec):
     from .expr import Expression
     from .flow import sample_box_values
 
-    try:
-        value = float(spec)
-    except ValueError:
-        e = Expression(spec, ("t", "xi"))
-        sample_box_values(e, f"drift b = {spec!r}")
-        return e
-    if not np.isfinite(value):
-        raise DomainError(f"drift b must be finite, got {spec!r}")
-    return lambda t, xi: value
+    e = Expression(spec, ("t", "xi"))
+    sample_box_values(e, f"drift b = {spec!r}")
+    return e
 
 
 def _resolve_x(spec, level):

@@ -135,53 +135,30 @@ class IrrationalShift:
             raise DomainError(f"alpha must be a positive finite real, got {a}")
         object.__setattr__(self, "alpha", a)
 
-    def frac(self, k):
-        """alpha * k mod 1, exact for the binary value of alpha."""
-        p, q = self.alpha.as_integer_ratio()
-        return ((p * int(k)) % q) / q
-
     def frac_array(self, count):
         """[alpha * k mod 1 for k in range(count)] as a float array, exact
-        like ``frac``.
+        for the binary value of alpha.
 
-        The numerators r_k = p k mod q (alpha = p / q) fill by doubling:
-        r[n + j] = (r[j] + r[n]) mod q for j < n, in int64, where every
-        sum stays below 2 q.  q is a power of two, so r / q rounds once,
-        as Python's int division does.  A q above 2^62 would overflow and
-        takes the loop over Python integers instead.
+        alpha = p / q with q a power of two, so p k mod q is the low bits
+        of p k.  For q <= 2^64 they come from one uint64 product, which
+        wraps modulo 2^64, a multiple of q; a larger q takes the same
+        product on Python integers.  r / q then rounds once, as Python's
+        int division does.
         """
         p, q = self.alpha.as_integer_ratio()
-        p %= q
-        if q > 2**62:
-            return _frac_loop(p, q, count)
-        r = np.zeros(count, dtype=np.int64)
-        n = 1
-        while n < count:
-            block = r[n : 2 * n]
-            np.add(r[: block.size], (n * p) % q, out=block)
-            block -= (block >= q) * q
-            n *= 2
-        return r / q
-
-
-def _frac_loop(p, q, count):
-    """[p k mod q / q for k in range(count)], one Python integer at a time."""
-    out = np.empty(count, dtype=np.float64)
-    r = 0
-    for k in range(count):
-        out[k] = r / q
-        r += p
-        if r >= q:
-            r -= q
-    return out
+        if q > 2**64:
+            return (np.arange(count, dtype=object) * (p % q) % q / q).astype(np.float64)
+        r = np.arange(count, dtype=np.uint64) * np.uint64(p % q) & np.uint64(q - 1)
+        return r / float(q)
 
 
 def _row(fseq, n, pts):
-    """f_n at ``pts``, checked against the sequence's uniform bound: the
-    spot checks of FunctionSequence cannot see a pole between their
-    grid points, which a row's sample points may come close to."""
-    with np.errstate(all="ignore"):  # non-finite values fail the check
-        row = np.asarray(fseq.term(n, pts), dtype=np.float64)
+    """f_n at ``pts`` through ``errors._finite``, checked against the
+    sequence's uniform bound: the spot checks of FunctionSequence cannot
+    see a pole between their grid points, which a row's sample points may
+    come close to."""
+    row = _finite(DomainError, f"|f_{n}| exceeds the declared uniform bound "
+                  f"{fseq.uniform_bound} (a value is not finite)", fseq.term, n, pts)
     _check_bound(row, n, fseq.uniform_bound)
     return row
 

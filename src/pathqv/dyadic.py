@@ -36,16 +36,16 @@ DEFAULT_LEVEL = 12
 
 
 def _check_level(n):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise DomainError(f"level must be an integer, got {n!r}")
+    """n as an int level in [0, MAX_LEVEL], by the rule of ``_check_count``."""
+    n = _check_count(n, "level")
     if n < 0 or n > MAX_LEVEL:
         raise DomainError(f"level must be in [0, {MAX_LEVEL}], got {n}")
-    return int(n)
+    return n
 
 
 def _check_count(n, what):
-    """n as an int, from any integer type but bool (as ``_check_level``);
-    DomainError naming ``what`` if not."""
+    """n as an int, from any integer type but bool; DomainError naming
+    ``what`` if not.  Levels, counts and indices all follow this rule."""
     try:
         if isinstance(n, bool):  # operator.index(True) is 1
             raise TypeError
@@ -135,10 +135,6 @@ class SampledPath:
             return self
         stride = 2 ** (self.level - m)
         return type(self)(m, self.values[::stride])
-
-    def increments(self):
-        """Plain function increments, for use as a Stieltjes driver."""
-        return np.diff(self.values)
 
     # -- serialization ---------------------------------------------------
 

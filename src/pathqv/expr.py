@@ -173,19 +173,6 @@ def _ieee_quotient(a, b):
     return math.copysign(math.inf, a) * math.copysign(1.0, b)
 
 
-def _is_const(node):
-    tag = node[0]
-    if tag == "num":
-        return True
-    if tag == "var":
-        return False
-    if tag == "call":
-        return _is_const(node[2])
-    if tag == "neg":
-        return _is_const(node[1])
-    return _is_const(node[1]) and _is_const(node[2])
-
-
 # folding constructors keep derivative trees small
 def _num(v):
     return ("num", float(v))
@@ -249,9 +236,10 @@ def _diff(node, var):
         return _div(_sub(_mul(_diff(a, var), b), _mul(a, _diff(b, var))), ("pow", b, _num(2.0)))
     if tag == "pow":
         base, expo = node[1], node[2]
-        if not _is_const(expo):
-            raise DomainError("cannot differentiate a power with non-constant exponent")
-        c = _exponent(expo)
+        try:
+            c = _exponent(expo)
+        except KeyError:  # a variable's lookup in the empty environment
+            raise DomainError("cannot differentiate a power with non-constant exponent") from None
         return _mul(_mul(_num(c), ("pow", base, _num(c - 1.0))), _diff(base, var))
     if tag == "call":
         fname, arg = node[1], node[2]
@@ -273,9 +261,10 @@ def _diff(node, var):
 
 def _exponent(node):
     """The value of a constant exponent, evaluated through ``_finite`` so
-    that numpy's warnings stay off.  A NaN exponent, as from (0-1)^0.5, is a
-    DomainError.  An infinite one, as from a zero divisor, is kept: the
-    derivative then evaluates to inf or NaN, which its callers refuse."""
+    that numpy's warnings stay off; KeyError if it reads a variable.  A
+    NaN exponent, as from (0-1)^0.5, is a DomainError.  An infinite one,
+    as from a zero divisor, is kept: the derivative then evaluates to inf
+    or NaN, which its callers refuse."""
     value = []
 
     def finite_unless_nan():

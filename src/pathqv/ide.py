@@ -463,6 +463,8 @@ def _solve_tonelli(problem, level, paths, tonelli_n):
         if b - a == 1:  # a float, on the flow's float path
             phi[a], cell = _block(problem, level, paths, a, b, B[a:b], None, None)
             running += cell
+            if not math.isfinite(z0 + running):
+                raise NumericalError(_SUM_NOT_FINITE)
             B[a + lag] = z0 + running
             continue
         run_cells[0], k = running, b - a

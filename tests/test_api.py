@@ -100,6 +100,8 @@ def test_only_what_a_caller_sets_is_a_parameter_or_a_field():
         assert [f.name for f in dataclasses.fields(getattr(pathqv, name))] == fields, name
     assert not hasattr(pathqv.IDEProblem, "gronwall_bound")
     assert not hasattr(pathqv.BVDriver, "total_variation")
+    assert not hasattr(pathqv.SampledPath, "increments")
+    assert not hasattr(pathqv.IrrationalShift, "frac")
 
 
 # -- one rule for user code: where numpy's warnings may be turned off ----------
@@ -107,10 +109,8 @@ def test_only_what_a_caller_sets_is_a_parameter_or_a_field():
 SRC = Path(pathqv.__file__).resolve().parent
 
 # Every call into user code goes through errors._finite; the others guard
-# arithmetic on a hot path (a whole flow solve, a Newton step) and a
-# coefficient row that _check_bound refuses when it is not finite.
-ERRSTATE_OWNERS = sorted(["errors._finite", "flow._integrate", "ide._newton_step",
-                          "construct._row"])
+# arithmetic on a hot path: a whole flow solve and a Newton step.
+ERRSTATE_OWNERS = sorted(["errors._finite", "flow._integrate", "ide._newton_step"])
 
 
 def errstate_sites():

@@ -819,11 +819,11 @@ def test_solve_flow_failure_in_a_block_exit_3_in_one_line(tmp_path, monkeypatch,
 
 def test_solve_non_finite_b_in_a_tonelli_cell_exit_3_in_one_line(tmp_path, capsys):
     # lag-1 Tonelli sums its cells in Python floats, which overflow to inf
-    # without a warning; the next cell's flow refuses that B
+    # without a warning; the sum is checked where B takes it
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, "sigma": "1", "b": "1e308", "z0": 1e308}))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         assert run(["solve", "--problem", str(pfile), "--scheme", "tonelli",
                     "--tonelli-n", "64"]) == 3
-    assert "flow inputs" in assert_one_line_error(capsys, "numerical failure: ")
+    assert "z0 + S(B) is not finite" in assert_one_line_error(capsys, "numerical failure: ")

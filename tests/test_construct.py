@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from pathqv import (
@@ -22,7 +23,7 @@ from pathqv import (
     qv_level,
 )
 import pathqv.construct as construct
-from pathqv.construct import PRESETS, _frac_loop
+from pathqv.construct import PRESETS
 
 
 def const_seq(c):
@@ -86,7 +87,6 @@ def test_rotation_fractional_parts_exact():
     for k in (0, 1, 17, 999):
         exact = ((p * k) % q) / q
         assert arr[k] == exact
-        assert shift.frac(k) == exact
     # naive float arithmetic agrees to rounding for small k
     assert abs(arr[17] - (float(np.e) * 17) % 1.0) < 1e-12
 
@@ -101,13 +101,25 @@ def test_coefficients_y_rows_are_rotation_prefixes(alpha):
         assert np.array_equal(row, shift.frac_array(2**n))
 
 
+def _frac_loop(p, q, count):
+    """[p k mod q / q for k in range(count)], one Python integer at a time:
+    the reference for ``IrrationalShift.frac_array``."""
+    out = np.empty(count, dtype=np.float64)
+    r = 0
+    for k in range(count):
+        out[k] = r / q
+        r += p
+        if r >= q:
+            r -= q
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def looped_fracs(alpha, count=2**19):
     p, q = alpha.as_integer_ratio()
     return _frac_loop(p % q, q, count)
 
 
-# 2^-62 is the largest denominator that the int64 doubling takes
 @pytest.mark.parametrize("alpha", [math.e, 10.0 * math.pi, 2.0**-60, 2.0**-62])
 def test_frac_array_is_bit_identical_to_the_integer_loop(alpha):
     assert IrrationalShift(alpha).frac_array(2**19).tobytes() == looped_fracs(alpha).tobytes()
@@ -115,10 +127,26 @@ def test_frac_array_is_bit_identical_to_the_integer_loop(alpha):
         assert np.array_equal(IrrationalShift(alpha).frac_array(count), looped_fracs(alpha)[:count])
 
 
+# alpha = mantissa 2^-shift; q = 2^64 is the largest denominator of the
+# uint64 product, and a larger q takes Python integers
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(mantissa=st.integers(1, 2**53 - 1), shift=st.integers(-60, 170),
+       count=st.integers(0, 3000))
+@example(mantissa=1, shift=62, count=3000)  # q = 2^62
+@example(mantissa=3, shift=64, count=3000)  # q = 2^64
+@example(mantissa=2**53 - 1, shift=65, count=3000)  # q = 2^65
+def test_frac_array_matches_the_integer_loop_over_generated_alpha(mantissa, shift, count):
+    alpha = math.ldexp(mantissa, -shift)
+    p, q = alpha.as_integer_ratio()
+    want = _frac_loop(p % q, q, count)
+    assert IrrationalShift(alpha).frac_array(count).tobytes() == want.tobytes()
+
+
 def test_frac_array_beyond_int64_keeps_exact():
     shift = IrrationalShift(2.0**-63 * (1.0 + 2.0**-52))  # q = 2^115
+    p, q = shift.alpha.as_integer_ratio()
     arr = shift.frac_array(1000)
-    assert all(arr[k] == shift.frac(k) for k in range(1000))
+    assert all(arr[k] == (p * k % q) / q for k in range(1000))
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))

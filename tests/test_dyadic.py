@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pathqv import (
     BVDriver,
@@ -114,8 +115,7 @@ def test_stieltjes_bounded_by_variation():
     c = 3.7
     g = SampledPath(9, np.full(2**9 + 1, c))
     val = follmer_integral(g, x, 9, 1.0)
-    assert np.array_equal(driver.increments(), np.diff(x.values))
-    variation = float(np.sum(np.abs(driver.increments())))
+    variation = float(np.sum(np.abs(np.diff(driver.values))))
     assert abs(val) <= abs(c) * variation + 1e-12
 
 
@@ -153,6 +153,21 @@ def test_restrict_keeps_the_type(cls):
     r = p.restrict(2)
     assert type(r) is cls and r.level == 2
     assert np.array_equal(r.values, p.values[::4])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(cls=st.sampled_from([QVCurve, BVDriver, SampledPath]), seed=st.integers(0, 2**32 - 1),
+       level=st.integers(0, 12), scale=st.floats(1e-300, 1e300), data=st.data())
+def test_restrict_is_exact_at_shared_points(cls, seed, level, scale, data):
+    values = scale * np.random.default_rng(seed).standard_normal(2**level + 1)
+    p = cls(level, np.sort(values) if cls is QVCurve else values)
+    m = data.draw(st.integers(0, level), label="m")
+    coarse = data.draw(st.integers(0, m), label="coarse")
+    r = p.restrict(m)
+    assert type(r) is cls and r.level == m
+    assert r.values.tobytes() == p.values[::2 ** (level - m)].tobytes()
+    assert r.value_at(r.times()).tobytes() == p.value_at(r.times()).tobytes()
+    assert r.restrict(coarse).values.tobytes() == p.restrict(coarse).values.tobytes()
 
 
 def test_qv_curve_reads_steps_and_a_path_interpolates():
@@ -225,6 +240,26 @@ def test_to_file_round_trips_through_from_file(tmp_path, name):
     assert np.array_equal(back.values, x.values)
     # the extension chooses the format
     assert f.read_text().startswith("{" if name.endswith(".json") else "t,value\n")
+
+
+@st.composite
+def finite_paths(draw):
+    level = draw(st.integers(0, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    return SampledPath(level, draw(st.lists(finite, min_size=2**level + 1,
+                                            max_size=2**level + 1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x=finite_paths(), name=st.sampled_from(["x.csv", "x.json"]))
+def test_file_round_trips_are_bit_exact_over_generated_values(tmp_path, x, name):
+    # every finite double, -0.0 and subnormals included, reads back bit for bit
+    f = tmp_path / name
+    x.to_file(f)
+    back = SampledPath.from_file(f)
+    assert back.level == x.level
+    assert back.values.tobytes() == x.values.tobytes()
 
 
 def test_csv_malformed_rejected(tmp_path):

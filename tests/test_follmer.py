@@ -2,15 +2,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathqv import (
     DomainError,
+    FSCoefficients,
     SampledPath,
     build_x,
     follmer_integral,
     ito_residual,
     preset,
     qv_level,
+    synthesize,
 )
 
 
@@ -82,6 +85,25 @@ def test_ito_residual_linear_and_quadratic_exact():
     for n in (6, 9, 12):
         quad_res = ito_residual(lambda v: v**2, lambda v: 2 * v, lambda v: 2 + 0 * v, x, n, 1.0)
         assert abs(quad_res) <= 1e-12
+
+
+coefficient = st.floats(-3.0, 3.0)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 10), a=coefficient, b=coefficient,
+       c=coefficient, data=st.data())
+def test_ito_residual_of_a_quadratic_vanishes_over_generated_paths(seed, depth, a, b, c, data):
+    # F(v) = a v^2 + b v + c: the second-order Taylor expansion is exact
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(-2.0, 2.0, size=2**m) for m in range(depth)]
+    x = synthesize(FSCoefficients(*rng.uniform(-1.0, 1.0, size=2), rows), depth)
+    n = data.draw(st.integers(0, depth), label="n")
+    t = data.draw(st.integers(0, 2**n), label="k") * 2.0**-n
+    res = ito_residual(lambda v: (a * v + b) * v + c, lambda v: 2 * a * v + b,
+                       lambda v: 2 * a + 0 * v, x, n, t)
+    v = np.abs(x.values)
+    assert abs(res) <= 1e-12 * (1.0 + abs(a) * np.max(v) ** 2 + abs(b) * np.max(v))
 
 
 def test_ito_residual_cubic_small_and_shrinking():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from pathqv import (
@@ -135,6 +136,16 @@ def test_exact_identity_qv_equals_ell1_at_one():
         x = synthesize(c, 12)
         for n in (4, 8, 12):
             assert abs(qv_level(x, n, 1.0) - ell1(c, n, 1.0)) <= 1e-10
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 11), extra=st.integers(0, 2),
+       scale=st.floats(0.01, 4.0), data=st.data())
+def test_qv_equals_ell1_at_one_over_generated_coefficients(seed, depth, extra, scale, data):
+    c = random_coeffs(np.random.default_rng(seed), depth, scale)
+    x = synthesize(c, depth + extra)
+    n = data.draw(st.integers(0, depth), label="n")
+    assert abs(qv_level(x, n, 1.0) - ell1(c, n, 1.0)) <= 1e-12 * ell1(c, n, 1.0)
 
 
 def test_truncated_coefficient_identity_interior_t():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathqv import (
     DomainError,
@@ -101,6 +102,19 @@ def test_round_trip_random_coefficients():
         assert back.slope == pytest.approx(slope, abs=1e-12)
         for m in range(10):  # the rows beyond the sixth are zero
             assert np.allclose(back.theta[m], rows[m] if m < 6 else 0.0, atol=1e-12)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 10), extra=st.integers(0, 2),
+       scale=st.floats(0.01, 4.0))
+def test_round_trip_over_generated_coefficients(seed, depth, extra, scale):
+    rng = np.random.default_rng(seed)
+    rows = [rng.uniform(-scale, scale, size=2**m) for m in range(depth)]
+    anchor, slope = rng.uniform(-1, 1, size=2)
+    back = analyze(synthesize(FSCoefficients(anchor, slope, rows), max(depth + extra, 1)))
+    assert abs(back.anchor - anchor) <= 1e-12 and abs(back.slope - slope) <= 1e-12
+    for m, row in enumerate(back.theta):
+        assert np.max(np.abs(row - (rows[m] if m < depth else 0.0))) <= 1e-12
 
 
 def test_partial_sums_interpolate():
