@@ -11,6 +11,12 @@ the built-in sqrt(1 + xi^2) field.  Identical invocations produce
 bit-identical output files: all reductions run in fixed order and
 nothing here draws randomness.
 
+Every rule that a command applies to its inputs lives in the library:
+the problem file in ``ide.read_problem``, a preset or file x in
+``construct.x_from_spec``, a field in ``expr.field_from_expression``, an
+--f in ``expr.sequence_from_expression`` and the match round trip in
+``support.round_trip_error``; this module parses argv and prints.
+
 Each command imports the library modules it uses, and the module level
 only what the parser and ``main`` need, so that a cold run of one command
 loads and compiles no module it does not use.
@@ -27,11 +33,6 @@ from . import __version__
 from .construct import PRESETS
 from .dyadic import DEFAULT_LEVEL
 from .errors import DomainError, NumericalError
-
-# --f's declared bound over its level-10 maximum, minus 1: a path samples f at
-# other points too, where a smooth f peaks a little higher (2.2e-6 for sin(7t)^2)
-_F_BOUND_MARGIN = 1e-3
-
 
 def _fmt(v):
     return f"{v:.17g}"
@@ -55,50 +56,15 @@ def _parse_levels(spec, top):
 
 
 def _resolve_fseq(args):
-    from .construct import SPOT_GRID, FunctionSequence, preset
+    from .construct import preset
 
     if getattr(args, "preset", None):
         return preset(args.preset)
     if getattr(args, "f", None):
-        from .errors import _finite
-        from .expr import Expression
+        from .expr import sequence_from_expression  # here, so that --preset loads no expr
 
-        fn = Expression(args.f, ("t",))
-        values = _finite(DomainError, f"--f {args.f!r} is not finite on [0, 1]", fn, SPOT_GRID)
-        bound = float(np.max(np.abs(values))) * (1.0 + _F_BOUND_MARGIN)
-        return FunctionSequence.constant_in_n(fn, bound, name=args.f)
+        return sequence_from_expression(args.f)
     raise DomainError("need --preset or --f")
-
-
-def _resolve_field(spec):
-    from .expr import field_from_expression
-    from .flow import sqrt1p_field
-
-    if spec == "sqrt1p":
-        return sqrt1p_field()
-    return field_from_expression(spec)
-
-
-def _resolve_drift(spec):
-    from .expr import Expression
-    from .flow import sample_box_values
-
-    e = Expression(spec, ("t", "xi"))
-    sample_box_values(e, f"drift b = {spec!r}")
-    return e
-
-
-def _resolve_x(spec, level):
-    from .construct import build_x, preset
-    from .dyadic import SampledPath
-
-    if spec.startswith("preset:"):
-        fseq = preset(spec.split(":", 1)[1])
-        return build_x(fseq, level), fseq
-    path = SampledPath.from_file(spec)
-    if path.level < level:
-        raise DomainError(f"{spec}: level {path.level} below requested {level}")
-    return path, None
 
 
 # -- subcommands -------------------------------------------------------------
@@ -183,13 +149,14 @@ def _cmd_integrate(args):
 
 
 def _cmd_ito_check(args):
+    from .construct import x_from_spec
     from .dyadic import SampledPath
     from .expr import Expression
     from .follmer import ito_residual
 
     # --level is the synthesis level of a preset; a file keeps its own
     if args.x.startswith("preset:"):
-        x, _ = _resolve_x(args.x, args.level)
+        x, _ = x_from_spec(args.x, args.level)
     else:
         x = SampledPath.from_file(args.x)
     levels = _parse_levels(args.levels, x.level)
@@ -203,9 +170,10 @@ def _cmd_ito_check(args):
 
 
 def _cmd_flow_check(args):
+    from .expr import field_from_expression
     from .flow import FLOW_CHECKS, flow_identity_defects
 
-    field = _resolve_field(args.sigma)
+    field = field_from_expression(args.sigma)
     defects = flow_identity_defects(field)
     failed = False
     for name, tol in FLOW_CHECKS:
@@ -218,54 +186,10 @@ def _cmd_flow_check(args):
     return 0
 
 
-def _load_problem(spec_path):
-    from .construct import predicted_qv
-    from .dyadic import BVDriver, QVCurve, _check_level, read_json
-    from .ide import IDEProblem
-    from .quadvar import qv_curve
-
-    doc = read_json(spec_path)
-    if not isinstance(doc, dict):
-        raise DomainError(f"{spec_path}: expected a JSON object")
-    for key in ("sigma", "b", "A", "x", "z0", "level"):
-        if key not in doc:
-            raise DomainError(f"{spec_path}: missing key {key!r}")
-    for key in ("sigma", "A", "x"):
-        if not isinstance(doc[key], str):
-            raise DomainError(f"{spec_path}: {key} must be a string, got {doc[key]!r}")
-    level = _check_level(doc["level"])
-    field = _resolve_field(doc["sigma"])
-    drift = _resolve_drift(str(doc["b"]))
-    x, fseq = _resolve_x(doc["x"], level)
-    if doc["A"] == "t":
-        driver = BVDriver.identity(level)
-    else:
-        driver = BVDriver.from_file(doc["A"])
-    qv_spec = doc.get("qv", "analytic" if fseq is not None else "empirical")
-    if qv_spec == "analytic":
-        if fseq is None:
-            raise DomainError("qv=analytic needs a preset x")
-        qv = predicted_qv(fseq, "curved", level)
-    elif qv_spec == "t":
-        qv = QVCurve.from_function(lambda t: t, level)
-    elif qv_spec == "empirical":
-        qv = qv_curve(x, min(level, x.level))
-    else:
-        raise DomainError(f"bad qv spec {qv_spec!r}: use analytic | empirical | t")
-    try:
-        if isinstance(doc["z0"], bool):  # float(true) would read it as 1.0
-            raise TypeError
-        z0 = float(doc["z0"])
-    except (TypeError, ValueError):
-        raise DomainError(f"{spec_path}: z0 must be a number, got {doc['z0']!r}") from None
-    problem = IDEProblem(field=field, drift=drift, driver_A=driver, x=x, qv_x=qv, z0=z0)
-    return problem, level
-
-
 def _cmd_solve(args):
-    from .ide import solve_ide
+    from .ide import read_problem, solve_ide
 
-    problem, level = _load_problem(args.problem)
+    problem, level = read_problem(args.problem)
     sol = solve_ide(problem, level, scheme=args.scheme, tonelli_n=args.tonelli_n)
     print(f"solved at level {level} ({args.scheme}): "
           f"fixed-point defect {sol.residual_report:.3e}, "
@@ -280,11 +204,13 @@ def _cmd_solve(args):
 
 
 def _cmd_shoot(args):
+    from .construct import x_from_spec
     from .dyadic import _write_csv
+    from .expr import field_from_expression
     from .support import shoot_constant_b
 
-    field = _resolve_field(args.sigma)
-    x, _ = _resolve_x(args.x, args.level)
+    field = field_from_expression(args.sigma)
+    x, _ = x_from_spec(args.x, args.level)
     trace = []
     b = shoot_constant_b(field, x, args.z0, args.z1, args.t0, args.level,
                          trace=trace)
@@ -301,25 +227,17 @@ def _cmd_shoot(args):
 
 
 def _cmd_match(args):
-    from .dyadic import SampledPath, grid_points
-    from .flow import flow_with_derivatives
-    from .ide import solve_ide
-    from .support import _linear_qv_problem, drift_from_path, match_path
+    from .construct import x_from_spec
+    from .dyadic import SampledPath
+    from .expr import field_from_expression
+    from .support import match_path, round_trip_error
 
-    field = _resolve_field(args.sigma)
-    x, _ = _resolve_x(args.x, args.level)
+    field = field_from_expression(args.sigma)
+    x, _ = x_from_spec(args.x, args.level)
     target = SampledPath.from_file(args.target)
     drift_path = match_path(target, field, x, args.level)
     drift_path.to_file(args.out)
-    # round trip: solve with the recovered drift and compare against the target z
-    level = drift_path.level
-    problem = _linear_qv_problem(field, x, float(target.restrict(level).values[0]),
-                                 drift_from_path(drift_path), level)
-    sol = solve_ide(problem, level)
-    tgrid = grid_points(level)
-    phi, _, _, _ = flow_with_derivatives(field, tgrid, target.restrict(level).values,
-                                         x.restrict(level).values)
-    err = float(np.max(np.abs(sol.z.values - phi)))
+    err = round_trip_error(target, drift_path, field, x)
     print(f"wrote drift to {args.out}; round-trip sup error {err:.3e}")
     return 0
 

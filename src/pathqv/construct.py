@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import QVCurve, _check_count, _check_level, grid_points
+from .dyadic import QVCurve, SampledPath, _check_count, _check_level, grid_points
 from .errors import DomainError, NumericalError, _finite
 from .schauder import FSCoefficients, synthesize
 
@@ -274,6 +274,19 @@ def preset(name):
             ) from None
         fseq = _built_presets.setdefault(name, build())
     return fseq
+
+
+def x_from_spec(spec, level):
+    """The integrator path that ``spec`` names, and its sequence: for
+    "preset:NAME", that preset's path built at ``level``; otherwise the
+    path file ``spec``, with None, which must reach ``level``."""
+    if spec.startswith("preset:"):
+        fseq = preset(spec.split(":", 1)[1])
+        return build_x(fseq, level), fseq
+    path = SampledPath.from_file(spec)
+    if path.level < level:
+        raise DomainError(f"{spec}: level {path.level} below requested {level}")
+    return path, None
 
 
 @dataclass(frozen=True, eq=False)

@@ -174,6 +174,8 @@ class SampledPath:
             level, values = doc["level"], np.asarray(doc["values"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"{path}: expected {{'level': n, 'values': [numbers]}}") from exc
+        except OverflowError:  # an int beyond the float range
+            raise DomainError(f"{path}: path values must be finite") from None
         return cls(_check_level(level), values)
 
     def to_file(self, path):

@@ -1,4 +1,5 @@
-"""Field and drift expressions: parsing, evaluation and symbolic derivatives.
+"""Field, drift and f-sequence expressions: parsing, evaluation and symbolic
+derivatives.
 
 Grammar (usual precedence, ^ binds tightest and is right-associative):
 
@@ -309,7 +310,9 @@ def evaluate_constant(src):
 
 
 def field_from_expression(src):
-    """Build a volatility field sigma(t, xi) from an expression string.
+    """Build a volatility field sigma(t, xi) from an expression string;
+    "sqrt1p" names the built-in ``flow.sqrt1p_field()``, whose flow has a
+    closed form.
 
     The partial derivatives come from symbolic differentiation of the
     parsed tree (so they satisfy the field's finite-difference check by
@@ -318,8 +321,10 @@ def field_from_expression(src):
     declared ``time_free`` (so that the flow skips d/dtau) only when the
     t-derivative folds to the constant 0, not when it merely samples as 0.
     """
-    from .flow import VolatilityField
+    from .flow import VolatilityField, sqrt1p_field
 
+    if src == "sqrt1p":
+        return sqrt1p_field()
     sigma = Expression(src, ("t", "xi"))
     d_t = sigma.diff("t")
     d_xi = sigma.diff("xi")
@@ -330,3 +335,22 @@ def field_from_expression(src):
     _finite(DomainError, message, d_xi, tt, xx)
     return VolatilityField(sigma=sigma, sigma_t=d_t, sigma_xi=d_xi,
                            time_free=d_t.ast == _num(0.0), name=src)
+
+
+#: A sequence's declared bound over its level-10 maximum, minus 1: a path
+#: samples f at other points too, where a smooth f peaks a little higher
+#: (2.2e-6 for sin(7t)^2)
+_F_BOUND_MARGIN = 1e-3
+
+
+def sequence_from_expression(src):
+    """The sequence f_n = f for every n, for an expression f(t) (the ``--f``
+    of ``pathqv synth-x`` and ``synth-y``).  Its uniform bound is f's
+    largest absolute value on ``construct.SPOT_GRID``, the level-10 grid,
+    times 1 + _F_BOUND_MARGIN; DomainError if f is not finite there."""
+    from .construct import SPOT_GRID, FunctionSequence
+
+    fn = Expression(src, ("t",))
+    values = _finite(DomainError, f"--f {src!r} is not finite on [0, 1]", fn, SPOT_GRID)
+    bound = float(np.max(np.abs(values))) * (1.0 + _F_BOUND_MARGIN)
+    return FunctionSequence.constant_in_n(fn, bound, name=src)

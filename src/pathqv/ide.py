@@ -78,9 +78,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyadic import BVDriver, QVCurve, SampledPath, grid_points, _check_count, _check_level
+from .dyadic import (BVDriver, QVCurve, SampledPath, grid_points, read_json, _check_count,
+                     _check_level)
 from .errors import DomainError, FlowIntegrationError, NumericalError, _finite
-from .flow import RTOL, _all_finite, flow_derivatives
+from .flow import RTOL, _all_finite, flow_derivatives, sample_box_values
 from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
@@ -117,9 +118,13 @@ class IDEProblem:
     def __post_init__(self):
         if self.x.values[0] != 0.0:
             raise DomainError(f"integrator must satisfy x(0) = 0, got {self.x.values[0]}")
-        object.__setattr__(self, "z0", float(self.z0))
-        if not np.isfinite(self.z0):
-            raise DomainError(f"z0 must be finite, got {self.z0}")
+        try:
+            z0 = float(self.z0)
+        except OverflowError:  # an int beyond the float range
+            z0 = math.inf
+        if not math.isfinite(z0):
+            raise DomainError(f"z0 must be finite, got {z0}")
+        object.__setattr__(self, "z0", z0)
 
     def working_level(self, level=None):
         cap = min(self.x.level, self.driver_A.level, self.qv_x.level)
@@ -131,6 +136,66 @@ class IDEProblem:
                 f"level {level} exceeds the coarsest component level {cap}"
             )
         return level
+
+
+#: The keys of a problem file; every one but "qv" is required.
+_PROBLEM_KEYS = ("sigma", "b", "A", "x", "z0", "level", "qv")
+
+
+def read_problem(path):
+    """The IDEProblem that the JSON problem file ``path`` describes, and its
+    working level.
+
+    The keys: "sigma", a field expression (see ``expr.field_from_expression``);
+    "b", a drift expression over t and xi, where a JSON number reads as its
+    Python text; "A", "t" or a path file for the driver; "x", "preset:NAME"
+    or a path file (see ``construct.x_from_spec``); "z0", a JSON number;
+    "level"; and "qv", optional: "analytic" (a preset's limit curve, the
+    default for a preset x), "empirical" (the estimator at the level, the
+    default for a file x) or "t".  A missing or unknown key or a bad value
+    is a DomainError, and a file that cannot be read an OSError.
+    """
+    from .construct import predicted_qv, x_from_spec
+    from .expr import Expression, field_from_expression
+
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise DomainError(f"{path}: expected a JSON object")
+    for key in _PROBLEM_KEYS[:-1]:
+        if key not in doc:
+            raise DomainError(f"{path}: missing key {key!r}")
+    for key in doc:
+        if key not in _PROBLEM_KEYS:
+            raise DomainError(f"{path}: unknown key {key!r}")
+    for key in ("sigma", "A", "x"):
+        if not isinstance(doc[key], str):
+            raise DomainError(f"{path}: {key} must be a string, got {doc[key]!r}")
+        if "\0" in doc[key]:  # open() raises a bare ValueError for a file name with one
+            raise DomainError(f"{path}: {key} holds a NUL character")
+    z0 = doc["z0"]
+    if isinstance(z0, bool) or not isinstance(z0, (int, float)):  # True is an int
+        raise DomainError(f"{path}: z0 must be a number, got {z0!r}")
+    level = _check_level(doc["level"])
+    field = field_from_expression(doc["sigma"])
+    drift = Expression(str(doc["b"]), ("t", "xi"))
+    sample_box_values(drift, f"drift b = {drift.src!r}")
+    x, fseq = x_from_spec(doc["x"], level)
+    if doc["A"] == "t":
+        driver = BVDriver.identity(level)
+    else:
+        driver = BVDriver.from_file(doc["A"])
+    qv_spec = doc.get("qv", "analytic" if fseq is not None else "empirical")
+    if qv_spec == "analytic":
+        if fseq is None:
+            raise DomainError("qv=analytic needs a preset x")
+        qv = predicted_qv(fseq, "curved", level)
+    elif qv_spec == "t":
+        qv = QVCurve.from_function(lambda t: t, level)
+    elif qv_spec == "empirical":
+        qv = qv_curve(x, level)  # x_from_spec gives an x of at least the level
+    else:
+        raise DomainError(f"bad qv spec {qv_spec!r}: use analytic | empirical | t")
+    return IDEProblem(field=field, drift=drift, driver_A=driver, x=x, qv_x=qv, z0=z0), level
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,14 +12,15 @@ bounded-variation component B it reads off the time-dependent drift
 
     b(t) = phi_xi B'(t) + phi_tau + phi_tt / 2      (at (t, B(t), x(t)))
 
-whose solution reproduces z(t) = phi(t, B(t), x(t)).
+whose solution reproduces z(t) = phi(t, B(t), x(t)); ``round_trip_error``
+solves with that drift and measures how far z lands from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dyadic import BVDriver, QVCurve, SampledPath, _check_level, grid_index
+from .dyadic import BVDriver, QVCurve, SampledPath, _check_level, grid_index, grid_points
 from .errors import DomainError, NumericalError
 from .flow import flow_with_derivatives
 from .ide import IDEProblem, solve_ide
@@ -142,6 +143,20 @@ def match_path(target_B, field, x, level=None):
     _, dxi, dtau, dtt = flow_with_derivatives(field, B.times(), B.values, xs.values)
     bvals = dxi * dB + dtau + 0.5 * dtt
     return SampledPath(level, bvals)
+
+
+def round_trip_error(target_B, drift_path, field, x):
+    """sup |z - phi(t, B(t), x(t))| on the grid of ``drift_path``, where z
+    solves the equation with drift ``drift_path`` (as ``match_path``
+    returns it) from z0 = B(0), and B is ``target_B``: how far the solve
+    lands from the path that the drift was matched to."""
+    level = drift_path.level
+    B = target_B.restrict(level).values
+    problem = _linear_qv_problem(field, x, float(B[0]), drift_from_path(drift_path), level)
+    sol = solve_ide(problem, level)
+    phi, _, _, _ = flow_with_derivatives(field, grid_points(level), B,
+                                         x.restrict(level).values)
+    return float(np.max(np.abs(sol.z.values - phi)))
 
 
 def drift_from_path(bpath):

@@ -11,6 +11,7 @@ import pytest
 
 import pathqv.cli as cli
 import pathqv.construct as construct
+import pathqv.expr as expr
 import pathqv.ide as ide
 from pathqv import (IrrationalShift, QVCurve, SampledPath, build_x, build_y, cov_curve,
                     grid_points, predicted_qv, preset, qv_curve)
@@ -225,7 +226,7 @@ def test_flow_check_failure_exit_3(monkeypatch, capsys):
     # box, makes the flow integrate the variational row that it breaks
     wrong = SimpleNamespace(sigma=lambda t, xi: np.sin(xi - 0.2), sigma_t=lambda t, xi: 0.0,
                             sigma_xi=lambda t, xi: np.cos(xi - 0.2) + 0.1)
-    monkeypatch.setattr(cli, "_resolve_field", lambda spec: wrong)
+    monkeypatch.setattr(expr, "field_from_expression", lambda spec: wrong)
     assert run(["flow-check", "--sigma", "sqrt1p"]) == 3
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
@@ -303,6 +304,13 @@ def test_qv_path_json_with_string_value_exit_2(tmp_path, capsys):
     assert_one_line_error(capsys)
 
 
+def test_qv_path_json_with_an_int_beyond_the_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps({"level": 1, "values": [0, 10**400, 1]}))
+    assert run(["qv", "--in", str(path), "--levels", "1"]) == 2
+    assert "path values must be finite" in assert_one_line_error(capsys)
+
+
 def test_file_that_is_not_json_exit_2(tmp_path, capsys):
     path = tmp_path / "x.json"
     path.write_text("level: 1, values: 0 1 2\n")
@@ -323,7 +331,8 @@ def test_file_that_is_not_json_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [("z0", "abc"), ("z0", None), ("A", True),
                                         ("sigma", 1.5), ("x", ["preset:one"]),
-                                        ("z0", True)])
+                                        ("z0", True), ("z0", "0.3"), ("z0", "1_000"),
+                                        ("Qv", "t")])
 def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
@@ -333,7 +342,8 @@ def test_solve_problem_bad_value_exit_2(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value", [("b", "1e999"), ("b", "nan"), ("z0", float("nan")),
                                         ("z0", "1e999"), ("b", "1e999*xi"),
-                                        ("b", "exp(1000)"), ("b", "1/0")])
+                                        ("b", "exp(1000)"), ("b", "1/0"),
+                                        pytest.param("z0", 10**400, id="z0-int-beyond-float")])
 def test_solve_problem_non_finite_exit_2(tmp_path, capsys, key, value):
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, key: value}))
@@ -387,7 +397,7 @@ def test_solve_analytic_qv_is_the_default_for_a_preset_x(tmp_path, monkeypatch, 
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps(problem))
     calls = count_calls(monkeypatch, construct, "predicted_qv")
-    loaded, level = cli._load_problem(str(pfile))
+    loaded, level = ide.read_problem(str(pfile))
     assert calls == [(preset("fig1-left"), "curved", 8)]
     assert np.array_equal(loaded.qv_x.values,
                           predicted_qv(preset("fig1-left"), "curved", 8).values)
@@ -483,10 +493,14 @@ loaded("--version")
 print("presets built", len(pathqv.construct._built_presets))
 run("diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6")
 loaded("diagnose")
+run("synth-x", "--preset", "one", "--level", "6", "--out", sys.argv[2])
+loaded("synth-x")
 run("cov", "--in", sys.argv[1], "--in2", sys.argv[1], "--levels", "6")
 loaded("cov")
 run("flow-check", "--sigma", "sqrt1p")
 loaded("flow-check")
+run("ito-check", "--x", sys.argv[1], "--F", "xi^2", "--levels", "6")
+loaded("ito-check")
 """
 
 
@@ -496,7 +510,8 @@ def test_a_cold_command_loads_only_the_modules_it_uses(tmp_path):
     path = tmp_path / "x.csv"
     SampledPath.from_function(lambda t: t, 6).to_csv(path)
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path)], check=True,
+    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path),
+                          str(tmp_path / "y.csv")], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     stages = dict(line.split(" ", 1) for line in out.splitlines())
@@ -508,8 +523,11 @@ def test_a_cold_command_loads_only_the_modules_it_uses(tmp_path):
         "import": parser,
         "--version": parser,
         "diagnose": parser,
+        # --preset reads no expression, so it loads no expr (--f does)
+        "synth-x": parser,
         "cov": parser | {"pathqv.quadvar"},
         "flow-check": parser | {"pathqv.quadvar", "pathqv.expr"},
+        "ito-check": parser | {"pathqv.quadvar", "pathqv.expr", "pathqv.follmer"},
     }
     assert stages["presets"] == "built 0"
 
@@ -702,7 +720,8 @@ def test_solve_reads_a_driver_file(tmp_path, capsys, name):
     ("A.csv", "t,value\n0,0\n0.5,nan\n1,1\n"),
     ("A.json", '{"level": 1, "values": [0.0, Infinity, 1.0]}'),
     ("A.csv", b"t,value\n0,0\n1,\xff\xfe\n"),
-], ids=["csv-header", "csv-nan", "json-inf", "csv-not-utf-8"])
+    ("A.json", '{"level": 1, "values": [0, 1' + "0" * 400 + ', 1]}'),
+], ids=["csv-header", "csv-nan", "json-inf", "csv-not-utf-8", "json-int-beyond-float"])
 def test_solve_bad_driver_file_exit_2(tmp_path, capsys, name, text):
     afile = tmp_path / name
     afile.write_bytes(text if isinstance(text, bytes) else text.encode())
@@ -734,7 +753,7 @@ def test_solve_empirical_qv_is_the_default_for_a_file_x(tmp_path, monkeypatch, c
     problem = {k: v for k, v in GOOD_PROBLEM.items() if k != "qv"}
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**problem, "x": str(x)}))
-    loaded, _ = cli._load_problem(str(pfile))
+    loaded, _ = ide.read_problem(str(pfile))
     assert np.array_equal(loaded.qv_x.values, qv_curve(SampledPath.from_csv(x), 6).values)
     capsys.readouterr()
     assert run(["solve", "--problem", str(pfile)]) == 0
@@ -806,8 +825,8 @@ def test_expression_nested_300_deep_exit_2(tmp_path, capsys, src):
 def test_solve_flow_failure_in_a_block_exit_3_in_one_line(tmp_path, monkeypatch, capsys,
                                                            far_breaking_field, problem,
                                                            culprit, scheme):
-    resolve = cli._resolve_field
-    monkeypatch.setattr(cli, "_resolve_field", lambda spec: (
+    resolve = expr.field_from_expression
+    monkeypatch.setattr(expr, "field_from_expression", lambda spec: (
         far_breaking_field(spec[4:]) if spec.startswith("far:") else resolve(spec)))
     pfile = tmp_path / "problem.json"
     pfile.write_text(json.dumps({**GOOD_PROBLEM, **problem}))

@@ -347,3 +347,20 @@ def test_predicted_qv_refuses_a_limit_pole_between_the_spot_checks():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
         with pytest.raises(DomainError, match="limit"):
             predicted_qv(fseq, "curved", 12)
+
+
+def test_x_from_spec_builds_a_preset_or_reads_a_file(tmp_path):
+    x, fseq = construct.x_from_spec("preset:fig1-left", 8)
+    assert fseq is preset("fig1-left")
+    assert np.array_equal(x.values, build_x(fseq, 8).values)
+    path = tmp_path / "x.json"
+    x.to_file(path)
+    back, none = construct.x_from_spec(str(path), 6)  # a file may be finer than asked
+    assert none is None and back.level == 8
+    assert np.array_equal(back.values, x.values)
+    with pytest.raises(DomainError, match="level 8 below requested 10"):
+        construct.x_from_spec(str(path), 10)
+    with pytest.raises(DomainError, match="unknown preset 'nope'"):
+        construct.x_from_spec("preset:nope", 8)
+    with pytest.raises(OSError):
+        construct.x_from_spec(str(tmp_path / "missing.csv"), 8)

@@ -230,6 +230,14 @@ def test_json_round_trip(tmp_path):
     assert np.array_equal(back.values, x.values)
 
 
+def test_json_integer_beyond_the_float_range_is_refused(tmp_path):
+    f = tmp_path / "x.json"
+    f.write_text('{"level": 1, "values": [0, 1' + "0" * 400 + ', 1]}')
+    for cls in (SampledPath, BVDriver):
+        with pytest.raises(DomainError, match="path values must be finite"):
+            cls.from_file(str(f))
+
+
 @pytest.mark.parametrize("name", ["x.csv", "x.json"])
 def test_to_file_round_trips_through_from_file(tmp_path, name):
     x = build_x(preset("fig2-left"), 7)

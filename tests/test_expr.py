@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathqv import DomainError, Expression, evaluate_constant, field_from_expression
+from pathqv.expr import sequence_from_expression
 
 
 def test_arithmetic_and_precedence():
@@ -296,3 +297,30 @@ def test_nesting_cap():
         assert np.all(np.isfinite(flow_with_derivatives(field, 0.5, 1.5, 0.01)))
     with pytest.raises(DomainError):
         Expression("(" * 300 + "xi" + ")" * 300)  # Python's parser refuses 300 parentheses
+
+
+def test_field_from_expression_names_the_built_in_sqrt1p_field():
+    from pathqv import flow, sqrt1p_field
+
+    field, builtin = field_from_expression("sqrt1p"), sqrt1p_field()
+    assert field.name == "sqrt1p" and field.time_free
+    assert field.exact_flow is builtin.exact_flow  # the closed form, not DP45
+    xi = np.array([-1.0, 0.0, 0.3])
+    assert np.array_equal(flow(field, 0.0, xi, 0.5), flow(builtin, 0.0, xi, 0.5))
+
+
+def test_sequence_from_expression_bounds_f_by_its_level_10_maximum():
+    from pathqv.construct import SPOT_GRID
+
+    fseq = sequence_from_expression("sin(7*t)^2")
+    f = Expression("sin(7*t)^2", ("t",))
+    assert fseq.name == "sin(7*t)^2"
+    assert fseq.uniform_bound == float(np.max(np.abs(f(SPOT_GRID)))) * (1.0 + 1e-3)
+    t = np.array([0.1, 0.3, 0.7])
+    assert np.array_equal(fseq.term(5, t), f(t))
+    assert np.array_equal(fseq.limit(t), f(t))
+    # 0.5 is a point of the level-10 grid
+    with pytest.raises(DomainError, match="is not finite on"):
+        sequence_from_expression("1/(t-0.5)")
+    with pytest.raises(DomainError, match="unknown name 'xi'"):
+        sequence_from_expression("xi")

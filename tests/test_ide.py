@@ -1,4 +1,7 @@
+import json
+import os
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -33,7 +36,7 @@ from pathqv import (
     verify_local_qv,
 )
 from pathqv.flow import RTOL, flow_derivatives
-from pathqv.ide import PICARD_TOL, _newton_step
+from pathqv.ide import PICARD_TOL, _newton_step, read_problem
 
 LEVEL = 12
 
@@ -72,6 +75,17 @@ def test_rejects_nonzero_start():
             field=constant_field(1.0), drift=lambda t, xi: 0.0 * xi,
             driver_A=BVDriver.identity(3), x=bad,
             qv_x=QVCurve.from_function(lambda t: t, 3), z0=0.0,
+        )
+
+
+@pytest.mark.parametrize("z0", [np.nan, np.inf, 10**400, -(2**1024)])
+def test_rejects_a_z0_that_is_not_a_finite_float(z0):
+    # an int beyond the float range is refused like inf, not with OverflowError
+    with pytest.raises(DomainError, match="z0 must be finite"):
+        IDEProblem(
+            field=constant_field(1.0), drift=lambda t, xi: 0.0,
+            driver_A=BVDriver.identity(3), x=SampledPath(3, np.zeros(9)),
+            qv_x=QVCurve.from_function(lambda t: t, 3), z0=z0,
         )
 
 
@@ -832,3 +846,107 @@ def test_a_block_of_b_that_is_not_finite_is_refused():
         y[3] = bad
         with pytest.raises(FlowIntegrationError, match="must be finite"):
             ide._block(prob, 6, paths, 8, 13, y, np.empty(5), np.empty(5))
+
+
+# -- problem files -------------------------------------------------------------
+
+GOOD_PROBLEM = {"sigma": "sqrt1p", "b": "0.5*xi", "A": "t", "x": "preset:one",
+                "z0": 0.4, "level": 6, "qv": "t"}
+
+
+def write_problem(directory, doc):
+    path = os.path.join(directory, "problem.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def test_read_problem_builds_the_problem_that_a_file_describes(tmp_path):
+    afile = tmp_path / "A.json"
+    BVDriver(6, 2.0 * grid_points(6)).to_file(afile)
+    problem, level = read_problem(write_problem(
+        tmp_path, {**GOOD_PROBLEM, "b": 0.5, "A": str(afile), "z0": 2}))
+    assert level == 6
+    assert problem.field.name == "sqrt1p"
+    assert problem.drift.src == "0.5" and problem.drift(0.3, 1.0) == 0.5
+    assert type(problem.z0) is float and problem.z0 == 2.0
+    assert np.array_equal(problem.x.values, build_x(preset("one"), 6).values)
+    assert type(problem.driver_A) is BVDriver
+    assert np.array_equal(problem.driver_A.values, 2.0 * grid_points(6))
+    assert np.array_equal(problem.qv_x.values, grid_points(6))
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"Qv": "t"}, "unknown key 'Qv'"),
+    ({"z0": "0.3"}, "z0 must be a number, got '0.3'"),
+    ({"z0": True}, "z0 must be a number, got True"),
+    ({"x": "a\0b"}, "x holds a NUL character"),
+    ({"A": "a\0b"}, "A holds a NUL character"),
+    ({"level": 2.0}, "level must be an integer, got 2.0"),
+])
+def test_read_problem_refuses_a_bad_key_or_value(tmp_path, change, message):
+    with pytest.raises(DomainError, match=message):
+        read_problem(write_problem(tmp_path, {**GOOD_PROBLEM, **change}))
+
+
+def test_read_problem_names_the_first_missing_key(tmp_path):
+    doc = {k: v for k, v in GOOD_PROBLEM.items() if k not in ("b", "qv")}
+    with pytest.raises(DomainError, match="missing key 'b'"):
+        read_problem(write_problem(tmp_path, doc))
+
+
+# Values a problem file may hold where a number, a name or a path belongs:
+# ints beyond the float range, strings that look like numbers, NaN and the
+# infinities (which Python's json reads), bools, null and lists.
+_ODD = st.one_of(st.sampled_from([10**400, -(10**400), 2**1024]), st.floats(),
+                 st.text("0123456789_.e+-xi ", max_size=6), st.booleans(), st.none(),
+                 st.lists(st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def problem_docs(draw):
+    """A problem dict with some values swapped for others, some keys
+    dropped and unknown keys added; "{dir}" stands for the directory that
+    holds a level-8 driver A.json, a level-4 path x.json and a level-1 path
+    big.json with an int beyond the float range."""
+    doc = dict(GOOD_PROBLEM)
+    choices = {
+        "sigma": st.sampled_from(["sqrt1p", "1", "2+cos(xi)", "1/xi", "sqrt(xi)", "sqrt1p "]),
+        "b": st.sampled_from(["0", "exp(xi^2)", "1e999", "1/(xi-7)"]),
+        "A": st.sampled_from(["t", "{dir}/A.json", "{dir}/x.json", "{dir}/big.json",
+                              "{dir}/missing.csv", "a\0b", ""]),
+        "x": st.sampled_from(["preset:one", "preset:fig2-right", "preset:nope",
+                              "{dir}/x.json", "{dir}/big.json", "{dir}/missing.csv", "a\0b"]),
+        "z0": st.sampled_from([0, -3, 2.5, 1e308, 10**400, -(2**1024)]),
+        "level": st.sampled_from([0, 4, 6, 8, -1, 21, 10**400]),
+        "qv": st.sampled_from(["t", "analytic", "empirical", "quadratic"]),
+    }
+    for key, values in choices.items():
+        swap = draw(st.sampled_from(["keep", "keep", "choice", "choice", "odd"]))
+        if swap != "keep":
+            doc[key] = draw(values if swap == "choice" else _ODD)
+    if draw(st.integers(0, 7)) == 0:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    if draw(st.integers(0, 7)) == 0:
+        doc[draw(st.text("QVZ_", min_size=1, max_size=3))] = draw(_ODD)
+    return doc
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(doc=problem_docs())
+def test_read_problem_returns_a_problem_or_raises_domain_error(doc):
+    with tempfile.TemporaryDirectory() as directory:
+        BVDriver.identity(8).to_file(os.path.join(directory, "A.json"))
+        build_x(preset("one"), 4).to_file(os.path.join(directory, "x.json"))
+        with open(os.path.join(directory, "big.json"), "w", encoding="utf-8") as fh:
+            fh.write('{"level": 1, "values": [0, 1' + "0" * 400 + ", 1]}")
+        doc = {k: v.replace("{dir}", directory) if isinstance(v, str) else v
+               for k, v in doc.items()}
+        path = write_problem(directory, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+            try:
+                problem, level = read_problem(path)
+            except (DomainError, OSError):
+                return
+    assert isinstance(problem, IDEProblem) and type(level) is int

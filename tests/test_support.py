@@ -375,3 +375,21 @@ def test_quotients_refuse_f_that_is_not_finite_at_t(what):
     c = coefficients_x(f, 12)
     with pytest.raises(DomainError, match=rf"^{what}\(0\.300048828125\) is not finite$"):
         nondiff_quotients(c, f, T_OFF, 12)
+
+
+def test_round_trip_error_is_the_gap_of_a_solve_with_the_matched_drift():
+    # the drift is matched at level 10 to a level-12 target, which the
+    # round trip reads on the drift's grid
+    field = field_from_expression("1+0.3*sin(xi)")
+    x = build_x(preset("one"), 12)
+    target = SampledPath(12, 0.3 * np.sin(3.0 * grid_points(12)) + 0.1)
+    bpath = match_path(target, field, x, 10)
+    err = support.round_trip_error(target, bpath, field, x)
+    B = target.restrict(10)
+    problem = IDEProblem(field=field, drift=drift_from_path(bpath),
+                         driver_A=BVDriver.identity(10), x=x.restrict(10),
+                         qv_x=QVCurve.from_function(lambda t: t, 10), z0=0.1)
+    phi, _, _, _ = flow_with_derivatives(field, grid_points(10), B.values,
+                                         x.restrict(10).values)
+    assert err == float(np.max(np.abs(solve_ide(problem, 10).z.values - phi)))
+    assert 0.0 < err <= 5e-3
