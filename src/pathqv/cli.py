@@ -30,8 +30,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .construct import PRESETS
-from .dyadic import DEFAULT_LEVEL
+from .dyadic import DEFAULT_LEVEL, MAX_LEVEL
 from .errors import DomainError, NumericalError
 
 def _fmt(v):
@@ -39,8 +38,9 @@ def _fmt(v):
 
 
 def _parse_levels(spec, top):
-    """--levels as a list of levels, each checked against ``top``, the level
-    of the path(s) read, so that a bad entry fails before any output."""
+    """--levels as a list of levels, each checked against ``top`` (the level
+    of the path(s) read, or MAX_LEVEL), so that a bad entry fails before any
+    output."""
     from .dyadic import _check_level
 
     try:
@@ -58,9 +58,9 @@ def _parse_levels(spec, top):
 def _resolve_fseq(args):
     from .construct import preset
 
-    if getattr(args, "preset", None):
+    if args.preset is not None:
         return preset(args.preset)
-    if getattr(args, "f", None):
+    if args.f is not None:
         from .expr import sequence_from_expression  # here, so that --preset loads no expr
 
         return sequence_from_expression(args.f)
@@ -115,13 +115,14 @@ def _report_cov(kind, x, y, levels, out, extra=None):
 
 
 def _cmd_qv(args):
-    from .construct import predicted_qv, preset
     from .dyadic import SampledPath
 
     path = SampledPath.from_file(args.infile)
     levels = _parse_levels(args.levels, path.level)
     pred = None
     if args.predicted:
+        from .construct import predicted_qv, preset
+
         name, _, kind = args.predicted.partition(":")
         pred = ("predicted", predicted_qv(preset(name), kind or "curved", min(levels)).values)
     return _report_cov("qv", path, path, levels, args.out, pred)
@@ -150,16 +151,12 @@ def _cmd_integrate(args):
 
 def _cmd_ito_check(args):
     from .construct import x_from_spec
-    from .dyadic import SampledPath
     from .expr import Expression
     from .follmer import ito_residual
 
-    # --level is the synthesis level of a preset; a file keeps its own
-    if args.x.startswith("preset:"):
-        x, _ = x_from_spec(args.x, args.level)
-    else:
-        x = SampledPath.from_file(args.x)
-    levels = _parse_levels(args.levels, x.level)
+    # a preset is built at the finest level; a file must reach it
+    levels = _parse_levels(args.levels, MAX_LEVEL)
+    x, _ = x_from_spec(args.x, max(levels))
     F = Expression(args.F, ("xi",))
     dF = F.diff("xi")
     d2F = dF.diff("xi")
@@ -295,9 +292,14 @@ def _cmd_figures(args):
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # refused argv: one error: line and exit 2, as a bad value
+        raise DomainError(message)
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(
-        prog="pathqv",
+    p = _Parser(
+        prog="pathqv", allow_abbrev=False,
         description="Paths with prescribed quadratic variation and pathwise "
                     "Ito differential equations on dyadic grids.",
     )
@@ -305,18 +307,18 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_):
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         sp.set_defaults(func=fn)
         return sp
 
     sp = add("synth-x", _cmd_synth_x, "synthesize a curved-QV path from f")
-    sp.add_argument("--preset", choices=PRESETS)
+    sp.add_argument("--preset", help="preset name, e.g. fig1-left")
     sp.add_argument("--f", help="expression f(t), used for every row")
     sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
     sp.add_argument("--out", required=True)
 
     sp = add("synth-y", _cmd_synth_y, "synthesize a linear-QV path from f and alpha")
-    sp.add_argument("--preset", choices=PRESETS)
+    sp.add_argument("--preset", help="preset name, e.g. fig1-left")
     sp.add_argument("--f", help="expression f(t)")
     sp.add_argument("--alpha", default="e", help="rotation number (expression, e.g. 10*e)")
     sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
@@ -343,16 +345,14 @@ def _build_parser():
     sp = add("ito-check", _cmd_ito_check, "pathwise Ito-formula residuals")
     sp.add_argument("--x", required=True, help="path file or preset:NAME")
     sp.add_argument("--F", required=True, help="expression in xi, e.g. xi^3")
-    sp.add_argument("--levels", default="8,12,14")
-    sp.add_argument("--level", type=int, default=DEFAULT_LEVEL,
-                    help="synthesis level when --x is a preset")
+    sp.add_argument("--levels", default="8,10,12", help="a preset x is built at the finest")
 
     sp = add("flow-check", _cmd_flow_check, "flow identity suite for a field")
     sp.add_argument("--sigma", required=True, help="'sqrt1p' or expression in t, xi")
 
     sp = add("solve", _cmd_solve, "solve a pathwise Ito equation (problem JSON)")
     sp.add_argument("--problem", required=True)
-    sp.add_argument("--scheme", choices=("picard", "tonelli"), default="picard")
+    sp.add_argument("--scheme", default="picard", help="picard or tonelli")
     sp.add_argument("--tonelli-n", type=int, default=64)
     sp.add_argument("--out-b")
     sp.add_argument("--out-z")
@@ -374,7 +374,7 @@ def _build_parser():
     sp.add_argument("--out", required=True)
 
     sp = add("diagnose", _cmd_diagnose, "difference-quotient divergence report")
-    sp.add_argument("--preset", required=True, choices=PRESETS)
+    sp.add_argument("--preset", required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--n-max", type=int, default=14)
     sp.add_argument("--out")
@@ -386,19 +386,17 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args) or 0
-    except (DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SystemExit as exc:  # --help and --version
+        return exc.code
+    except (DomainError, OSError) as exc:  # one line, even for a word holding a newline
+        print("error:", str(exc).replace("\n", "\\n"), file=sys.stderr)
         return 2
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        for i, d in enumerate(getattr(exc, "trace", [])):
+        print("numerical failure:", str(exc).replace("\n", "\\n"), file=sys.stderr)
+        for i, d in enumerate(exc.trace):
             print(f"  defect[{i}] = {d:.6e}", file=sys.stderr)
         return 3
 

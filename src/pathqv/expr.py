@@ -212,8 +212,6 @@ def _mul(a, b):
 def _div(a, b):
     if a == ("num", 0.0):
         return _num(0.0)
-    if b == ("num", 1.0):
-        return a
     return ("div", a, b)
 
 

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import pathqv.cli as cli
 import pathqv.construct as construct
@@ -24,11 +25,12 @@ def run(args):
 
 def test_unknown_subcommand_usage_exit(capsys):
     assert run(["frobnicate"]) == 2
-    capsys.readouterr()
+    assert "invalid choice: 'frobnicate'" in assert_one_line_error(capsys)
 
 
-def test_missing_required_flag():
+def test_missing_required_flag(capsys):
     assert run(["synth-x", "--level", "8"]) == 2
+    assert "required: --out" in assert_one_line_error(capsys)
 
 
 def test_synth_and_qv_line(tmp_path, capsys):
@@ -193,8 +195,7 @@ def test_ito_check_non_finite_F_exit_2(capsys):
     # the preset path starts at 0, where 1/xi is infinite
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert run(["ito-check", "--x", "preset:one", "--F", "1/xi", "--levels", "8",
-                    "--level", "8"]) == 2
+        assert run(["ito-check", "--x", "preset:one", "--F", "1/xi", "--levels", "8"]) == 2
     assert_one_line_error(capsys)
 
 
@@ -202,14 +203,14 @@ def test_ito_check_nan_exponent_exit_2(capsys):
     # differentiating F evaluates its constant exponent, here (0-1)^0.5 = NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
-        assert run(["ito-check", "--x", "preset:one", "--F", "xi^((0-1)^0.5)", "--levels", "6",
-                    "--level", "6"]) == 2
+        assert run(["ito-check", "--x", "preset:one", "--F", "xi^((0-1)^0.5)",
+                    "--levels", "6"]) == 2
     assert_one_line_error(capsys)
 
 
 def test_ito_check_command(capsys):
     assert run(["ito-check", "--x", "preset:fig1-left", "--F", "xi^2",
-                "--levels", "8,10", "--level", "10"]) == 0
+                "--levels", "8,10"]) == 0
     out = capsys.readouterr().out
     vals = [abs(float(line.rsplit(":", 1)[1])) for line in out.strip().splitlines()]
     assert max(vals) <= 1e-12
@@ -480,27 +481,27 @@ import contextlib, io, sys
 def loaded(stage):
     print(stage, *sorted(m for m in sys.modules if m.split(".")[0] == "pathqv"))
 
-def run(*argv):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert pathqv.cli.main(list(argv)) == 0, argv
+x, y = sys.argv[1:3]
+COMMANDS = {
+    "--version": ["--version"],
+    "cov": ["cov", "--in", x, "--in2", x, "--levels", "6"],
+    "qv": ["qv", "--in", x, "--levels", "6"],
+    "flow-check": ["flow-check", "--sigma", "sqrt1p"],
+    "diagnose": ["diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6"],
+    "synth-x": ["synth-x", "--preset", "one", "--level", "6", "--out", y],
+    "ito-check": ["ito-check", "--x", x, "--F", "xi^2", "--levels", "6"],
+}
 
 import pathqv
 loaded("package")
 import pathqv.cli
 loaded("import")
-run("--version")
-loaded("--version")
-print("presets built", len(pathqv.construct._built_presets))
-run("diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6")
-loaded("diagnose")
-run("synth-x", "--preset", "one", "--level", "6", "--out", sys.argv[2])
-loaded("synth-x")
-run("cov", "--in", sys.argv[1], "--in2", sys.argv[1], "--levels", "6")
-loaded("cov")
-run("flow-check", "--sigma", "sqrt1p")
-loaded("flow-check")
-run("ito-check", "--x", sys.argv[1], "--F", "xi^2", "--levels", "6")
-loaded("ito-check")
+for stage in sys.argv[3:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert pathqv.cli.main(COMMANDS[stage]) == 0, stage
+    loaded(stage)
+    if stage == "diagnose":
+        print("presets built", len(pathqv.construct._built_presets))
 """
 
 
@@ -510,26 +511,42 @@ def test_a_cold_command_loads_only_the_modules_it_uses(tmp_path):
     path = tmp_path / "x.csv"
     SampledPath.from_function(lambda t: t, 6).to_csv(path)
     src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path),
-                          str(tmp_path / "y.csv")], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    stages = dict(line.split(" ", 1) for line in out.splitlines())
+
+    def probe(*stages):  # the commands run one after another in one process
+        out = subprocess.run([sys.executable, "-c", STARTUP_PROBE, str(path),
+                              str(tmp_path / "y.csv"), *stages], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}).stdout
+        return dict(line.split(" ", 1) for line in out.splitlines())
+
+    def sets(stages):
+        return {stage: set(names.split()) for stage, names in stages.items() if stage != "presets"}
+
     package = {"pathqv", "pathqv.errors", "pathqv.flow"}
-    # building the parser imports construct for its PRESETS, the --preset choices
-    parser = package | {"pathqv.cli", "pathqv.construct", "pathqv.dyadic", "pathqv.schauder"}
-    assert {stage: set(names.split()) for stage, names in stages.items() if stage != "presets"} == {
+    # the parser checks no preset or scheme name, so it loads no construct
+    parser = package | {"pathqv.cli", "pathqv.dyadic"}
+    cov = parser | {"pathqv.quadvar"}
+    assert sets(probe("--version", "cov", "qv", "flow-check")) == {
         "package": package,
         "import": parser,
         "--version": parser,
-        "diagnose": parser,
-        # --preset reads no expression, so it loads no expr (--f does)
-        "synth-x": parser,
-        "cov": parser | {"pathqv.quadvar"},
-        "flow-check": parser | {"pathqv.quadvar", "pathqv.expr"},
-        "ito-check": parser | {"pathqv.quadvar", "pathqv.expr", "pathqv.follmer"},
+        "cov": cov,
+        # qv without --predicted and flow-check load no construct either
+        "qv": cov,
+        "flow-check": cov | {"pathqv.expr"},
     }
-    assert stages["presets"] == "built 0"
+    stages = probe("diagnose", "synth-x", "ito-check")
+    construct = parser | {"pathqv.construct", "pathqv.schauder"}
+    assert sets(stages) == {
+        "package": package,
+        "import": parser,
+        "diagnose": construct,
+        # --preset reads no expression, so it loads no expr (--f does)
+        "synth-x": construct,
+        "ito-check": construct | {"pathqv.expr", "pathqv.follmer"},
+    }
+    # a preset is built on its first lookup, and only that one
+    assert stages["presets"] == "built 1"
 
 
 def test_missing_input_file_exit_2(tmp_path, capsys):
@@ -630,7 +647,7 @@ def test_synth_constant_f_writes_a_path(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["qv", "--in", "{x8}", "--levels", "6,9"],
     ["cov", "--in", "{x8}", "--in2", "{x10}", "--levels", "6,9"],
-    ["ito-check", "--x", "preset:fig1-left", "--F", "xi^3", "--levels", "8,12,14"],
+    ["ito-check", "--x", "{x8}", "--F", "xi^3", "--levels", "6,9"],
 ])
 def test_levels_are_checked_before_any_output(tmp_path, capsys, argv):
     paths = {"x8": tmp_path / "x8.csv", "x10": tmp_path / "x10.csv"}
@@ -644,7 +661,7 @@ def test_levels_are_checked_before_any_output(tmp_path, capsys, argv):
 
 
 def test_ito_check_reads_a_file_at_its_own_level(tmp_path, capsys):
-    # --level (default 12) is the synthesis level of a preset, not a file's
+    # a file is read at its own level, which must reach the finest of --levels
     x10 = tmp_path / "x10.csv"
     run(["synth-x", "--preset", "fig1-left", "--level", "10", "--out", str(x10)])
     capsys.readouterr()
@@ -846,3 +863,259 @@ def test_solve_non_finite_b_in_a_tonelli_cell_exit_3_in_one_line(tmp_path, capsy
         assert run(["solve", "--problem", str(pfile), "--scheme", "tonelli",
                     "--tonelli-n", "64"]) == 3
     assert "z0 + S(B) is not finite" in assert_one_line_error(capsys, "numerical failure: ")
+
+
+# -- one error path for every argv ---------------------------------------------
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["solve", "--problem", "p.json", "--tonelli-n", "abc"], "invalid int value: 'abc'"),
+    # flags are never abbreviated: --tonelli is not --tonelli-n
+    (["solve", "--problem", "p.json", "--tonelli", "8"], "unrecognized arguments: --tonelli 8"),
+    (["ito-check", "--x", "preset:one", "--F", "xi^2", "--level", "8"],
+     "unrecognized arguments: --level 8"),
+    (["cov", "--in", "x.csv", "--in2", "y.csv", "--bogus"], "unrecognized arguments: --bogus"),
+    # argparse joins the words it does not know as they are
+    (["flow-check", "--sigma", "1", "a\nb"], "unrecognized arguments: a\\nb"),
+])
+def test_argv_refused_by_argparse_exit_2_in_one_line(capsys, argv, message):
+    assert run(argv) == 2
+    assert message in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out and captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth-x", "--preset", "bogus", "--out", "x.csv"],
+    ["synth-y", "--preset", "bogus", "--out", "y.csv"],
+    ["diagnose", "--preset", "bogus", "--t", "0.3"],
+    ["qv", "--in", "{x}", "--levels", "6", "--predicted", "bogus:curved"],
+    ["ito-check", "--x", "preset:bogus", "--F", "xi^2", "--levels", "6"],
+])
+def test_unknown_preset_gets_the_library_line(tmp_path, capsys, argv):
+    x = tmp_path / "x.csv"
+    build_x(preset("one"), 6).to_csv(x)
+    assert run([a.format(x=x) for a in argv]) == 2
+    err = assert_one_line_error(capsys)
+    assert err == f"error: unknown preset 'bogus'; available: {', '.join(construct.PRESETS)}\n"
+
+
+def test_unknown_scheme_gets_the_library_line(tmp_path, capsys):
+    pfile = tmp_path / "problem.json"
+    pfile.write_text(json.dumps(GOOD_PROBLEM))
+    assert run(["solve", "--problem", str(pfile), "--scheme", "bogus"]) == 2
+    assert assert_one_line_error(capsys) == (
+        "error: scheme must be 'picard' or 'tonelli', got 'bogus'\n")
+
+
+def test_ito_check_default_levels_on_a_preset_and_a_level_12_file(tmp_path, capsys):
+    # a preset x is built at the finest of --levels (default 8,10,12), and
+    # build_x(f, L).restrict(n) is build_x(f, n), so the residuals are those
+    # of any higher synthesis level
+    x12 = tmp_path / "x12.csv"
+    build_x(preset("fig1-left"), 12).to_csv(x12)
+    assert run(["ito-check", "--x", "preset:fig1-left", "--F", "xi^2"]) == 0
+    from_preset = capsys.readouterr().out
+    assert run(["ito-check", "--x", str(x12), "--F", "xi^2"]) == 0
+    assert capsys.readouterr().out == from_preset
+    assert [line.split(" level ")[1].split(":")[0] for line in from_preset.splitlines()] == [
+        "8", "10", "12"]
+    assert run(["ito-check", "--x", "preset:fig1-left", "--F", "xi^2",
+                "--levels", "8,10,12,14"]) == 0
+    assert capsys.readouterr().out.splitlines()[:3] == from_preset.splitlines()
+
+
+def test_synth_without_preset_or_f_exit_2(tmp_path, capsys):
+    assert run(["synth-x", "--level", "6", "--out", str(tmp_path / "x.csv")]) == 2
+    assert assert_one_line_error(capsys) == "error: need --preset or --f\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_diagnose_without_out_prints_the_table(tmp_path, capsys):
+    out = tmp_path / "diag.csv"
+    assert run(["diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6",
+                "--out", str(out)]) == 0
+    written = capsys.readouterr().out.splitlines()
+    assert run(["diagnose", "--preset", "one", "--t", "0.3", "--n-max", "6"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == out.read_text().splitlines() + written[1:]
+
+
+def test_module_entry_point_runs_in_a_process():
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def cli_process(*argv):
+        return subprocess.run([sys.executable, "-m", "pathqv.cli", *argv],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+
+    version = cli_process("--version")
+    assert (version.returncode, version.stdout.split()[0], version.stderr) == (0, "pathqv", "")
+    refused = cli_process("solve", "--tonelli", "8")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1
+    assert "usage:" not in refused.stderr and "Traceback" not in refused.stderr
+
+
+# argv fuzzing: every command with its flags, an unknown word or flag, a
+# prefix of a real flag, and values that are valid or malformed; {name}
+# stands for a file in the test's directory
+
+_MALFORMED = ["", "x", "nan", "1e999", "-1", "21", "1_0", "**", "{missing}", "a\nb"]
+# valid values, by kind of flag
+_VALID = {
+    "level": ["4", "5", "6", "7", "8"],
+    "levels": ["4", "6", "8", "4,6", "8,6"],
+    "preset": list(construct.PRESETS),
+    "expr": ["sqrt1p", "1+0.3*sin(xi)", "xi^2", "e", "0.5"],
+    "number": ["0", "0.25", "0.5"],
+    "path": ["{x}", "{x_json}", "{b}"],
+    "x": ["preset:one", "preset:fig1-left", "{x}"],
+    "problem": ["{problem}"],
+    "scheme": ["picard", "tonelli"],
+    "predicted": ["one", "fig1-left:curved", "one:linear"],
+    "out": ["{out}"],
+    "dir": ["{dir}"],
+}
+_KINDS = {"--level": "level", "--levels": "levels", "--n-max": "level", "--tonelli-n": "level",
+          "--preset": "preset", "--f": "expr", "--F": "expr", "--sigma": "expr",
+          "--alpha": "expr", "--t": "number", "--z0": "number", "--z1": "number",
+          "--t0": "number", "--in": "path", "--in2": "path", "--eta": "path",
+          "--target": "path", "--x": "x", "--problem": "problem", "--scheme": "scheme",
+          "--predicted": "predicted", "--out": "out", "--out-b": "out", "--out-z": "out",
+          "--trace": "out", "--out-dir": "dir"}
+
+
+def _command_flags():
+    """Each subcommand's flags, read from the parser itself, as (flag, required)."""
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    return {name: [(a.option_strings[0], a.required) for a in sp._actions
+                   if a.option_strings and a.option_strings[0] in _KINDS]
+            for name, sp in sub.choices.items()}
+
+
+_FLAGS = _command_flags()
+
+
+@st.composite
+def _argvs(draw):
+    def one_in(n):
+        return draw(st.integers(0, n - 1)) == 0
+
+    command = draw(st.sampled_from(list(_FLAGS))) if not one_in(10) else draw(
+        st.sampled_from(["frobnicate", None]))
+    flags = [f for f, _ in _FLAGS.get(command, [])]
+    # a required flag is left out one time in twelve and an optional one in
+    # two; a level flag is always given, as its default (up to 12) exceeds 8
+    chosen = [f for f, required in _FLAGS.get(command, [])
+              if f in ("--level", "--levels") or not one_in(12 if required else 2)]
+    long_flags = [f for f in flags if len(f) > 3]
+    if long_flags and one_in(8):
+        flag = draw(st.sampled_from(long_flags))
+        prefix = flag[:draw(st.integers(3, len(flag) - 1))]
+        if prefix not in flags:
+            chosen.append(prefix)
+    if one_in(8):
+        chosen.append("--bogus")
+    words = [command] if command else []
+    for flag in draw(st.permutations(chosen)):
+        kind = next((_KINDS[f] for f in flags if f.startswith(flag)), "number")
+        if not one_in(10):
+            words += [flag, draw(st.sampled_from(_VALID[kind]))]
+        elif kind in ("level", "levels"):
+            # int() reads "1_0" as 10: kept off levels, so that no level
+            # above 8 reaches synthesis
+            words += [flag, draw(st.sampled_from([v for v in _MALFORMED if v != "1_0"]))]
+        else:
+            words += [flag, draw(st.sampled_from(_MALFORMED))]
+    if words and one_in(20):
+        words.pop()  # a flag left without its value
+    return words
+
+
+@pytest.fixture
+def argv_files(tmp_path):
+    x = build_x(preset("fig1-left"), 8)
+    files = {"x": tmp_path / "x.csv", "x_json": tmp_path / "x.json", "b": tmp_path / "b.csv",
+             "problem": tmp_path / "problem.json", "missing": tmp_path / "missing.csv",
+             "out": tmp_path / "out.csv", "dir": tmp_path}
+    x.to_csv(files["x"])
+    x.to_json(files["x_json"])
+    SampledPath.from_function(lambda t: 0.3 * np.cos(t), 8).to_csv(files["b"])
+    files["problem"].write_text(json.dumps({**GOOD_PROBLEM, "level": 8}))
+    return files
+
+
+@pytest.fixture
+def checked_run(argv_files, monkeypatch, capsys):
+    """Runs main(argv) with warnings as errors, checks its exit code and
+    stderr against the rule for that code, checks that no path above level
+    8 was synthesized, and returns the exit code."""
+    monkeypatch.chdir(argv_files["dir"])  # where a malformed --out such as "x" is written
+    synthesized = []
+    for name in ("build_x", "build_y"):
+        def guarded(*args, build=getattr(construct, name)):
+            path = build(*args)
+            synthesized.append(path.level)
+            return path
+        monkeypatch.setattr(construct, name, guarded)
+
+    def checked(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([a.format(**argv_files) for a in argv])
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert code in (0, 2, 3)
+        if code == 2:
+            assert len(lines) == 1 and lines[0].startswith("error: ")
+        if code == 3:
+            assert lines[0].startswith("numerical failure: ")
+            assert all(line.startswith("  defect[") for line in lines[1:])
+        assert "Traceback" not in err
+        assert max(synthesized, default=0) <= 8
+        return code
+
+    return checked
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus"], ["synth-x"],
+    ["synth-x", "--level", "x", "--out", "{out}"],
+    ["synth-x", "--preset", "one", "--level", "21", "--out", "{out}"],
+    ["synth-x", "--preset", "one", "--lev", "6", "--out", "{out}"],
+    ["synth-y", "--preset", "one", "--alpha", "nan", "--level", "6", "--out", "{out}"],
+    ["synth-y", "--f", "**", "--level", "6", "--out", "{out}"],
+    ["qv", "--in", "{missing}"],
+    ["qv", "--in", "{x}", "--levels", "1e999"],
+    ["qv", "--in", "{x}", "--levels", "6", "--predicted", "one:bogus"],
+    ["cov", "--in", "{x}"],
+    ["integrate", "--eta", "{x}", "--x", "{x}", "--t", "x"],
+    ["ito-check", "--x", "preset:one", "--F", "", "--levels", "6"],
+    ["ito-check", "--x", "{x}", "--F", "xi^2"],
+    ["flow-check", "--sigma", "nan"],
+    ["flow-check", "--sigma"],
+    ["solve", "--problem", "{x}"],
+    ["solve", "--problem", "{problem}", "--tonelli-n", "1e999"],
+    ["solve", "--problem", "{problem}", "--scheme", "tonelli", "--tonelli-n", "3"],
+    ["shoot", "--sigma", "sqrt1p", "--x", "preset:one", "--z0", "0", "--z1", "1e999",
+     "--t0", "0.5", "--level", "6"],
+    ["match", "--target", "{missing}", "--sigma", "1", "--x", "preset:one", "--level", "6",
+     "--out", "{out}"],
+    ["diagnose", "--preset", "one", "--t", "nan"],
+    ["figures", "--out-dir", "{dir}", "--level", "-1"],
+])
+def test_malformed_argv_exit_2_in_one_line(checked_run, argv):
+    assert checked_run(argv) == 2
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argvs())
+def test_any_argv_exits_0_2_or_3_with_the_stderr_of_its_code(checked_run, argv):
+    checked_run(argv)

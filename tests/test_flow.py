@@ -807,6 +807,15 @@ def test_flow_overflow_is_a_flow_error():
     raises_quietly(flow_with_derivatives, sqrt1p_field(), 0.0, 1e200, 1.0)
 
 
+def test_python_float_overflow_in_a_field_is_a_flow_error():
+    # a float ** raises OverflowError where numpy would give inf; the flow
+    # turns it into its own error
+    field = VolatilityField(sigma=lambda t, xi: xi ** 2, sigma_t=lambda t, xi: 0.0,
+                            sigma_xi=lambda t, xi: 2.0 * xi)
+    with pytest.raises(FlowIntegrationError, match="overflow during flow integration"):
+        flow(field, 0.0, 1e200, 1.0)
+
+
 def test_scalar_linear_field_refuses_a_pole_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning would raise

@@ -950,3 +950,36 @@ def test_read_problem_returns_a_problem_or_raises_domain_error(doc):
             except (DomainError, OSError):
                 return
     assert isinstance(problem, IDEProblem) and type(level) is int
+
+
+def test_solve_without_a_level_works_at_the_coarsest_component_level():
+    prob = IDEProblem(field=constant_field(1.0), drift=lambda t, xi: -0.5 * xi,
+                      driver_A=BVDriver.identity(6), x=build_x(preset("one"), 8),
+                      qv_x=QVCurve.from_function(lambda t: t, 7), z0=0.3)
+    sol = solve_ide(prob)
+    at_6 = solve_ide(prob, 6)
+    assert sol.z.level == sol.B.level == 6
+    assert np.array_equal(sol.z.values, at_6.z.values)
+    assert np.array_equal(sol.B.values, at_6.B.values)
+
+
+def test_solve_refuses_an_unknown_scheme_and_an_initial_off_the_grid():
+    prob = linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi,
+                             build_x(preset("one"), 6), 0.3, 6)
+    with pytest.raises(DomainError, match="scheme must be 'picard' or 'tonelli', got 'bogus'"):
+        solve_ide(prob, 6, scheme="bogus")
+    with pytest.raises(DomainError, match="initial iterate must live on the working grid"):
+        solve_ide(prob, 6, initial=np.zeros(2**5 + 1))
+
+
+def test_read_problem_refuses_a_json_list(tmp_path):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps([GOOD_PROBLEM]))
+    with pytest.raises(DomainError, match="expected a JSON object"):
+        read_problem(str(path))
+
+
+def test_langevin_closed_form_without_drift_is_z0_plus_sigma0_x():
+    x = build_x(preset("fig1-left"), 8)
+    z = langevin_closed_form(x, 0.7, 0.0, 0.5)
+    assert np.array_equal(z.values, 0.5 + 0.7 * x.values)
