@@ -25,6 +25,7 @@ loads and compiles no module it does not use.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 import numpy as np
@@ -37,6 +38,25 @@ def _fmt(v):
     return f"{v:.17g}"
 
 
+def _number(pattern, kind):
+    """An argparse type that reads with ``kind`` only the text ``pattern``
+    matches in full: int() and float() alone also read Python's literal
+    syntax, "1_0" as 10 and " 6 " as 6."""
+    def read(text):
+        if not pattern.fullmatch(text):
+            raise ValueError(text)
+        return kind(text)
+    read.__name__ = kind.__name__  # argparse's message: invalid int value: '1_0'
+    return read
+
+
+# an integer is an optional sign and ASCII digits; a float a decimal literal,
+# or inf or nan, which the library refuses with its own message
+_integer = _number(re.compile(r"[+-]?[0-9]+"), int)
+_decimal = _number(re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?"
+                              r"|inf|infinity|nan)", re.IGNORECASE), float)
+
+
 def _parse_levels(spec, top):
     """--levels as a list of levels, each checked against ``top`` (the level
     of the path(s) read, or MAX_LEVEL), so that a bad entry fails before any
@@ -44,7 +64,7 @@ def _parse_levels(spec, top):
     from .dyadic import _check_level
 
     try:
-        levels = [int(s) for s in spec.split(",") if s]
+        levels = [_integer(s) for s in spec.split(",") if s]
     except ValueError:
         raise DomainError(f"bad --levels {spec!r}; expected e.g. 8,10,12")
     if not levels:
@@ -272,6 +292,8 @@ def _cmd_figures(args):
     from .quadvar import qv_curve
 
     level = args.level
+    if level < 7:  # the qv7 column reads each path at level 7
+        raise DomainError(f"--level must be at least 7 for figures, got {level}")
     t = grid_points(level)
     for name in ("fig1-left", "fig1-right"):
         fseq = preset(name)
@@ -314,14 +336,14 @@ def _build_parser():
     sp = add("synth-x", _cmd_synth_x, "synthesize a curved-QV path from f")
     sp.add_argument("--preset", help="preset name, e.g. fig1-left")
     sp.add_argument("--f", help="expression f(t), used for every row")
-    sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
+    sp.add_argument("--level", type=_integer, default=DEFAULT_LEVEL)
     sp.add_argument("--out", required=True)
 
     sp = add("synth-y", _cmd_synth_y, "synthesize a linear-QV path from f and alpha")
     sp.add_argument("--preset", help="preset name, e.g. fig1-left")
     sp.add_argument("--f", help="expression f(t)")
     sp.add_argument("--alpha", default="e", help="rotation number (expression, e.g. 10*e)")
-    sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
+    sp.add_argument("--level", type=_integer, default=DEFAULT_LEVEL)
     sp.add_argument("--out", required=True)
 
     sp = add("qv", _cmd_qv, "quadratic variation along dyadic levels")
@@ -339,8 +361,8 @@ def _build_parser():
     sp = add("integrate", _cmd_integrate, "non-anticipative pathwise integral")
     sp.add_argument("--eta", required=True)
     sp.add_argument("--x", required=True)
-    sp.add_argument("--level", type=int)
-    sp.add_argument("--t", type=float, default=1.0)
+    sp.add_argument("--level", type=_integer)
+    sp.add_argument("--t", type=_decimal, default=1.0)
 
     sp = add("ito-check", _cmd_ito_check, "pathwise Ito-formula residuals")
     sp.add_argument("--x", required=True, help="path file or preset:NAME")
@@ -353,35 +375,35 @@ def _build_parser():
     sp = add("solve", _cmd_solve, "solve a pathwise Ito equation (problem JSON)")
     sp.add_argument("--problem", required=True)
     sp.add_argument("--scheme", default="picard", help="picard or tonelli")
-    sp.add_argument("--tonelli-n", type=int, default=64)
+    sp.add_argument("--tonelli-n", type=_integer, default=64)
     sp.add_argument("--out-b")
     sp.add_argument("--out-z")
 
     sp = add("shoot", _cmd_shoot, "find constant drift hitting a target")
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--x", required=True, help="path file or preset:NAME")
-    sp.add_argument("--z0", type=float, required=True)
-    sp.add_argument("--z1", type=float, required=True)
-    sp.add_argument("--t0", type=float, required=True)
-    sp.add_argument("--level", type=int, default=10)
+    sp.add_argument("--z0", type=_decimal, required=True)
+    sp.add_argument("--z1", type=_decimal, required=True)
+    sp.add_argument("--t0", type=_decimal, required=True)
+    sp.add_argument("--level", type=_integer, default=10)
     sp.add_argument("--trace", help="write iteration,b,z CSV here")
 
     sp = add("match", _cmd_match, "drift recovering a target B component")
     sp.add_argument("--target", required=True, help="smooth B path file")
     sp.add_argument("--sigma", required=True)
     sp.add_argument("--x", required=True)
-    sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
+    sp.add_argument("--level", type=_integer, default=DEFAULT_LEVEL)
     sp.add_argument("--out", required=True)
 
     sp = add("diagnose", _cmd_diagnose, "difference-quotient divergence report")
     sp.add_argument("--preset", required=True)
-    sp.add_argument("--t", type=float, required=True)
-    sp.add_argument("--n-max", type=int, default=14)
+    sp.add_argument("--t", type=_decimal, required=True)
+    sp.add_argument("--n-max", type=_integer, default=14)
     sp.add_argument("--out")
 
     sp = add("figures", _cmd_figures, "emit the four preset figure datasets as CSV")
     sp.add_argument("--out-dir", required=True)
-    sp.add_argument("--level", type=int, default=DEFAULT_LEVEL)
+    sp.add_argument("--level", type=_integer, default=DEFAULT_LEVEL)
     return p
 
 

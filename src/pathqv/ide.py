@@ -30,9 +30,8 @@ the resulting discrete fixed-point system:
   flow solve is added.
   Safeguards keep the step bounded: the secant counts only where B moved
   by more than 1e-3 of its largest move (a loose sweep's noise over a
-  tiny move is no slope), each slope is clipped to min(1/2, 8 x the
-  cell's driver mass), and a step that is not finite falls back to the
-  Picard step;
+  tiny move is no slope), each slope is clipped to [-1/2, 1/2], and a
+  step that is not finite falls back to the Picard step;
 * ``tonelli`` builds the delayed iterate with lag 1/n inductively on the
   blocks (k/n, (k+1)/n].  With the lag equal to one grid step the delayed
   sum coincides with the full left-point sum, so the construction then
@@ -86,8 +85,7 @@ from .quadvar import qv_curve
 
 PICARD_TOL = 1e-10
 MAX_PICARD_ITER = 200
-_FORCING = 1e-3  # flow rtol of a Picard sweep per unit of the previous defect
-_SLOPE_CAP = 8.0  # largest trusted slope of a cell per unit of its driver mass
+_FORCING = 1e-5  # flow rtol of a Picard sweep per unit of the previous defect
 _PRODUCT_BLOCK = 512  # cells per cumulative product: 1.5^512 and 2^-512 are normal floats
 # Cells per block of every solve, and per Picard window: a block array of
 # 8192 floats is 64 KiB, under glibc's default 128 KiB mmap threshold, so
@@ -387,7 +385,7 @@ def _solve_window(problem, level, paths, a, b, B, running, exact, trace):
     z0, m, p = problem.z0, B.shape[0] - 1, b - a
     first, defect = len(trace), np.inf
     where = "" if p == 2**level + 1 else f" in the window of cells {a}..{a + m - 1}"
-    B_prev = cells_prev = cap = None
+    B_prev = cells_prev = None
     term = np.empty(m + 1)  # scratch for every sweep's cell terms and defect
     for _ in range(MAX_PICARD_ITER + 1):
         rtol = min(_FORCING, max(RTOL, _FORCING * defect))
@@ -409,9 +407,7 @@ def _solve_window(problem, level, paths, a, b, B, running, exact, trace):
         phi = None  # not needed unless the sweep stops: free it before the next solve
         _finite(NumericalError, _SUM_NOT_FINITE, np.add, S, z0, S)  # z0 + S(B), in place
         if B_prev is not None:
-            if cap is None:
-                cap = _slope_cap(paths, level, a, a + m)
-            _newton_step(S, B, B_prev, cells, cells_prev, cap)
+            _newton_step(S, B, B_prev, cells, cells_prev)
         B, B_prev, cells_prev = S, B, cells
     k = len(trace) - first
     raise NumericalError(
@@ -429,19 +425,7 @@ def _sup_gap(u, z0, v, gap):
     return float(np.max(np.abs(gap, out=gap)))
 
 
-def _slope_cap(paths, level, a, c):
-    """The bound min(1/2, _SLOPE_CAP m_j) on the Newton slope of each cell
-    j = a..c-1, with the driver mass m_j = |dA_j| + ds + |dQ_j| (see
-    ``_newton_step``)."""
-    _, Av, Qv = paths
-    cap = np.abs(_increments(Av, a, c))
-    cap += 2.0 ** -level
-    cap += np.abs(_increments(Qv, a, c))
-    cap *= _SLOPE_CAP
-    return np.minimum(cap, 0.5, out=cap)
-
-
-def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
+def _newton_step(zS, B, B_prev, cells, cells_prev):
     """Turn the Picard iterate zS = z0 + S(B) into the causal Newton
     iterate, in place; B_prev and cells_prev are overwritten.
 
@@ -458,14 +442,9 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
     * the secant is used only where |B_j - B_prev_j| > 1e-3 max |B - B_prev|,
       and c'_j = 0 (the Picard step) elsewhere: a loose sweep's noise over
       a tiny change of B is no slope;
-    * |c'_j| <= ``cap``_j = min(1/2, _SLOPE_CAP m_j), with the cell's
-      driver mass m_j = |dA_j| + ds_j + |dQ_j| (``_slope_cap``).  The true
-      slope is at most m_j times the largest sensitivity to B of the
-      cell's kernels b/phi_xi, phi_tau/phi_xi and phi_tt/phi_xi, which
-      involves the drift's derivative and so has no declared bound.
-      Sensitivities up to 8 pass, and a larger one is clipped, which makes
-      the step inexact but not unsafe: a secant of noise costs at most
-      that much.  The 1/2 keeps 1 + c'_j in [1/2, 3/2];
+    * c'_j is clipped to [-1/2, 1/2], which keeps 1 + c'_j in [1/2, 3/2]
+      for the cumulative product below.  A clipped slope makes the step
+      inexact but not unsafe: a secant of noise costs at most that much;
     * the cumulative product runs over blocks of _PRODUCT_BLOCK cells, so
       it stays within normal floats, and P is carried from block to block:
       over a whole fine grid the product of the factors can leave float
@@ -480,11 +459,7 @@ def _newton_step(zS, B, B_prev, cells, cells_prev, cap):
         slope = np.subtract(cells, cells_prev, out=cells_prev)
         np.divide(slope, dB, out=slope, where=trusted)
         slope[~trusted] = 0.0
-        np.minimum(slope, cap, out=slope)
-        # max(slope, -cap) as -min(-slope, cap), with no negated copy of cap
-        np.negative(slope, out=slope)
-        np.minimum(slope, cap, out=slope)
-        np.negative(slope, out=slope)
+        np.clip(slope, -0.5, 0.5, out=slope)
         np.subtract(zS[:n], B[:n], out=r)
         blocks = (-1, min(n, _PRODUCT_BLOCK))
         g = np.add(slope, 1.0, out=dB).reshape(blocks)

@@ -616,6 +616,18 @@ def test_figures_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("level, code", [(6, 2), (7, 0)])
+def test_figures_need_level_7_for_the_qv7_column(tmp_path, capsys, level, code):
+    assert run(["figures", "--out-dir", str(tmp_path), "--level", str(level)]) == code
+    if code == 2:
+        err = assert_one_line_error(capsys)
+        assert "--level" in err and "7" in err and "level 7 exceeds" not in err
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert len(list(tmp_path.iterdir())) == 4
+        capsys.readouterr()
+
+
 def test_figures_read_each_curve_in_one_call(tmp_path, monkeypatch, capsys):
     pred_calls = count_calls(monkeypatch, construct, "predicted_qv")
     read_calls = count_calls(monkeypatch, QVCurve, "value_at")
@@ -877,10 +889,42 @@ def test_solve_non_finite_b_in_a_tonelli_cell_exit_3_in_one_line(tmp_path, capsy
     (["cov", "--in", "x.csv", "--in2", "y.csv", "--bogus"], "unrecognized arguments: --bogus"),
     # argparse joins the words it does not know as they are
     (["flow-check", "--sigma", "1", "a\nb"], "unrecognized arguments: a\\nb"),
+    # a number flag reads no Python literal syntax: no "_", no spaces
+    (["synth-x", "--preset", "one", "--level", "1_0", "--out", "x.csv"],
+     "argument --level: invalid int value: '1_0'"),
+    (["shoot", "--sigma", "1", "--x", "preset:one", "--z0", "0", "--z1", "0.4", "--t0", "0_5"],
+     "argument --t0: invalid float value: '0_5'"),
+    (["ito-check", "--x", "preset:one", "--F", "xi^2", "--levels", "8, 1_0"],
+     "bad --levels '8, 1_0'"),
 ])
 def test_argv_refused_by_argparse_exit_2_in_one_line(capsys, argv, message):
     assert run(argv) == 2
     assert message in assert_one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["6", "+6", "-1", "007", "0"])
+def test_integer_flags_read_a_sign_and_ascii_digits(text):
+    assert cli._integer(text) == int(text)
+
+
+@pytest.mark.parametrize("text", ["1_0", " 6 ", "6 ", "\t6", "6\n", "", "+", "1.0", "1e3",
+                                  "0x10", "\u0663"])
+def test_integer_flags_refuse_other_int_syntax(text):
+    with pytest.raises(ValueError):
+        cli._integer(text)
+
+
+@pytest.mark.parametrize("text", ["0.5", ".5", "5.", "-5e-1", "+1E+3", "7", "nan", "inf",
+                                  "-Infinity", "NaN"])
+def test_float_flags_read_decimal_literals(text):
+    assert repr(cli._decimal(text)) == repr(float(text))
+
+
+@pytest.mark.parametrize("text", ["0_5", " 0.5", "0.5 ", "1e", "e5", ".", "1e1_0", "0x1p-1",
+                                  "nanx", "in", "\u0663", ""])
+def test_float_flags_refuse_other_float_syntax(text):
+    with pytest.raises(ValueError):
+        cli._decimal(text)
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["solve", "--help"]])
@@ -966,7 +1010,8 @@ def test_module_entry_point_runs_in_a_process():
 # prefix of a real flag, and values that are valid or malformed; {name}
 # stands for a file in the test's directory
 
-_MALFORMED = ["", "x", "nan", "1e999", "-1", "21", "1_0", "**", "{missing}", "a\nb"]
+_MALFORMED = ["", "x", "nan", "1e999", "-1", "21", "1_0", " 6 ", "0_5", "**", "{missing}",
+              "a\nb"]
 # valid values, by kind of flag
 _VALID = {
     "level": ["4", "5", "6", "7", "8"],
@@ -1027,10 +1072,6 @@ def _argvs(draw):
         kind = next((_KINDS[f] for f in flags if f.startswith(flag)), "number")
         if not one_in(10):
             words += [flag, draw(st.sampled_from(_VALID[kind]))]
-        elif kind in ("level", "levels"):
-            # int() reads "1_0" as 10: kept off levels, so that no level
-            # above 8 reaches synthesis
-            words += [flag, draw(st.sampled_from([v for v in _MALFORMED if v != "1_0"]))]
         else:
             words += [flag, draw(st.sampled_from(_MALFORMED))]
     if words and one_in(20):
@@ -1109,6 +1150,12 @@ def checked_run(argv_files, monkeypatch, capsys):
      "--out", "{out}"],
     ["diagnose", "--preset", "one", "--t", "nan"],
     ["figures", "--out-dir", "{dir}", "--level", "-1"],
+    ["synth-x", "--preset", "one", "--level", "1_0", "--out", "{out}"],
+    ["synth-y", "--preset", "one", "--level", " 6 ", "--out", "{out}"],
+    ["qv", "--in", "{x}", "--levels", "6, 1_0"],
+    ["diagnose", "--preset", "one", "--t", "0.5", "--n-max", "1_0"],
+    ["shoot", "--sigma", "1", "--x", "preset:one", "--z0", "0", "--z1", "0.4", "--t0", "0_5",
+     "--level", "6"],
 ])
 def test_malformed_argv_exit_2_in_one_line(checked_run, argv):
     assert checked_run(argv) == 2

@@ -454,22 +454,80 @@ def test_newton_step_falls_back_to_picard_when_not_finite():
     picard = np.full(n + 1, 1e308)
     zS, B, B_prev = picard.copy(), np.zeros(n + 1), np.full(n + 1, -1.0)
     cells, cells_prev = np.full(n, 0.25), np.zeros(n)  # secant 0.25 per cell
-    cap = np.full(n, 0.5)  # the slope cap of cells of driver mass 3
-    _newton_step(zS, B, B_prev, cells, cells_prev, cap)
+    _newton_step(zS, B, B_prev, cells, cells_prev)
     assert np.array_equal(zS, picard)
     zS = np.full(n + 1, 1.0)  # r = 1: the step moves every later point
-    _newton_step(zS, B, np.full(n + 1, -1.0), cells, np.zeros(n), cap)
+    _newton_step(zS, B, np.full(n + 1, -1.0), cells, np.zeros(n))
     assert zS[0] == 1.0 and np.all(zS[1:] > 1.0)
+
+
+@pytest.mark.parametrize("secant, want", [(0.9, [1.0, 1.5, 2.25, 3.375, 5.0625]),
+                                           (-0.9, [1.0, 0.5, 0.25, 0.125, 0.0625])])
+def test_newton_step_clips_each_slope_to_a_half(secant, want):
+    # B moved by 1 in every cell and each cell by the secant: c' = +-1/2
+    # after the clip, so with r = 1 the recurrence P_(k+1) = (1 + c') P_k + c'
+    # gives P = 0.5, 1.25, 2.375, 4.0625 (or -0.5, -0.75, -0.875, -0.9375)
+    n = 4
+    zS = np.ones(n + 1)
+    _newton_step(zS, np.zeros(n + 1), np.full(n + 1, -1.0), np.full(n, secant), np.zeros(n))
+    np.testing.assert_allclose(zS, want, rtol=1e-15)
+
+
+def newton_reference(zS, B, B_prev, cells, cells_prev):
+    """The Newton iterate of ``_newton_step`` from a plain loop over the
+    cells: the secant where |dB| > 1e-3 max |dB| (else 0), clipped to
+    [-1/2, 1/2], and P_(k+1) = (1 + c'_k) P_k + c'_k r_k with r = zS - B."""
+    zS, B, cells, cells_prev = (v.tolist() for v in (zS, B, cells, cells_prev))
+    n = len(cells)
+    dB = [B[k] - B_prev[k] for k in range(n)]  # as np.subtract takes them
+    largest = max(abs(d) for d in dB)
+    P, newton = 0.0, [zS[0]]
+    for k in range(n):
+        c = (cells[k] - cells_prev[k]) / dB[k] if abs(dB[k]) > 1e-3 * largest else 0.0
+        c = min(max(c, -0.5), 0.5)
+        P = (1.0 + c) * P + c * (zS[k] - B[k])
+        newton.append(zS[k + 1] + P)
+    return np.array(newton)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(k=st.integers(1, 13), seed=st.integers(0, 2**32 - 1),
+       r_scale=st.sampled_from([1e-3, 1.0, 1e3]), huge=st.booleans())
+def test_newton_step_matches_the_recurrence_loop(k, seed, r_scale, huge):
+    # windows of up to 16 product blocks of 512 cells; one cell in five
+    # moved too little for a secant, and the secants span [-2, 2], so the
+    # clip acts on half of them.  A huge window has r of order 1e308 and
+    # secants in [1/2, 2], so P overflows unless the window is short, and
+    # where it does the Picard iterate stays
+    n = 2**k
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal(n + 1)
+    dB = rng.standard_normal(n + 1) * np.where(rng.random(n + 1) < 0.2, 1e-6, 1.0)
+    B_prev = B - dB
+    cells_prev = rng.standard_normal(n)
+    cells = cells_prev + rng.uniform(0.5 if huge else -2.0, 2.0, n) * dB[:n]
+    r = rng.standard_normal(n + 1)
+    zS = B + (rng.uniform(0.5e308, 1e308, n + 1) if huge else r_scale * r)
+    want = newton_reference(zS, B, B_prev, cells, cells_prev)
+    got = zS.copy()
+    _newton_step(got, B, B_prev.copy(), cells, cells_prev.copy())
+    if np.all(np.isfinite(want)):
+        P = want - zS
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(P)))
+    else:
+        assert np.array_equal(got, zS)
 
 
 def test_sweep_counts_at_level_12(x12, monkeypatch):
     # the Newton step's gain, pinned: a fallback to plain Picard takes
-    # 11, 7 and 10 sweeps here
+    # 11, 7, 10 and 10 sweeps here
     rtols = count_flow_solves(monkeypatch)
     cases = [
         (linear_qv_problem(constant_field(1.0), lambda t, xi: -0.5 * xi, x12, 1.0, LEVEL), 4),
         (geometric_problem(x12), 3),
-        (linear_qv_problem(EXPRESSION, lambda t, xi: 0.2 - 0.5 * xi, x12, 0.3, LEVEL), 7),
+        (linear_qv_problem(EXPRESSION, lambda t, xi: 0.2 - 0.5 * xi, x12, 0.3, LEVEL), 5),
+        (linear_qv_problem(field_from_expression("(0.2+0.1*t)*xi+1"), lambda t, xi: 0.5 * xi,
+                           x12, 0.3, LEVEL), 5),
     ]
     for prob, most in cases:
         rtols.clear()
